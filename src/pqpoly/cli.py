@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import families, identities, sequences
-from .exact import XPoly, rational_from_str, rational_to_str
+from .exact import rational_from_str, rational_to_str
 from .pqcalc import PQParams
 
 DEFAULT_P = "1/2"
@@ -122,14 +121,11 @@ def _gen_rows(args, params: PQParams):
         meta["k"] = args.k
         meta["p"], meta["q"] = params.as_strings()
         key = "coeffs"
-        try:
-            requests = [
-                families.FamilyRequest(POLY_FAMILIES[family], n, args.k, params)
-                for n in range(args.nmax + 1)
-            ]
-        except ValueError as exc:
-            raise CliError(f"--k: {exc}") from None
-        rows = [(req.n, req.compute().to_strings()) for req in requests]
+        poly = POLY_FAMILIES[family]
+        rows = [
+            (n, families.compute(poly, n, args.k, params).to_strings())
+            for n in range(args.nmax + 1)
+        ]
     elif family == "euler":
         key = "coeffs"
         rows = [
@@ -195,9 +191,8 @@ def cmd_verify(args) -> int:
             raise CliError(f"--only: unknown check ids: {', '.join(unknown)}")
         if not only:
             raise CliError("--only: no check ids given")
-    max_workers = _thread_cap_from_env()
     config = identities.SuiteConfig(n_max=args.nmax)
-    reports = identities.run_all(config, only=only, max_workers=max_workers)
+    reports = identities.run_all(config, only=only)
     obj = {
         "n_max": args.nmax,
         "reports": [r.to_json_obj() for r in reports],
@@ -206,19 +201,6 @@ def cmd_verify(args) -> int:
     obj["passed"] = all_good
     _emit(json.dumps(obj, indent=2), args.output)
     return 0 if all_good else 1
-
-
-def _thread_cap_from_env() -> int:
-    raw = os.environ.get("PQPOLY_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"PQPOLY_THREADS: not an integer: {raw!r}") from None
-    if value < 1:
-        raise CliError("PQPOLY_THREADS: must be at least 1")
-    return value
 
 
 def cmd_closed_form(args) -> int:

@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 

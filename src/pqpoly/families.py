@@ -7,7 +7,7 @@ three; route agreement is a checked property, never an assumption, so the
 routes deliberately share no intermediate results beyond the ingredient
 sequences they cite.
 
-Routes:
+Routes (ROUTES_BY_FAMILY lists which family has which):
   gf                    coefficient extraction from the defining EGF
   stirling_closed_form  finite sums over weighted Stirling numbers
   integral_expansion    falling-factorial expansion under the iterated
@@ -38,17 +38,54 @@ FAMILY_POLY_BERNOULLI = "poly_bernoulli"
 FAMILY_POLY_CAUCHY_1 = "poly_cauchy_1"
 FAMILY_POLY_CAUCHY_2 = "poly_cauchy_2"
 
+# family -> {route -> name of the module-level function computing it}.
+# Names, not function objects: compute() looks each one up when it is
+# called, so a rebinding of the module attribute (a wrapper, a seeded
+# defect) reaches every caller, FamilyRequest and the identity suite alike.
 ROUTES_BY_FAMILY = {
-    FAMILY_POLY_EULER: (ROUTE_GF,),
-    FAMILY_POLY_BERNOULLI: (ROUTE_GF, ROUTE_STIRLING),
-    FAMILY_POLY_CAUCHY_1: (ROUTE_GF, ROUTE_STIRLING, ROUTE_INTEGRAL),
-    FAMILY_POLY_CAUCHY_2: (ROUTE_GF, ROUTE_STIRLING, ROUTE_INTEGRAL),
+    FAMILY_POLY_EULER: {ROUTE_GF: "poly_euler"},
+    FAMILY_POLY_BERNOULLI: {
+        ROUTE_GF: "bernoulli_via_gf",
+        ROUTE_STIRLING: "bernoulli_via_weighted_stirling",
+    },
+    FAMILY_POLY_CAUCHY_1: {
+        ROUTE_GF: "cauchy1_via_gf",
+        ROUTE_STIRLING: "cauchy1_via_weighted_stirling",
+        ROUTE_INTEGRAL: "cauchy1_via_integral_expansion",
+    },
+    FAMILY_POLY_CAUCHY_2: {
+        ROUTE_GF: "cauchy2_via_gf",
+        ROUTE_STIRLING: "cauchy2_via_weighted_stirling",
+        ROUTE_INTEGRAL: "cauchy2_via_integral_expansion",
+    },
 }
 
 
 def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def routes(family: str, k: int) -> tuple[str, ...]:
+    """The routes that compute `family` at weight k, in table order."""
+    if family not in ROUTES_BY_FAMILY:
+        raise ValueError(f"unknown family {family!r}")
+    return tuple(
+        route
+        for route in ROUTES_BY_FAMILY[family]
+        if route != ROUTE_INTEGRAL or k >= 1
+    )
+
+
+def compute(
+    family: str, n: int, k: int, params: PQParams, route: str = ROUTE_GF
+) -> XPoly:
+    """Evaluate one family at (n, k, params) through the named route."""
+    _check_n(n)
+    name = ROUTES_BY_FAMILY.get(family, {}).get(route)
+    if name is None:
+        raise ValueError(f"{family} has no route {route!r}")
+    return globals()[name](n, k, params)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +160,7 @@ def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
 def poly_bernoulli(
     n: int, k: int, params: PQParams, route: str = ROUTE_GF
 ) -> XPoly:
-    _check_n(n)
-    if route == ROUTE_GF:
-        return bernoulli_via_gf(n, k, params)
-    if route == ROUTE_STIRLING:
-        return bernoulli_via_weighted_stirling(n, k, params)
-    raise ValueError(f"poly_bernoulli has no route {route!r}")
+    return compute(FAMILY_POLY_BERNOULLI, n, k, params, route)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +212,7 @@ def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
 def poly_cauchy_1(
     n: int, k: int, params: PQParams, route: str = ROUTE_GF
 ) -> XPoly:
-    _check_n(n)
-    if route == ROUTE_GF:
-        return cauchy1_via_gf(n, k, params)
-    if route == ROUTE_STIRLING:
-        return cauchy1_via_weighted_stirling(n, k, params)
-    if route == ROUTE_INTEGRAL:
-        return cauchy1_via_integral_expansion(n, k, params)
-    raise ValueError(f"poly_cauchy_1 has no route {route!r}")
+    return compute(FAMILY_POLY_CAUCHY_1, n, k, params, route)
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +262,11 @@ def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
 def poly_cauchy_2(
     n: int, k: int, params: PQParams, route: str = ROUTE_GF
 ) -> XPoly:
-    _check_n(n)
-    if route == ROUTE_GF:
-        return cauchy2_via_gf(n, k, params)
-    if route == ROUTE_STIRLING:
-        return cauchy2_via_weighted_stirling(n, k, params)
-    if route == ROUTE_INTEGRAL:
-        return cauchy2_via_integral_expansion(n, k, params)
-    raise ValueError(f"poly_cauchy_2 has no route {route!r}")
+    return compute(FAMILY_POLY_CAUCHY_2, n, k, params, route)
 
 
 # ---------------------------------------------------------------------------
-# request plumbing shared by the CLI and the verification suite
-
-_COMPUTE = {
-    FAMILY_POLY_EULER: lambda n, k, params, route: poly_euler(n, k, params),
-    FAMILY_POLY_BERNOULLI: poly_bernoulli,
-    FAMILY_POLY_CAUCHY_1: poly_cauchy_1,
-    FAMILY_POLY_CAUCHY_2: poly_cauchy_2,
-}
+# a validated request, for library callers that build evaluations up front
 
 
 @dataclass(frozen=True)
@@ -269,18 +280,13 @@ class FamilyRequest:
     route: str = ROUTE_GF
 
     def __post_init__(self):
-        if self.family not in ROUTES_BY_FAMILY:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        allowed = ROUTES_BY_FAMILY[self.family]
+        allowed = routes(self.family, self.k)
+        _check_n(self.n)
         if self.route not in allowed:
             raise ValueError(
-                f"family {self.family} supports routes {allowed}, "
-                f"not {self.route!r}"
+                f"family {self.family} at k = {self.k} supports routes "
+                f"{allowed}, not {self.route!r}"
             )
-        if self.route == ROUTE_INTEGRAL and self.k < 1:
-            raise ValueError("integral_expansion route requires k >= 1")
 
     def compute(self) -> XPoly:
-        return _COMPUTE[self.family](self.n, self.k, self.params, self.route)
+        return compute(self.family, self.n, self.k, self.params, self.route)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +45,6 @@ class SuiteConfig:
 
     n_max: int = 10
     k_values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
-    k_values_integral: tuple[int, ...] = (1, 2, 3)
     s_values: tuple[int, ...] = (1, 2, 3)
     u_values: tuple[Fraction, ...] = (Fraction(-1), Fraction(2), Fraction(1, 2))
     scale_values: tuple[int, ...] = (1, 2, 3)
@@ -419,25 +417,23 @@ def _eval_polyberrel1(cell):
     return lhs, rhs
 
 
-def _eval_cauchy_routes(cell, compute):
+def _eval_cauchy_routes(cell, family):
     n, k, params = cell["n"], cell["k"], cell["params"]
-    routes = [families.ROUTE_GF, families.ROUTE_STIRLING]
-    if k >= 1:
-        routes.append(families.ROUTE_INTEGRAL)
-    reference = compute(n, k, params, routes[0])
-    for route in routes[1:]:
-        candidate = compute(n, k, params, route)
+    first, *others = families.routes(family, k)
+    reference = families.compute(family, n, k, params, first)
+    for route in others:
+        candidate = families.compute(family, n, k, params, route)
         if candidate != reference:
             return reference, candidate
     return reference, reference
 
 
 def _eval_cauchy_routes_1(cell):
-    return _eval_cauchy_routes(cell, families.poly_cauchy_1)
+    return _eval_cauchy_routes(cell, families.FAMILY_POLY_CAUCHY_1)
 
 
 def _eval_cauchy_routes_2(cell):
-    return _eval_cauchy_routes(cell, families.poly_cauchy_2)
+    return _eval_cauchy_routes(cell, families.FAMILY_POLY_CAUCHY_2)
 
 
 def _eval_orthogonality(cell):
@@ -632,22 +628,18 @@ _CHECKS_BY_ID = {check.id: check for check in CHECKS}
 
 
 def run_all(
-    config: SuiteConfig,
-    only: Optional[Iterable[str]] = None,
-    max_workers: int = 1,
+    config: SuiteConfig, only: Optional[Iterable[str]] = None
 ) -> list[IdentityReport]:
-    """Run the suite (or a subset) and return reports in registry order."""
+    """Run the suite (or a subset) serially; reports keep registry order."""
     if only is None:
-        selected = list(CHECKS)
+        selected = CHECKS
     else:
         wanted = list(only)
         unknown = [i for i in wanted if i not in _CHECKS_BY_ID]
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-        selected = [_CHECKS_BY_ID[i] for i in CHECK_IDS if i in set(wanted)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda ch: run_check(ch, config), selected))
+        wanted_set = set(wanted)
+        selected = [check for check in CHECKS if check.id in wanted_set]
     return [run_check(check, config) for check in selected]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Scalar, XPoly, rational_from_str, rational_to_str
+from .exact import XPoly, rational_from_str, rational_to_str
 
 GENERIC = "generic"
 EQUAL_LIMIT = "equal-limit"

@@ -26,7 +26,6 @@ from pqpoly.pqcalc import PQParams
 REDUCED = SuiteConfig(
     n_max=6,
     k_values=(1, 2),
-    k_values_integral=(1, 2),
     s_values=(1,),
     u_values=(Fraction(-1),),
     scale_values=(1, 2),

@@ -271,27 +271,6 @@ def test_verify_unknown_check_id(capsys):
     assert "unknown check ids" in err
 
 
-def test_verify_thread_env_matches_serial(capsys, monkeypatch):
-    code, serial, _ = run_cli(
-        capsys, "verify", "--only", "appell_ii,invrel2", "--nmax", "3"
-    )
-    assert code == 0
-    monkeypatch.setenv("PQPOLY_THREADS", "2")
-    code, pooled, _ = run_cli(
-        capsys, "verify", "--only", "appell_ii,invrel2", "--nmax", "3"
-    )
-    assert code == 0
-    assert serial == pooled
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_verify_rejects_bad_thread_env(capsys, monkeypatch, raw):
-    monkeypatch.setenv("PQPOLY_THREADS", raw)
-    code, _, err = run_cli(capsys, "verify", "--only", "appell_i", "--nmax", "1")
-    assert code == 2
-    assert "PQPOLY_THREADS" in err
-
-
 def test_verify_writes_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

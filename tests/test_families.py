@@ -232,9 +232,13 @@ def test_routes_by_family_covers_all_families():
         FAMILY_POLY_CAUCHY_1,
         FAMILY_POLY_CAUCHY_2,
     }
-    assert ROUTES_BY_FAMILY[FAMILY_POLY_EULER] == (ROUTE_GF,)
+    assert tuple(ROUTES_BY_FAMILY[FAMILY_POLY_EULER]) == (ROUTE_GF,)
+    assert tuple(ROUTES_BY_FAMILY[FAMILY_POLY_BERNOULLI]) == (
+        ROUTE_GF,
+        ROUTE_STIRLING,
+    )
     for family in (FAMILY_POLY_CAUCHY_1, FAMILY_POLY_CAUCHY_2):
-        assert ROUTES_BY_FAMILY[family] == (
+        assert tuple(ROUTES_BY_FAMILY[family]) == (
             ROUTE_GF,
             ROUTE_STIRLING,
             ROUTE_INTEGRAL,

@@ -22,7 +22,6 @@ from pqpoly.pqcalc import PQParams
 SMALL = SuiteConfig(
     n_max=5,
     k_values=(-1, 1, 2),
-    k_values_integral=(1, 2),
     s_values=(1, 2),
     u_values=(Fraction(-1), Fraction(2)),
     scale_values=(1, 2),
@@ -54,14 +53,6 @@ def test_runs_are_deterministic():
     assert a == b
 
 
-def test_thread_pool_matches_serial_run():
-    serial = reports_to_json(run_all(SMALL, only=["appell_i", "invrel1"]))
-    pooled = reports_to_json(
-        run_all(SMALL, only=["appell_i", "invrel1"], max_workers=3)
-    )
-    assert serial == pooled
-
-
 def test_only_filter_selects_in_registry_order():
     reports = run_all(SMALL, only=["invrel1", "appell_ii"])
     assert [r.id for r in reports] == ["appell_ii", "invrel1"]
@@ -76,7 +67,6 @@ def test_zero_nmax_leaves_shifted_checks_vacuous():
     tiny = SuiteConfig(
         n_max=0,
         k_values=(1,),
-        k_values_integral=(1,),
         s_values=(1,),
         u_values=(Fraction(-1),),
         scale_values=(1,),

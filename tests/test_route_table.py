@@ -1,0 +1,46 @@
+"""The route table resolves each route function when the call is made.
+
+Seeded-defect runs and tracing wrappers rebind module attributes such as
+``families.cauchy2_via_integral_expansion``; every entry point that goes
+through the table must see the rebinding.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from pqpoly import families
+from pqpoly.exact import XPoly
+from pqpoly.identities import SuiteConfig, run_all
+from pqpoly.pqcalc import PQParams
+
+BASE = PQParams(Fraction(1, 2), Fraction(1, 3))
+
+
+def test_rebound_route_reaches_every_entry_point(monkeypatch):
+    real = families.cauchy2_via_integral_expansion
+
+    def skewed(n, k, params):
+        return real(n, k, params) + XPoly.one()
+
+    monkeypatch.setattr(families, "cauchy2_via_integral_expansion", skewed)
+    want = real(3, 2, BASE) + XPoly.one()
+
+    assert families.poly_cauchy_2(3, 2, BASE, families.ROUTE_INTEGRAL) == want
+    request = families.FamilyRequest(
+        families.FAMILY_POLY_CAUCHY_2, 3, 2, BASE, families.ROUTE_INTEGRAL
+    )
+    assert request.compute() == want
+
+    config = SuiteConfig(n_max=2, k_values=(1,), param_points=(BASE,))
+    (report,) = run_all(config, only=["cauchy_routes_2"])
+    assert not report.passed
+    assert report.first_failure is not None
+
+
+@pytest.mark.parametrize("family", sorted(families.ROUTES_BY_FAMILY))
+def test_integral_route_needs_positive_weight(family):
+    table = tuple(families.ROUTES_BY_FAMILY[family])
+    assert families.ROUTE_INTEGRAL not in families.routes(family, 0)
+    assert families.routes(family, 1) == table
+
