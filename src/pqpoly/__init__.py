@@ -33,7 +33,6 @@ from .sequences import (
     weighted_stirling2,
 )
 from .families import (
-    FamilyRequest,
     ROUTE_GF,
     ROUTE_INTEGRAL,
     ROUTE_STIRLING,
@@ -80,7 +79,6 @@ __all__ = [
     "li_pq_ordinary_coeffs",
     "lif_pq_ordinary_coeffs",
     "li_pq_closed_form",
-    "FamilyRequest",
     "ROUTE_GF",
     "ROUTE_STIRLING",
     "ROUTE_INTEGRAL",

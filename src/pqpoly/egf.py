@@ -5,8 +5,7 @@ sum a_n t^n / n!.  Coefficients may be Fraction scalars or XPoly values, or
 any commutative exact ring elements supporting +, -, * and equality; mixed
 Fraction/XPoly series combine through the coercion XPoly already provides.
 
-Binary operations require equal orders.  There is no implicit truncation;
-callers cut a series down with ``truncate`` before combining.
+Binary operations require equal orders; there is no implicit truncation.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ class EgfSeries:
             raise IndexError(f"coefficient {n} outside order {self.order}")
         return self._coeffs[n]
 
-    def truncate(self, order: int) -> "EgfSeries":
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return EgfSeries(self._coeffs[: order + 1])
-
     def _check_order(self, other: "EgfSeries") -> None:
         if self.order != other.order:
             raise ValueError(
@@ -75,10 +69,6 @@ class EgfSeries:
     def add(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
         return EgfSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def sub(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
-        return EgfSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def scale(self, scalar) -> "EgfSeries":
         return EgfSeries([c * scalar for c in self._coeffs])

@@ -13,14 +13,15 @@ Routes (ROUTES_BY_FAMILY lists which family has which):
   integral_expansion    falling-factorial expansion under the iterated
                         deformed integral, poly-Cauchy only, needs k >= 1
 
-All values are cached; callers may request the same (n, k, params) grid
-repeatedly without recomputation.
+Only the generating-function routes and the poly-Euler base series are
+cached, so a repeated (n, k, params) grid through them costs one
+evaluation.  The weighted-Stirling and integral routes are recomputed on
+each call from their cached ingredient sequences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ FAMILY_POLY_CAUCHY_2 = "poly_cauchy_2"
 # family -> {route -> name of the module-level function computing it}.
 # Names, not function objects: compute() looks each one up when it is
 # called, so a rebinding of the module attribute (a wrapper, a seeded
-# defect) reaches every caller, FamilyRequest and the identity suite alike.
+# defect) reaches every caller, the CLI and the identity suite alike.
 ROUTES_BY_FAMILY = {
     FAMILY_POLY_EULER: {ROUTE_GF: "poly_euler"},
     FAMILY_POLY_BERNOULLI: {
@@ -121,7 +122,6 @@ def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
 # poly-Bernoulli
 
 
-@lru_cache(maxsize=None)
 def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     """EGF of Li_k(1 - e^(-t)) / (1 - e^(-t)), the x = 0 column.
 
@@ -145,7 +145,6 @@ def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     )
 
 
-@lru_cache(maxsize=None)
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     total = XPoly.zero()
     for m in range(n + 1):
@@ -179,7 +178,6 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     return lif_part.mul(binom_part).coeff(n)
 
 
-@lru_cache(maxsize=None)
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     total = XPoly.zero()
@@ -189,7 +187,6 @@ def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     return total
 
 
-@lru_cache(maxsize=None)
 def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     """Expand (t_1...t_k - x)_n and integrate each monomial exactly."""
     _check_n(n)
@@ -229,7 +226,6 @@ def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     return lif_part.mul(binom_part).coeff(n)
 
 
-@lru_cache(maxsize=None)
 def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     minus_x = XPoly((0, -1))
@@ -240,7 +236,6 @@ def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     return Fraction((-1) ** n) * total
 
 
-@lru_cache(maxsize=None)
 def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     """Expand (x - t_1...t_k)_n and integrate each monomial exactly."""
     _check_n(n)
@@ -263,30 +258,3 @@ def poly_cauchy_2(
     n: int, k: int, params: PQParams, route: str = ROUTE_GF
 ) -> XPoly:
     return compute(FAMILY_POLY_CAUCHY_2, n, k, params, route)
-
-
-# ---------------------------------------------------------------------------
-# a validated request, for library callers that build evaluations up front
-
-
-@dataclass(frozen=True)
-class FamilyRequest:
-    """One family evaluation, validated on construction."""
-
-    family: str
-    n: int
-    k: int
-    params: PQParams
-    route: str = ROUTE_GF
-
-    def __post_init__(self):
-        allowed = routes(self.family, self.k)
-        _check_n(self.n)
-        if self.route not in allowed:
-            raise ValueError(
-                f"family {self.family} at k = {self.k} supports routes "
-                f"{allowed}, not {self.route!r}"
-            )
-
-    def compute(self) -> XPoly:
-        return compute(self.family, self.n, self.k, self.params, self.route)

@@ -15,7 +15,6 @@ with both sides serialized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +122,7 @@ def run_check(check: IdentityCheck, config: SuiteConfig) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# cached scalar helpers shared by the evaluators
+# helpers for the evaluators; the cached ones repeat across cells
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +174,6 @@ def _inner_bernoulli(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
 def _euler_gf_over_poly_ring(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of the defining EGF with the e^(xt) factor kept
     polynomial, independent of the Appell expansion used by poly_euler."""
@@ -303,7 +301,7 @@ def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
 def _tid1_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     acc = Fraction(0)
     for i in range(n + 1):
-        s2 = sequences.stirling2(i, l) if i >= l else 0
+        s2 = sequences.stirling2(i, l)
         if s2:
             acc += math.comb(n, i) * s2 * _euler_poly_at(
                 n - i, Fraction(-l), k, params
@@ -321,21 +319,14 @@ def _eval_tid1(cell):
 
 
 def tid1_tail_term(n: int, k: int, params: PQParams) -> XPoly:
-    """Term l = n + 1, computed without shortcuts; every Stirling factor
-    in it vanishes above the diagonal."""
-    l = n + 1
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += math.comb(n, i) * sequences.stirling2(i, l) * _euler_poly_at(
-            n - i, Fraction(-l), k, params
-        )
-    return acc * rising_factorial(l)
+    """Term l = n + 1; every Stirling factor in it lies above the diagonal."""
+    return _tid1_term(n, k, params, n + 1)
 
 
 def _tid2_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     acc = Fraction(0)
     for i in range(n + 1):
-        s2 = sequences.stirling2(i, l) if i >= l else 0
+        s2 = sequences.stirling2(i, l)
         if s2:
             acc += math.comb(n, i) * s2 * families.poly_euler_number(
                 n - i, k, params
@@ -353,13 +344,8 @@ def _eval_tid2(cell):
 
 
 def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
-    l = n + 1
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += math.comb(n, i) * sequences.stirling2(i, l) * families.poly_euler_number(
-            n - i, k, params
-        )
-    return acc * falling_factorial(l)
+    """First term beyond the truncation used by the tid2 check."""
+    return _tid2_term(n, k, params, n + 1)
 
 
 def _eval_tid3(cell):
@@ -642,8 +628,3 @@ def run_all(
         selected = [check for check in CHECKS if check.id in wanted_set]
     return [run_check(check, config) for check in selected]
 
-
-def reports_to_json(reports: list[IdentityReport]) -> str:
-    return json.dumps(
-        {"reports": [r.to_json_obj() for r in reports]}, indent=2
-    )

@@ -19,9 +19,6 @@ from functools import lru_cache
 
 from .exact import XPoly, rational_from_str, rational_to_str
 
-GENERIC = "generic"
-EQUAL_LIMIT = "equal-limit"
-
 
 @dataclass(frozen=True)
 class PQParams:
@@ -37,10 +34,6 @@ class PQParams:
             raise ValueError(
                 f"parameters must satisfy 0 < q <= p <= 1, got p={self.p}, q={self.q}"
             )
-
-    @property
-    def mode(self) -> str:
-        return EQUAL_LIMIT if self.p == self.q else GENERIC
 
     @property
     def is_equal_limit(self) -> bool:

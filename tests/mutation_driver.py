@@ -48,12 +48,12 @@ def mutate_stirling2_off_by_one() -> None:
 
 def mutate_cauchy1_sign_flip() -> None:
     """Negate one of the first-kind Cauchy computation routes."""
-    route = families.cauchy1_via_weighted_stirling.__wrapped__
+    route = families.cauchy1_via_weighted_stirling
 
     def flipped(n, k, params):
         return -route(n, k, params)
 
-    families.cauchy1_via_weighted_stirling = lru_cache(maxsize=None)(flipped)
+    families.cauchy1_via_weighted_stirling = flipped
 
 
 def mutate_li_forgets_deformation() -> None:

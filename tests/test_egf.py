@@ -153,9 +153,3 @@ def test_series_over_polynomial_ring():
         two_x**n for n in range(order + 1)
     ]
 
-
-def test_truncate_drops_high_order_terms():
-    s = EgfSeries([1, 2, 3, 4])
-    assert s.truncate(1) == EgfSeries([1, 2])
-    with pytest.raises(ValueError):
-        s.truncate(5)

@@ -13,7 +13,7 @@ from pqpoly.families import (
     ROUTE_INTEGRAL,
     ROUTE_STIRLING,
     ROUTES_BY_FAMILY,
-    FamilyRequest,
+    compute,
     poly_bernoulli,
     poly_cauchy_1,
     poly_cauchy_2,
@@ -200,29 +200,18 @@ def test_integral_route_requires_positive_weight():
 
 
 # ---------------------------------------------------------------------------
-# request plumbing
+# route table
 
 
-def test_family_request_computes_each_family():
-    req = FamilyRequest(FAMILY_POLY_EULER, 2, 2, BASE)
-    assert req.compute() == poly_euler(2, 2, BASE)
-    req = FamilyRequest(FAMILY_POLY_BERNOULLI, 1, 2, BASE, ROUTE_STIRLING)
-    assert req.compute() == poly_bernoulli(1, 2, BASE)
-    req = FamilyRequest(FAMILY_POLY_CAUCHY_1, 1, 2, BASE, ROUTE_INTEGRAL)
-    assert req.compute() == poly_cauchy_1(1, 2, BASE)
-    req = FamilyRequest(FAMILY_POLY_CAUCHY_2, 4, -1, BASE)
-    assert req.compute() == poly_cauchy_2(4, -1, BASE)
-
-
-def test_family_request_validation():
+def test_compute_validation():
     with pytest.raises(ValueError):
-        FamilyRequest("poly_gamma", 1, 1, BASE)
+        compute("poly_gamma", 1, 1, BASE)
     with pytest.raises(ValueError):
-        FamilyRequest(FAMILY_POLY_EULER, 1, 1, BASE, ROUTE_INTEGRAL)
+        compute(FAMILY_POLY_EULER, 1, 1, BASE, ROUTE_INTEGRAL)
     with pytest.raises(ValueError):
-        FamilyRequest(FAMILY_POLY_CAUCHY_1, 1, 0, BASE, ROUTE_INTEGRAL)
+        compute(FAMILY_POLY_CAUCHY_1, 1, 0, BASE, ROUTE_INTEGRAL)
     with pytest.raises(ValueError):
-        FamilyRequest(FAMILY_POLY_EULER, -1, 1, BASE)
+        compute(FAMILY_POLY_EULER, -1, 1, BASE)
 
 
 def test_routes_by_family_covers_all_families():

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from pqpoly.exact import XPoly
 from pqpoly.pqcalc import (
-    EQUAL_LIMIT,
-    GENERIC,
     PQParams,
     pq_derivative,
     pq_integer,
@@ -44,8 +42,8 @@ def test_params_validation():
 
 
 def test_params_mode():
-    assert PQParams(Fraction(1, 2), Fraction(1, 3)).mode == GENERIC
-    assert PQParams(Fraction(2, 3), Fraction(2, 3)).mode == EQUAL_LIMIT
+    assert not PQParams(Fraction(1, 2), Fraction(1, 3)).is_equal_limit
+    assert PQParams(Fraction(2, 3), Fraction(2, 3)).is_equal_limit
     assert PQParams(Fraction(1), Fraction(1)).is_equal_limit
 
 

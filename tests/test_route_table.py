@@ -27,10 +27,12 @@ def test_rebound_route_reaches_every_entry_point(monkeypatch):
     want = real(3, 2, BASE) + XPoly.one()
 
     assert families.poly_cauchy_2(3, 2, BASE, families.ROUTE_INTEGRAL) == want
-    request = families.FamilyRequest(
-        families.FAMILY_POLY_CAUCHY_2, 3, 2, BASE, families.ROUTE_INTEGRAL
+    assert (
+        families.compute(
+            families.FAMILY_POLY_CAUCHY_2, 3, 2, BASE, families.ROUTE_INTEGRAL
+        )
+        == want
     )
-    assert request.compute() == want
 
     config = SuiteConfig(n_max=2, k_values=(1,), param_points=(BASE,))
     (report,) = run_all(config, only=["cauchy_routes_2"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly.exact import XPoly, binomial, falling_factorial, rising_factorial
+from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
 from pqpoly.sequences import (
     RationalFunction,
