@@ -3,9 +3,7 @@ poly-Cauchy polynomial families, plus a batch verifier for the identities
 connecting them."""
 
 from .exact import (
-    Rational,
     XPoly,
-    binomial,
     falling_factorial,
     rational_from_str,
     rational_to_str,
@@ -54,9 +52,7 @@ from .identities import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "XPoly",
-    "binomial",
     "falling_factorial",
     "rising_factorial",
     "rational_from_str",

@@ -114,41 +114,33 @@ def _emit(text: str, path) -> None:
 
 
 def _gen_rows(args, params: PQParams):
-    """Yield (n, list-of-strings) rows plus the metadata describing them."""
+    """The metadata, the row key and the (n, list-of-strings) rows."""
     family = args.family
     meta = {"family": family, "n_max": args.nmax}
     if family in POLY_FAMILIES:
         meta["k"] = args.k
         meta["p"], meta["q"] = params.as_strings()
-        key = "coeffs"
-        poly = POLY_FAMILIES[family]
-        rows = [
-            (n, families.compute(poly, n, args.k, params).to_strings())
-            for n in range(args.nmax + 1)
-        ]
+
+        def value(n):
+            return families.compute(POLY_FAMILIES[family], n, args.k, params)
+
     elif family == "euler":
-        key = "coeffs"
-        rows = [
-            (n, sequences.euler_poly(n).to_strings())
-            for n in range(args.nmax + 1)
-        ]
+        value = sequences.euler_poly
     elif family == "bernoulli-order":
         meta["s"] = args.s
-        key = "coeffs"
-        rows = [
-            (n, sequences.bernoulli_order(n, args.s).to_strings())
-            for n in range(args.nmax + 1)
-        ]
+
+        def value(n):
+            return sequences.bernoulli_order(n, args.s)
+
     elif family == "frobenius-euler":
         meta["s"] = args.s
         meta["u"] = rational_to_str(args.u)
-        key = "coeffs"
         if args.u == 1:
             raise CliError("--u: u = 1 is outside the Frobenius-Euler domain")
-        rows = [
-            (n, sequences.frobenius_euler(n, args.s, args.u).to_strings())
-            for n in range(args.nmax + 1)
-        ]
+
+        def value(n):
+            return sequences.frobenius_euler(n, args.s, args.u)
+
     else:
         key = "values"
         fn = (
@@ -163,7 +155,9 @@ def _gen_rows(args, params: PQParams):
             )
             for n in range(args.nmax + 1)
         ]
-    return meta, key, rows
+        return meta, key, rows
+    rows = [(n, value(n).to_strings()) for n in range(args.nmax + 1)]
+    return meta, "coeffs", rows
 
 
 def cmd_gen(args) -> int:

@@ -13,13 +13,10 @@ the list of those strings, index = power of x.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -91,9 +88,6 @@ class XPoly:
     def degree(self) -> int:
         """Highest stored power; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def coeff(self, i: int) -> Fraction:
         if 0 <= i < len(self._coeffs):
@@ -240,17 +234,3 @@ def rising_factorial(n: int) -> XPoly:
         result = result * XPoly((j, 1))
     return result
 
-
-def binomial(top: Scalar, k: int) -> Fraction:
-    """Generalized binomial coefficient with rational top and integer k.
-
-    Zero for k < 0, matching the usual convention for sums written with
-    unrestricted binomial factors.
-    """
-    if k < 0:
-        return Fraction(0)
-    top = Fraction(top)
-    num = Fraction(1)
-    for i in range(k):
-        num *= top - i
-    return num / math.factorial(k)

@@ -135,6 +135,7 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 
 @lru_cache(maxsize=None)
 def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
+    _check_n(n)
     base = bernoulli_base_series(k, params, n)
     # e^(-xt) factor: coefficient of x^j carries (-1)^j
     return XPoly(
@@ -146,6 +147,7 @@ def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 
 
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
+    _check_n(n)
     total = XPoly.zero()
     for m in range(n + 1):
         weight = (

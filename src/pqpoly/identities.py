@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from . import families, sequences
@@ -78,9 +78,13 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One identity: `build_cells` lists its cells for a SuiteConfig, and
+    `evaluate` receives a cell's fields as keyword arguments and returns
+    the two sides (lhs, rhs), which must be exactly equal."""
+
     id: str
     build_cells: Callable[[SuiteConfig], Iterable[dict]]
-    evaluate: Callable[[dict], tuple]
+    evaluate: Callable[..., tuple]
 
 
 def y_samples(n: int) -> list[Fraction]:
@@ -108,7 +112,7 @@ def run_check(check: IdentityCheck, config: SuiteConfig) -> IdentityReport:
     total = passed = 0
     first_failure = None
     for cell in check.build_cells(config):
-        lhs, rhs = check.evaluate(cell)
+        lhs, rhs = check.evaluate(**cell)
         total += 1
         if lhs == rhs:
             passed += 1
@@ -229,8 +233,7 @@ def _orthogonality_cells(config: SuiteConfig):
 # evaluators
 
 
-def _eval_appell_i(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_appell_i(n, k, params):
     lhs = _euler_gf_over_poly_ring(n, k, params)
     rhs = XPoly.zero()
     for i in range(n + 1):
@@ -240,8 +243,7 @@ def _eval_appell_i(cell):
     return lhs, rhs
 
 
-def _eval_appell_ii(cell):
-    n, k, params, y = cell["n"], cell["k"], cell["params"], cell["y"]
+def _eval_appell_ii(n, k, params, y):
     lhs = families.poly_euler(n, k, params)(XPoly((y, 1)))
     rhs = XPoly.zero()
     for i in range(n + 1):
@@ -251,8 +253,7 @@ def _eval_appell_ii(cell):
     return lhs, rhs
 
 
-def _eval_appell_iii(cell):
-    n, k, params, m = cell["n"], cell["k"], cell["params"], cell["m"]
+def _eval_appell_iii(n, k, params, m):
     lhs = families.poly_euler(n, k, params)(XPoly((0, m)))
     rhs = XPoly.zero()
     for i in range(n + 1):
@@ -265,8 +266,7 @@ def _eval_appell_iii(cell):
     return lhs, rhs
 
 
-def _eval_appell_iv(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_appell_iv(n, k, params):
     e_n = families.poly_euler(n, k, params)
     lhs = e_n(XPoly((1, 1))) - e_n
     rhs = XPoly.zero()
@@ -282,8 +282,7 @@ def _eucls_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     return pq_integer(l + 1, params) ** (-k) * acc
 
 
-def _eval_eucls(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_eucls(n, k, params):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
     # terms with l >= n vanish: the inner alternating sum is an (l+1)-fold
@@ -309,8 +308,7 @@ def _tid1_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     return acc * rising_factorial(l)
 
 
-def _eval_tid1(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_tid1(n, k, params):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
     for l in range(n + 1):
@@ -334,8 +332,7 @@ def _tid2_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     return acc * falling_factorial(l)
 
 
-def _eval_tid2(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_tid2(n, k, params):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
     for l in range(n + 1):
@@ -348,8 +345,7 @@ def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     return _tid2_term(n, k, params, n + 1)
 
 
-def _eval_tid3(cell):
-    n, k, params, s = cell["n"], cell["k"], cell["params"], cell["s"]
+def _eval_tid3(n, k, params, s):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
     for l in range(n + 1):
@@ -367,9 +363,7 @@ def _eval_tid3(cell):
     return lhs, rhs
 
 
-def _eval_tid4(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
-    s, u = cell["s"], cell["u"]
+def _eval_tid4(n, k, params, s, u):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
     shift = Fraction(1) / (1 - u) ** s
@@ -387,8 +381,7 @@ def _eval_tid4(cell):
     return lhs, rhs
 
 
-def _eval_euler_bernoulli(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_euler_bernoulli(n, k, params):
     e_n = families.poly_euler(n, k, params)
     lhs = e_n + e_n(XPoly((1, 1)))
     b_n = families.poly_bernoulli(n, k, params)
@@ -396,15 +389,8 @@ def _eval_euler_bernoulli(cell):
     return lhs, rhs
 
 
-def _eval_polyberrel1(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
-    lhs = families.poly_bernoulli(n, k, params, families.ROUTE_GF)
-    rhs = families.poly_bernoulli(n, k, params, families.ROUTE_STIRLING)
-    return lhs, rhs
-
-
-def _eval_cauchy_routes(cell, family):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_routes(n, k, params, family):
+    """Every route listed for `family` at weight k against the first one."""
     first, *others = families.routes(family, k)
     reference = families.compute(family, n, k, params, first)
     for route in others:
@@ -414,16 +400,7 @@ def _eval_cauchy_routes(cell, family):
     return reference, reference
 
 
-def _eval_cauchy_routes_1(cell):
-    return _eval_cauchy_routes(cell, families.FAMILY_POLY_CAUCHY_1)
-
-
-def _eval_cauchy_routes_2(cell):
-    return _eval_cauchy_routes(cell, families.FAMILY_POLY_CAUCHY_2)
-
-
-def _eval_orthogonality(cell):
-    n, m, direction = cell["n"], cell["m"], cell["direction"]
+def _eval_orthogonality(n, m, direction):
     acc = XPoly.zero()
     for l in range(m, n + 1):
         if direction == "s2_then_s1":
@@ -443,8 +420,7 @@ def _eval_orthogonality(cell):
     return acc, rhs
 
 
-def _eval_invrel1(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_invrel1(n, k, params):
     lhs = XPoly.zero()
     for m in range(n + 1):
         lhs = lhs + sequences.weighted_stirling1(n, m) * families.poly_bernoulli(
@@ -456,8 +432,7 @@ def _eval_invrel1(cell):
     return lhs, rhs
 
 
-def _eval_invrel2(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_invrel2(n, k, params):
     lhs = XPoly.zero()
     for m in range(n + 1):
         lhs = lhs + sequences.weighted_stirling2(n, m) * families.poly_cauchy_1(
@@ -467,8 +442,7 @@ def _eval_invrel2(cell):
     return lhs, rhs
 
 
-def _eval_invrel3(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
+def _eval_invrel3(n, k, params):
     lhs = XPoly.zero()
     for m in range(n + 1):
         lhs = lhs + _ws2_neg_x(n, m) * families.poly_cauchy_2(m, k, params)
@@ -478,8 +452,7 @@ def _eval_invrel3(cell):
     return lhs, rhs
 
 
-def _eval_cross_b_from_c(cell):
-    n, k, params, y = cell["n"], cell["k"], cell["params"], cell["y"]
+def _eval_cross_b_from_c(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
     rhs = XPoly.zero()
     for m in range(n + 1):
@@ -492,8 +465,7 @@ def _eval_cross_b_from_c(cell):
     return lhs, rhs
 
 
-def _eval_cross_b_from_chat(cell):
-    n, k, params, y = cell["n"], cell["k"], cell["params"], cell["y"]
+def _eval_cross_b_from_chat(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
     rhs = XPoly.zero()
     for m in range(n + 1):
@@ -506,8 +478,7 @@ def _eval_cross_b_from_chat(cell):
     return lhs, rhs
 
 
-def _eval_cross_c_from_b(cell):
-    n, k, params, y = cell["n"], cell["k"], cell["params"], cell["y"]
+def _eval_cross_c_from_b(n, k, params, y):
     lhs = families.poly_cauchy_1(n, k, params)
     rhs = XPoly.zero()
     for m in range(n + 1):
@@ -518,8 +489,7 @@ def _eval_cross_c_from_b(cell):
     return lhs, rhs
 
 
-def _eval_cross_chat_from_b(cell):
-    n, k, params, y = cell["n"], cell["k"], cell["params"], cell["y"]
+def _eval_cross_chat_from_b(n, k, params, y):
     lhs = families.poly_cauchy_2(n, k, params)
     rhs = XPoly.zero()
     for m in range(n + 1):
@@ -530,29 +500,15 @@ def _eval_cross_chat_from_b(cell):
     return lhs, rhs
 
 
-def _eval_vandermonde_1(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
-    lhs = Fraction((-1) ** n, math.factorial(n)) * families.poly_cauchy_1(
-        n, k, params
+def _eval_vandermonde(n, k, params, family, other):
+    lhs = Fraction((-1) ** n, math.factorial(n)) * families.compute(
+        family, n, k, params
     )
     rhs = XPoly.zero()
     for m in range(1, n + 1):
         rhs = rhs + Fraction(
             math.comb(n - 1, m - 1), math.factorial(m)
-        ) * families.poly_cauchy_2(m, k, params)
-    return lhs, rhs
-
-
-def _eval_vandermonde_2(cell):
-    n, k, params = cell["n"], cell["k"], cell["params"]
-    lhs = Fraction((-1) ** n, math.factorial(n)) * families.poly_cauchy_2(
-        n, k, params
-    )
-    rhs = XPoly.zero()
-    for m in range(1, n + 1):
-        rhs = rhs + Fraction(
-            math.comb(n - 1, m - 1), math.factorial(m)
-        ) * families.poly_cauchy_1(m, k, params)
+        ) * families.compute(other, m, k, params)
     return lhs, rhs
 
 
@@ -578,9 +534,21 @@ CHECKS: tuple[IdentityCheck, ...] = (
     IdentityCheck(
         "euler_bernoulli", lambda c: _nkp_cells(c, 1), _eval_euler_bernoulli
     ),
-    IdentityCheck("polyberrel1", lambda c: _nkp_cells(c, 1), _eval_polyberrel1),
-    IdentityCheck("cauchy_routes_1", _nkp_cells, _eval_cauchy_routes_1),
-    IdentityCheck("cauchy_routes_2", _nkp_cells, _eval_cauchy_routes_2),
+    IdentityCheck(
+        "polyberrel1",
+        lambda c: _nkp_cells(c, 1),
+        partial(_eval_routes, family=families.FAMILY_POLY_BERNOULLI),
+    ),
+    IdentityCheck(
+        "cauchy_routes_1",
+        _nkp_cells,
+        partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_1),
+    ),
+    IdentityCheck(
+        "cauchy_routes_2",
+        _nkp_cells,
+        partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_2),
+    ),
     IdentityCheck("orthogonality", _orthogonality_cells, _eval_orthogonality),
     IdentityCheck("invrel1", _nkp_cells, _eval_invrel1),
     IdentityCheck("invrel2", _nkp_cells, _eval_invrel2),
@@ -605,8 +573,24 @@ CHECKS: tuple[IdentityCheck, ...] = (
         lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
         _eval_cross_chat_from_b,
     ),
-    IdentityCheck("vandermonde_1", lambda c: _nkp_cells(c, 1), _eval_vandermonde_1),
-    IdentityCheck("vandermonde_2", lambda c: _nkp_cells(c, 1), _eval_vandermonde_2),
+    IdentityCheck(
+        "vandermonde_1",
+        lambda c: _nkp_cells(c, 1),
+        partial(
+            _eval_vandermonde,
+            family=families.FAMILY_POLY_CAUCHY_1,
+            other=families.FAMILY_POLY_CAUCHY_2,
+        ),
+    ),
+    IdentityCheck(
+        "vandermonde_2",
+        lambda c: _nkp_cells(c, 1),
+        partial(
+            _eval_vandermonde,
+            family=families.FAMILY_POLY_CAUCHY_2,
+            other=families.FAMILY_POLY_CAUCHY_1,
+        ),
+    ),
 )
 
 CHECK_IDS: tuple[str, ...] = tuple(check.id for check in CHECKS)

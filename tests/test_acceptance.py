@@ -6,7 +6,6 @@ wall-clock budgets.
 """
 
 import json
-import math
 import pathlib
 import subprocess
 import sys

@@ -92,7 +92,7 @@ def test_first_failure_records_the_cell_and_both_sides():
             {"n": 0, "k": 1, "params": config.param_points[0]},
             {"n": 1, "k": 1, "params": config.param_points[0]},
         ],
-        evaluate=lambda cell: (Fraction(1), Fraction(2)),
+        evaluate=lambda **cell: (Fraction(1), Fraction(2)),
     )
     report = run_check(failing, SMALL)
     assert report.cells_total == 2

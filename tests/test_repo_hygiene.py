@@ -1,5 +1,6 @@
-"""Generated files stay out of version control."""
+"""Generated files stay out of version control; no import goes unused."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -27,3 +28,38 @@ def test_no_tracked_file_matches_gitignore():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def _unused_imports(path):
+    """Imported names that `path` never reads and does not list in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    ]
+
+
+def test_no_unused_imports():
+    paths = [
+        *sorted(ROOT.glob("src/pqpoly/*.py")),
+        *sorted(ROOT.glob("tests/*.py")),
+    ]
+    assert paths
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == []

@@ -46,3 +46,35 @@ def test_integral_route_needs_positive_weight(family):
     assert families.ROUTE_INTEGRAL not in families.routes(family, 0)
     assert families.routes(family, 1) == table
 
+
+
+def test_route_agreement_checks_every_listed_route(monkeypatch):
+    def skewed(n, k, params):
+        return families.bernoulli_via_gf(n, k, params) + XPoly.one()
+
+    monkeypatch.setattr(families, "bernoulli_skewed", skewed, raising=False)
+    table = families.ROUTES_BY_FAMILY[families.FAMILY_POLY_BERNOULLI]
+    monkeypatch.setitem(
+        families.ROUTES_BY_FAMILY,
+        families.FAMILY_POLY_BERNOULLI,
+        {**table, "skewed": "bernoulli_skewed"},
+    )
+
+    config = SuiteConfig(n_max=2, k_values=(1,), param_points=(BASE,))
+    (report,) = run_all(config, only=["polyberrel1"])
+    assert not report.passed
+    assert report.first_failure["rhs"] == skewed(1, 1, BASE).to_strings()
+
+
+@pytest.mark.parametrize(
+    "family, route",
+    [
+        (family, route)
+        for family, table in sorted(families.ROUTES_BY_FAMILY.items())
+        for route in table
+    ],
+)
+def test_every_route_rejects_negative_n(family, route):
+    compute_route = getattr(families, families.ROUTES_BY_FAMILY[family][route])
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        compute_route(-1, 1, BASE)
