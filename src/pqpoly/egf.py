@@ -6,6 +6,8 @@ any commutative exact ring elements supporting +, -, * and equality; mixed
 Fraction/XPoly series combine through the coercion XPoly already provides.
 
 Binary operations require equal orders; there is no implicit truncation.
+``mul_coeff`` returns one coefficient of a product in O(n) ring products,
+for callers that read a single coefficient of an EGF product.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import XPoly
+
+
+def _binomial_conv(a: Sequence, b: Sequence, n: int):
+    """Coefficient n of the EGF product of coefficient lists a and b."""
+    acc = a[0] * b[n]
+    for i in range(1, n + 1):
+        acc = acc + math.comb(n, i) * (a[i] * b[n - i])
+    return acc
 
 
 def _ring_inverse(c):
@@ -77,13 +87,14 @@ class EgfSeries:
         """Product of EGFs, i.e. binomial convolution of coefficients."""
         self._check_order(other)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for n in range(len(a)):
-            acc = a[0] * b[n]
-            for i in range(1, n + 1):
-                acc = acc + math.comb(n, i) * (a[i] * b[n - i])
-            out.append(acc)
-        return EgfSeries(out)
+        return EgfSeries([_binomial_conv(a, b, n) for n in range(len(a))])
+
+    def mul_coeff(self, other: "EgfSeries", n: int):
+        """Coefficient n of ``self.mul(other)``, without the other terms."""
+        self._check_order(other)
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient {n} outside order {self.order}")
+        return _binomial_conv(self._coeffs, other._coeffs, n)
 
     def pow(self, m: int) -> "EgfSeries":
         if m < 0:

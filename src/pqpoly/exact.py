@@ -46,7 +46,7 @@ class XPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)

@@ -177,7 +177,7 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     binom_part = EgfSeries(
         [(-1) ** j * rising_factorial(j) for j in range(n + 1)]
     )
-    return lif_part.mul(binom_part).coeff(n)
+    return lif_part.mul_coeff(binom_part, n)
 
 
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
@@ -225,7 +225,7 @@ def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     outer = sequences.lif_pq_ordinary_coeffs(k, params, n)
     lif_part = compose(outer, sequences.log1p_series(n).scale(Fraction(-1)))
     binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
-    return lif_part.mul(binom_part).coeff(n)
+    return lif_part.mul_coeff(binom_part, n)
 
 
 def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:

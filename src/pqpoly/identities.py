@@ -182,7 +182,7 @@ def _euler_gf_over_poly_ring(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of the defining EGF with the e^(xt) factor kept
     polynomial, independent of the Appell expansion used by poly_euler."""
     base = families.euler_base_series(k, params, n)
-    return base.mul(sequences.exp_x_series(n)).coeff(n)
+    return base.mul_coeff(sequences.exp_x_series(n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ classical Euler polynomials, higher-order Bernoulli polynomials and
 Frobenius-Euler polynomials, plus the ordinary coefficient providers for the
 two-parameter polylogarithm Li_k and its factorial variant Lif_k.
 
-Every Stirling-type value is extracted from its generating function; the
-triangular recurrences appear only in the tests as independent cross-checks.
+Every Stirling-type value is extracted from its generating function, one
+power chain per row: the first read of row n builds base^0..base^n at order
+n, one EGF product per step, and caches the row's values.  The plain and
+weighted triangles each keep their own rows and chains.  The triangular
+recurrences stay test-only oracles, independent cross-checks of the
+extractions.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -57,47 +61,97 @@ def exp_x_series(order: int) -> EgfSeries:
 # Stirling numbers, plain and weighted
 
 
+def _powers(base: EgfSeries):
+    """base^0, base^1, ..., base^N at the base's order N, each power made
+    from the one before by a single product."""
+    power = EgfSeries.constant(Fraction(1), base.order)
+    yield power
+    for m in range(1, base.order + 1):
+        power = base if m == 1 else power.mul(base)
+        yield power
+
+
+def _plain_row(base: EgfSeries) -> tuple[int, ...]:
+    """Coefficient N of base^m / m! for m = 0..N, as integers."""
+    n = base.order
+    row = []
+    for m, power in enumerate(_powers(base)):
+        value = power.coeff(n) / math.factorial(m)
+        assert value.denominator == 1
+        row.append(int(value))
+    return tuple(row)
+
+
+def _weighted_row(weight: EgfSeries, base: EgfSeries) -> tuple[XPoly, ...]:
+    """Coefficient N of weight * base^m / m! for m = 0..N."""
+    n = base.order
+    return tuple(
+        weight.mul_coeff(power, n) * Fraction(1, math.factorial(m))
+        for m, power in enumerate(_powers(base))
+    )
+
+
+# Each triangle caches its own rows and builds its own power chain, so the
+# plain and weighted triangles of one kind stay independent routes.
+
+
 @lru_cache(maxsize=None)
-def stirling2(n: int, m: int) -> int:
-    """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!."""
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    return _plain_row(exp_minus_one_series(n))
+
+
+@lru_cache(maxsize=None)
+def _stirling1_row(n: int) -> tuple[int, ...]:
+    return _plain_row(neg_log1m_series(n))
+
+
+@lru_cache(maxsize=None)
+def _weighted_stirling2_row(n: int) -> tuple[XPoly, ...]:
+    return _weighted_row(exp_x_series(n), exp_minus_one_series(n))
+
+
+@lru_cache(maxsize=None)
+def _weighted_stirling1_row(n: int) -> tuple[XPoly, ...]:
+    lifted = EgfSeries([rising_factorial(j) for j in range(n + 1)])
+    return _weighted_row(lifted, neg_log1m_series(n))
+
+
+def _entry(row, n: int, m: int, zero):
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    if m > n:
-        return 0
-    value = exp_minus_one_series(n).pow(m).coeff(n) / math.factorial(m)
-    assert value.denominator == 1
-    return int(value)
+    return row(n)[m] if m <= n else zero
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, m: int) -> int:
+    """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!.
+
+    Row n is read off one power chain, built on its first read."""
+    return _entry(_stirling2_row, n, m, 0)
 
 
 @lru_cache(maxsize=None)
 def stirling1_unsigned(n: int, m: int) -> int:
-    """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m > n:
-        return 0
-    value = neg_log1m_series(n).pow(m).coeff(n) / math.factorial(m)
-    assert value.denominator == 1
-    return int(value)
+    """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!.
+
+    Row n is read off one power chain, built on its first read."""
+    return _entry(_stirling1_row, n, m, 0)
 
 
 @lru_cache(maxsize=None)
 def weighted_stirling2(n: int, m: int) -> XPoly:
-    """Shifted second-kind triangle from the EGF e^(xt) (e^t - 1)^m / m!."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    series = exp_x_series(n).mul(exp_minus_one_series(n).pow(m))
-    return series.coeff(n) * Fraction(1, math.factorial(m))
+    """Shifted second-kind triangle from the EGF e^(xt) (e^t - 1)^m / m!.
+
+    Row n is read off its own power chain, never the plain triangle's."""
+    return _entry(_weighted_stirling2_row, n, m, XPoly.zero())
 
 
 @lru_cache(maxsize=None)
 def weighted_stirling1(n: int, m: int) -> XPoly:
-    """Shifted first-kind triangle from the EGF (1-t)^(-x) (-ln(1-t))^m / m!."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    lifted = EgfSeries([rising_factorial(j) for j in range(n + 1)])
-    series = lifted.mul(neg_log1m_series(n).pow(m))
-    return series.coeff(n) * Fraction(1, math.factorial(m))
+    """Shifted first-kind triangle from the EGF (1-t)^(-x) (-ln(1-t))^m / m!.
+
+    Row n is read off its own power chain, never the plain triangle's."""
+    return _entry(_weighted_stirling1_row, n, m, XPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +164,7 @@ def euler_poly(n: int) -> XPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     base = EgfSeries([2] + [1] * n).reciprocal().scale(Fraction(2))
-    return base.mul(exp_x_series(n)).coeff(n)
+    return base.mul_coeff(exp_x_series(n), n)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +174,7 @@ def bernoulli_order(n: int, s: int) -> XPoly:
         raise ValueError("indices must be nonnegative")
     # (e^t - 1)/t has EGF coefficients 1/(j+1)
     core = EgfSeries([Fraction(1, j + 1) for j in range(n + 1)]).reciprocal()
-    return core.pow(s).mul(exp_x_series(n)).coeff(n)
+    return core.pow(s).mul_coeff(exp_x_series(n), n)
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +187,7 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")
     # (e^t - u)/(1 - u) has constant term 1 and later EGF coefficients 1/(1-u)
     core = EgfSeries([Fraction(1)] + [1 / (1 - u)] * n).reciprocal()
-    return core.pow(s).mul(exp_x_series(n)).coeff(n)
+    return core.pow(s).mul_coeff(exp_x_series(n), n)
 
 
 # ---------------------------------------------------------------------------

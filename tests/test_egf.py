@@ -19,6 +19,9 @@ def series(order, coeffs_strategy=rationals):
     ).map(EgfSeries)
 
 
+xpolys = st.lists(rationals, max_size=3).map(XPoly)
+
+
 def exp_series(order):
     return EgfSeries([Fraction(1)] * (order + 1))
 
@@ -51,6 +54,31 @@ def test_mul_by_zero_series():
     z = EgfSeries.constant(Fraction(0), 5)
     e = exp_series(5)
     assert e.mul(z) == z
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from([rationals, xpolys]),
+    st.sampled_from([rationals, xpolys]),
+    st.data(),
+)
+def test_mul_coeff_is_one_coefficient_of_mul(left, right, data):
+    # Fraction, XPoly and mixed series, every coefficient through the order
+    a = data.draw(series(6, left))
+    b = data.draw(series(6, right))
+    product = a.mul(b)
+    for n in range(a.order + 1):
+        assert a.mul_coeff(b, n) == product.coeff(n)
+
+
+def test_mul_coeff_rejects_mismatched_orders_and_indices():
+    a = EgfSeries([1, 2, 3])
+    with pytest.raises(ValueError):
+        a.mul_coeff(EgfSeries([1, 2]), 1)
+    with pytest.raises(IndexError):
+        a.mul_coeff(a, 3)
+    with pytest.raises(IndexError):
+        a.mul_coeff(a, -1)
 
 
 @given(series(8), series(8))

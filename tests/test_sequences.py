@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from pqpoly import sequences
+from pqpoly.egf import EgfSeries
 from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
 from pqpoly.sequences import (
@@ -63,11 +65,66 @@ def test_stirling_values_are_ints():
     assert isinstance(stirling1_unsigned(6, 3), int)
 
 
+TRIANGLES = (stirling2, stirling1_unsigned, weighted_stirling2, weighted_stirling1)
+
+
 def test_stirling_negative_indices_rejected():
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
-    with pytest.raises(ValueError):
-        stirling1_unsigned(2, -1)
+    for triangle in TRIANGLES:
+        with pytest.raises(ValueError):
+            triangle(-1, 0)
+        with pytest.raises(ValueError):
+            triangle(2, -1)
+
+
+def test_entries_above_the_diagonal_are_zero():
+    assert stirling2(3, 5) == stirling1_unsigned(3, 5) == 0
+    assert weighted_stirling2(3, 5) == weighted_stirling1(3, 5) == XPoly.zero()
+
+
+def _clear_sequence_caches():
+    for value in vars(sequences).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _count_egf_products(monkeypatch) -> list:
+    calls = []
+    mul = EgfSeries.mul
+
+    def counted(self, other):
+        calls.append(self.order)
+        return mul(self, other)
+
+    monkeypatch.setattr(EgfSeries, "mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("triangle", TRIANGLES, ids=lambda f: f.__name__)
+def test_a_row_costs_one_power_chain(triangle, monkeypatch):
+    # n products build base^0..base^n; per-entry powers would take ~n^2/2
+    n = 12
+    _clear_sequence_caches()
+    calls = _count_egf_products(monkeypatch)
+    for m in [n] + list(range(n)):
+        triangle(n, m)
+    assert 0 < len(calls) <= n
+
+
+@pytest.mark.parametrize(
+    "plain, weighted",
+    [(stirling2, weighted_stirling2), (stirling1_unsigned, weighted_stirling1)],
+    ids=["second_kind", "first_kind"],
+)
+def test_weighted_row_builds_its_own_chain(plain, weighted, monkeypatch):
+    # the routes compared by cauchy_routes_1/2 must not share a power chain
+    n = 12
+    _clear_sequence_caches()
+    for m in range(n + 1):
+        plain(n, m)
+    calls = _count_egf_products(monkeypatch)
+    for m in range(n + 1):
+        weighted(n, m)
+    assert calls
 
 
 def test_stirling_orthogonality():
@@ -147,7 +204,6 @@ def test_weighted_stirling_small_values():
     assert weighted_stirling1(2, 1) == 2 * x + 1
     assert weighted_stirling1(4, 2)(Fraction(0)) == 11
     assert weighted_stirling2(0, 0) == XPoly.one()
-    assert weighted_stirling2(3, 5) == XPoly.zero()
 
 
 # ---------------------------------------------------------------------------
