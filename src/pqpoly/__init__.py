@@ -10,13 +10,7 @@ from .exact import (
     rising_factorial,
 )
 from .egf import EgfSeries, compose
-from .pqcalc import (
-    PQParams,
-    pq_derivative,
-    pq_integer,
-    pq_integral_01_monomial,
-    pq_integral_01_poly,
-)
+from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 from .sequences import (
     RationalFunction,
     bernoulli_order,
@@ -61,9 +55,7 @@ __all__ = [
     "compose",
     "PQParams",
     "pq_integer",
-    "pq_derivative",
     "pq_integral_01_monomial",
-    "pq_integral_01_poly",
     "RationalFunction",
     "stirling2",
     "stirling1_unsigned",

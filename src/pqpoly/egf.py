@@ -8,13 +8,17 @@ Fraction/XPoly series combine through the coercion XPoly already provides.
 Binary operations require equal orders; there is no implicit truncation.
 ``mul_coeff`` returns one coefficient of a product in O(n) ring products,
 for callers that read a single coefficient of an EGF product.
+``EgfSeries.powers`` is the one power chain: ``pow``, ``compose`` and the
+Stirling rows all read their powers of a series from it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .exact import XPoly
 
@@ -96,15 +100,19 @@ class EgfSeries:
             raise IndexError(f"coefficient {n} outside order {self.order}")
         return _binomial_conv(self._coeffs, other._coeffs, n)
 
+    def powers(self) -> Iterator["EgfSeries"]:
+        """self^0, self^1, self^2, ... without end, each power made from the
+        one before by a single product; the caller decides where to stop."""
+        yield EgfSeries.constant(Fraction(1), self.order)
+        power = self
+        while True:
+            yield power
+            power = power.mul(self)
+
     def pow(self, m: int) -> "EgfSeries":
         if m < 0:
             raise ValueError("exponent must be nonnegative")
-        if m == 0:
-            return EgfSeries.constant(Fraction(1), self.order)
-        result = self
-        for _ in range(m - 1):
-            result = result.mul(self)
-        return result
+        return next(islice(self.powers(), m, None))
 
     def reciprocal(self) -> "EgfSeries":
         """Multiplicative inverse; requires an invertible constant term."""
@@ -137,7 +145,7 @@ def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     and must reach at least index inner.order; later entries cannot affect
     the truncation and are ignored.  The inner series must have zero
     constant term, otherwise the substitution would need infinitely many
-    outer terms.
+    outer terms.  The result is sum c_m inner^m over ``inner.powers()``.
     """
     n = inner.order
     a0 = inner.coeff(0)
@@ -148,9 +156,6 @@ def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
         raise ValueError(
             f"need outer coefficients through index {n}, got {len(outer)}"
         )
-    outer = outer[: n + 1]
-    result = EgfSeries.constant(outer[n], n)
-    for m in range(n - 1, -1, -1):
-        result = result.mul(inner)
-        result = result.add(EgfSeries.constant(outer[m], n))
-    return result
+    powers = inner.powers()
+    terms = (power.scale(c) for c, power in zip(outer[: n + 1], powers))
+    return reduce(EgfSeries.add, terms)

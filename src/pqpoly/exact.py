@@ -149,18 +149,6 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "XPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = XPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, point):
         """Evaluate at a scalar or substitute another polynomial."""
         acc = point * 0

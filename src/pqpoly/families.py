@@ -28,7 +28,7 @@ from functools import lru_cache
 from . import sequences
 from .egf import EgfSeries, compose
 from .exact import XPoly, falling_factorial, rising_factorial
-from .pqcalc import PQParams, pq_integer
+from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 
 ROUTE_GF = "gf"
 ROUTE_STIRLING = "stirling_closed_form"
@@ -202,7 +202,7 @@ def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
                 (-1) ** (n - m)
                 * sequences.stirling1_unsigned(n, m)
                 * math.comb(m, l)
-                * pq_integer(m - l + 1, params) ** (-k)
+                * pq_integral_01_monomial(m - l, params) ** k
             )
         coeffs.append((-1) ** l * acc)
     return XPoly(coeffs)
@@ -250,7 +250,7 @@ def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
             acc += (
                 sequences.stirling1_unsigned(n, m)
                 * math.comb(m, l)
-                * pq_integer(m - l + 1, params) ** (-k)
+                * pq_integral_01_monomial(m - l, params) ** k
             )
         coeffs.append((-1) ** (n + l) * acc)
     return XPoly(coeffs)

@@ -1,10 +1,9 @@
-"""Two-parameter deformation of the integers and the matching calculus.
+"""Two-parameter deformation of the integers and the matching integral.
 
 The deformed integer is [n] = (p^n - q^n)/(p - q) for distinct parameters
-and its limit n p^(n-1) when p = q.  The derivative operator acts termwise
-on polynomials, x^n goes to [n] x^(n-1), and the companion integral over
-[0, 1] sends x^l to 1/[l+1].  Fundamental-theorem style cancellation between
-the two is exact and is exercised in the tests.
+and its limit n p^(n-1) when p = q.  The deformed integral over [0, 1]
+sends x^l to 1/[l+1]; the poly-Cauchy integral routes weight each monomial
+of their expansion with this monomial integral.
 
 Parameters live in the closed box 0 < q <= p <= 1.  The boundary p = q is
 the equal-limit mode; everything downstream treats it through the limit
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import XPoly, rational_from_str, rational_to_str
+from .exact import rational_from_str, rational_to_str
 
 
 @dataclass(frozen=True)
@@ -60,25 +59,9 @@ def pq_integer(n: int, params: PQParams) -> Fraction:
     return (p**n - q**n) / (p - q)
 
 
-def pq_derivative(f: XPoly, params: PQParams) -> XPoly:
-    """Termwise deformed derivative, x^n -> [n] x^(n-1)."""
-    return XPoly(
-        [pq_integer(i, params) * f.coeff(i) for i in range(1, f.degree + 1)]
-    )
-
-
 def pq_integral_01_monomial(power: int, params: PQParams) -> Fraction:
     """Deformed integral of x^power over [0, 1], equal to 1/[power+1]."""
     if power < 0:
         raise ValueError("power must be nonnegative")
     return 1 / pq_integer(power + 1, params)
 
-
-def pq_integral_01_poly(f: XPoly, params: PQParams) -> Fraction:
-    """Deformed integral of a polynomial over [0, 1], termwise exact."""
-    total = Fraction(0)
-    for i in range(f.degree + 1):
-        c = f.coeff(i)
-        if c:
-            total += c * pq_integral_01_monomial(i, params)
-    return total

@@ -6,11 +6,11 @@ Frobenius-Euler polynomials, plus the ordinary coefficient providers for the
 two-parameter polylogarithm Li_k and its factorial variant Lif_k.
 
 Every Stirling-type value is extracted from its generating function, one
-power chain per row: the first read of row n builds base^0..base^n at order
-n, one EGF product per step, and caches the row's values.  The plain and
-weighted triangles each keep their own rows and chains.  The triangular
-recurrences stay test-only oracles, independent cross-checks of the
-extractions.
+power chain per row: the first read of row n takes base^0..base^n at order
+n from ``EgfSeries.powers``, one EGF product per step, and caches the row's
+values.  The plain and weighted triangles each keep their own rows and
+chains.  The triangular recurrences stay test-only oracles, independent
+cross-checks of the extractions.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .egf import EgfSeries
 from .exact import XPoly, rising_factorial
@@ -61,21 +62,11 @@ def exp_x_series(order: int) -> EgfSeries:
 # Stirling numbers, plain and weighted
 
 
-def _powers(base: EgfSeries):
-    """base^0, base^1, ..., base^N at the base's order N, each power made
-    from the one before by a single product."""
-    power = EgfSeries.constant(Fraction(1), base.order)
-    yield power
-    for m in range(1, base.order + 1):
-        power = base if m == 1 else power.mul(base)
-        yield power
-
-
 def _plain_row(base: EgfSeries) -> tuple[int, ...]:
     """Coefficient N of base^m / m! for m = 0..N, as integers."""
     n = base.order
     row = []
-    for m, power in enumerate(_powers(base)):
+    for m, power in enumerate(islice(base.powers(), n + 1)):
         value = power.coeff(n) / math.factorial(m)
         assert value.denominator == 1
         row.append(int(value))
@@ -87,7 +78,7 @@ def _weighted_row(weight: EgfSeries, base: EgfSeries) -> tuple[XPoly, ...]:
     n = base.order
     return tuple(
         weight.mul_coeff(power, n) * Fraction(1, math.factorial(m))
-        for m, power in enumerate(_powers(base))
+        for m, power in enumerate(islice(base.powers(), n + 1))
     )
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from pqpoly import families, sequences
+from pqpoly.egf import EgfSeries
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
 
@@ -76,10 +77,28 @@ def mutate_li_forgets_deformation() -> None:
     sequences.li_pq_ordinary_coeffs = classical
 
 
+def mutate_egf_powers_skip() -> None:
+    """The shared power chain jumps from base^2 to base^4.
+
+    compose, pow and every Stirling row read their powers from this one
+    chain, so the defect reaches both sides of each route comparison; the
+    checks that pin values independently must still see it.
+    """
+    chain = EgfSeries.powers
+
+    def skipping(self):
+        for m, power in enumerate(chain(self)):
+            if m != 3:
+                yield power
+
+    EgfSeries.powers = skipping
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
     "li-classical": mutate_li_forgets_deformation,
+    "egf-powers-skip": mutate_egf_powers_skip,
 }
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written against plain Fractions and
 coefficient lists, with recurrences or brute-force enumeration instead of
 generating functions, so a defect in the library's series engine cannot
-hide inside its own oracle.
+hide inside its own oracle.  The one exception is ``horner_compose``: it
+reuses the library's EGF product on purpose, so that ``egf.compose`` can be
+held to it coefficient type for coefficient type.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+
+from pqpoly.egf import EgfSeries
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -159,3 +163,12 @@ def euler_numbers_sech(n_max: int) -> list[Fraction]:
 
 def pq_integer_homogeneous(n: int, p: Fraction, q: Fraction) -> Fraction:
     return sum((p**i) * (q ** (n - 1 - i)) for i in range(n))
+
+
+def horner_compose(outer_coeffs, inner):
+    """sum c_m inner^m by Horner's rule over EGF products, for m <= order."""
+    n = inner.order
+    result = EgfSeries.constant(outer_coeffs[n], n)
+    for m in range(n - 1, -1, -1):
+        result = result.mul(inner).add(EgfSeries.constant(outer_coeffs[m], n))
+    return result

@@ -157,6 +157,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "stirling2-off-by-one",
         "cauchy1-stirling-sign-flip",
         "li-classical",
+        "egf-powers-skip",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],

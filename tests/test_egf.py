@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from pqpoly.egf import EgfSeries, compose
 from pqpoly.exact import XPoly
+
+from .oracles import horner_compose
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -101,6 +104,23 @@ def test_reciprocal_is_two_sided_inverse(a):
     assert inv.reciprocal() == a
 
 
+@settings(max_examples=40)
+@given(st.sampled_from([rationals, xpolys]), st.booleans(), st.data())
+def test_pow_is_a_fold_of_products(coeffs, zero_constant, data):
+    # past the order too: bernoulli_order(2, 3) reads core.pow(3) at order 2
+    a = data.draw(series(3, coeffs))
+    if zero_constant:
+        a = EgfSeries((a.coeff(0) * 0,) + a.coeffs[1:])
+    one = EgfSeries.constant(Fraction(1), a.order)
+    for m in range(a.order + 3):
+        assert a.pow(m) == reduce(EgfSeries.mul, [a] * m, one)
+
+
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        EgfSeries([1, 2, 3]).pow(-1)
+
+
 def test_reciprocal_requires_invertible_constant_term():
     with pytest.raises(ValueError):
         EgfSeries([0, 1, 1]).reciprocal()
@@ -110,6 +130,23 @@ def test_compose_identity_outer_recovers_inner():
     inner = EgfSeries([Fraction(0), 3, -1, Fraction(5, 2), 0, 7])
     outer = [Fraction(0), Fraction(1)] + [Fraction(0)] * 4
     assert compose(outer, inner) == inner
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([rationals, xpolys]),
+    st.data(),
+)
+def test_compose_matches_horner(order, coeffs, data):
+    inner = data.draw(series(order, coeffs))
+    inner = EgfSeries((inner.coeff(0) * 0,) + inner.coeffs[1:])
+    outer = data.draw(
+        st.lists(rationals, min_size=order + 1, max_size=order + 1)
+    )
+    got, want = compose(outer, inner), horner_compose(outer, inner)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_compose_requires_zero_inner_constant_term():
@@ -176,8 +213,7 @@ def test_series_over_polynomial_ring():
     order = 5
     e_xt = EgfSeries([XPoly.monomial(n) for n in range(order + 1)])
     sq = e_xt.mul(e_xt)
-    two_x = XPoly([0, 2])
     assert [sq.coeff(n) for n in range(order + 1)] == [
-        two_x**n for n in range(order + 1)
+        XPoly.monomial(n, 2**n) for n in range(order + 1)
     ]
 

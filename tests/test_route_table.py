@@ -12,7 +12,7 @@ import pytest
 from pqpoly import families
 from pqpoly.exact import XPoly
 from pqpoly.identities import SuiteConfig, run_all
-from pqpoly.pqcalc import PQParams
+from pqpoly.pqcalc import PQParams, pq_integral_01_monomial
 
 BASE = PQParams(Fraction(1, 2), Fraction(1, 3))
 
@@ -38,6 +38,28 @@ def test_rebound_route_reaches_every_entry_point(monkeypatch):
     (report,) = run_all(config, only=["cauchy_routes_2"])
     assert not report.passed
     assert report.first_failure is not None
+
+
+def test_integral_routes_go_through_the_integral(monkeypatch):
+    def skewed(power, params):
+        value = pq_integral_01_monomial(power, params)
+        return value + 1 if power == 1 else value
+
+    routes = (
+        families.cauchy1_via_integral_expansion,
+        families.cauchy2_via_integral_expansion,
+    )
+    before = [route(4, 2, BASE) for route in routes]
+    monkeypatch.setattr(families, "pq_integral_01_monomial", skewed)
+    for route, value in zip(routes, before):
+        assert route(4, 2, BASE) != value, route.__name__
+
+    config = SuiteConfig(n_max=4, k_values=(2,), param_points=(BASE,))
+    reports = run_all(config, only=["cauchy_routes_1", "cauchy_routes_2"])
+    assert [r.id for r in reports if not r.passed] == [
+        "cauchy_routes_1",
+        "cauchy_routes_2",
+    ]
 
 
 @pytest.mark.parametrize("family", sorted(families.ROUTES_BY_FAMILY))
