@@ -2,6 +2,8 @@
 poly-Cauchy polynomial families, plus a batch verifier for the identities
 connecting them."""
 
+from . import egf, exact, families, identities, pqcalc, sequences
+
 from .exact import (
     XPoly,
     falling_factorial,
@@ -45,6 +47,21 @@ from .identities import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every cache in the package.
+
+    Values are cached for the life of the process: each ``lru_cache``, and
+    with them the generating-function rows and columns, which their
+    ``lru_cache``d factories hold.  After this call the next read
+    recomputes from the ingredients bound at that time.
+    """
+    for module in (exact, pqcalc, egf, sequences, families, identities):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 __all__ = [
     "XPoly",
     "falling_factorial",
@@ -81,5 +98,6 @@ __all__ = [
     "CHECK_IDS",
     "run_all",
     "run_check",
+    "clear_caches",
     "__version__",
 ]

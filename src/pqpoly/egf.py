@@ -7,27 +7,48 @@ Fraction/XPoly series combine through the coercion XPoly already provides.
 
 Binary operations require equal orders; there is no implicit truncation.
 ``mul_coeff`` returns one coefficient of a product in O(n) ring products,
-for callers that read a single coefficient of an EGF product.
-``EgfSeries.powers`` is the one power chain: ``pow``, ``compose`` and the
-Stirling rows all read their powers of a series from it.
+for callers that read a single coefficient of an EGF product.  A product
+term with a zero factor is skipped, but the sum keeps the ring of its
+factors: it is an XPoly whenever any factor is one, skipped or not.
+``EgfSeries.powers`` is the power chain that ``pow`` and the Stirling rows
+read their powers of a series from.
+
+Composition is computed one coefficient at a time from the ones before it,
+the way relaxed power-series arithmetic does (van der Hoeven, "Relax, but
+don't be too lazy", JSC 2002).  ``PowerRows`` builds the rows
+[t^j/j!] inner^m, m <= j, of an inner series, row j from the rows before
+it; ``compose`` reads them, and so do the generating-function routes, each
+through a ``Column`` that grows by the coefficients asked for and is never
+rebuilt.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import XPoly
 
 
 def _binomial_conv(a: Sequence, b: Sequence, n: int):
-    """Coefficient n of the EGF product of coefficient lists a and b."""
-    acc = a[0] * b[n]
-    for i in range(1, n + 1):
-        acc = acc + math.comb(n, i) * (a[i] * b[n - i])
+    """Coefficient n of the EGF product of coefficient lists a and b.
+
+    A term with a zero factor is skipped; a skipped XPoly factor still
+    makes the result an XPoly, as the unskipped sum would be.
+    """
+    acc = Fraction(0)
+    lift = False
+    for i in range(n + 1):
+        x, y = a[i], b[n - i]
+        if x and y:
+            acc = acc + math.comb(n, i) * (x * y)
+        elif not lift:
+            lift = isinstance(x, XPoly) or isinstance(y, XPoly)
+    if lift and not isinstance(acc, XPoly):
+        acc = XPoly.const(acc)
     return acc
 
 
@@ -138,6 +159,62 @@ class EgfSeries:
         return f"EgfSeries({list(self._coeffs)!r})"
 
 
+class PowerRows:
+    """Rows R_j = ([t^j/j!] inner^m for m = 0..j) of an inner series with
+    zero constant term, whose coefficient j >= 1 is ``coeff(j)``.
+
+    Entries with m > j are zero and not stored.  Row j is built once, from
+    the rows before it, by the EGF product rule for inner^m = inner *
+    inner^(m-1):  R_j[m] = sum over i = 1..j-m+1 of C(j, i) a_i R_(j-i)[m-1].
+    """
+
+    __slots__ = ("_coeff", "_rows")
+
+    def __init__(self, coeff: Callable[[int], object]):
+        self._coeff = coeff
+        self._rows = [(1,)]
+
+    def row(self, j: int) -> tuple:
+        rows = self._rows
+        for n in range(len(rows), j + 1):
+            a = [None] + [
+                math.comb(n, i) * self._coeff(i) for i in range(1, n + 1)
+            ]
+            row = [0, a[n]]
+            for m in range(2, n + 1):
+                acc = 0
+                for i in range(1, n - m + 2):
+                    acc = acc + a[i] * rows[n - i][m - 1]
+                row.append(acc)
+            rows.append(tuple(row))
+        return rows[j]
+
+    def compose_coeff(self, outer: Sequence, j: int):
+        """Coefficient j of sum_m outer[m] inner^m; outer reaches index j."""
+        return sum(map(mul, outer, self.row(j)))
+
+
+class Column:
+    """Coefficients 0, 1, 2, ... of one series, each computed once.
+
+    ``grow(coeffs, n)`` appends coefficients len(coeffs)..n to the list,
+    reading the ones already there; the column asks only for what a reader
+    needs beyond them, so it is extended, never rebuilt.
+    """
+
+    __slots__ = ("_grow", "_coeffs")
+
+    def __init__(self, grow: Callable[[list, int], None]):
+        self._grow = grow
+        self._coeffs: list = []
+
+    def series(self, order: int) -> EgfSeries:
+        """The column's coefficients 0..order as a series."""
+        if len(self._coeffs) <= order:
+            self._grow(self._coeffs, order)
+        return EgfSeries(self._coeffs[: order + 1])
+
+
 def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     """Substitute ``inner`` into the ordinary power series sum c_m z^m.
 
@@ -145,7 +222,8 @@ def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     and must reach at least index inner.order; later entries cannot affect
     the truncation and are ignored.  The inner series must have zero
     constant term, otherwise the substitution would need infinitely many
-    outer terms.  The result is sum c_m inner^m over ``inner.powers()``.
+    outer terms.  Coefficient j of the result is sum c_m R_j[m], read off
+    the ``PowerRows`` of ``inner``.
     """
     n = inner.order
     a0 = inner.coeff(0)
@@ -156,6 +234,10 @@ def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
         raise ValueError(
             f"need outer coefficients through index {n}, got {len(outer)}"
         )
-    powers = inner.powers()
-    terms = (power.scale(c) for c, power in zip(outer[: n + 1], powers))
-    return reduce(EgfSeries.add, terms)
+    rows = PowerRows(inner.coeff)
+    coeffs = [rows.compose_coeff(outer, j) for j in range(n + 1)]
+    if n:
+        # the terms m >= 1 of coefficient 0 are multiples of a0 = 0, and
+        # they put it in the inner series' ring
+        coeffs[0] = coeffs[0] + a0
+    return EgfSeries(coeffs)

@@ -156,9 +156,6 @@ class XPoly:
             acc = acc * point + c
         return acc
 
-    def derivative(self) -> "XPoly":
-        return XPoly([i * c for i, c in enumerate(self._coeffs)][1:])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, XPoly):
             return self._coeffs == other._coeffs

@@ -13,10 +13,17 @@ Routes (ROUTES_BY_FAMILY lists which family has which):
   integral_expansion    falling-factorial expansion under the iterated
                         deformed integral, poly-Cauchy only, needs k >= 1
 
-Only the generating-function routes and the poly-Euler base series are
-cached, so a repeated (n, k, params) grid through them costs one
-evaluation.  The weighted-Stirling and integral routes are recomputed on
-each call from their cached ingredient sequences.
+The generating-function routes read coefficient n from one ``Column`` per
+(k, params), extended one coefficient at a time and never rebuilt, so rows
+0..N cost about N^2 ring products instead of a fresh order-n series per n.
+Coefficient j of Li_k(inner) or Lif_k(inner) is sum c_m [t^j/j!] inner^m;
+the rows [t^j/j!] inner^m of the three parameter-free inners 1 - e^(-t),
+ln(1+t) and -ln(1+t) are built once per process, and the coefficients of
+2/(e^t + 1) are a parameter-free column too.  None of them is shared with
+a Stirling triangle.  The columns, the rows and each gf route's values are
+cached; the weighted-Stirling and integral routes are recomputed on each
+call from their cached ingredient sequences.  ``pqpoly.clear_caches``
+empties them all.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import sequences
-from .egf import EgfSeries, compose
+from .egf import Column, EgfSeries, PowerRows
 from .exact import XPoly, falling_factorial, rising_factorial
 from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 
@@ -90,16 +97,86 @@ def compute(
 
 
 # ---------------------------------------------------------------------------
-# poly-Euler
+# generating-function columns
+
+# the ordinary-coefficient providers in sequences, looked up by name
+_LI = "li_pq_ordinary_coeffs"
+_LIF = "lif_pq_ordinary_coeffs"
+
+
+# EGF coefficient j >= 1 of each parameter-free inner series
+def _one_minus_exp_neg(j: int) -> int:
+    return -((-1) ** j)
+
+
+def _log1p(j: int) -> int:
+    return (-1) ** (j - 1) * math.factorial(j - 1)
+
+
+def _neg_log1p(j: int) -> int:
+    return -_log1p(j)
 
 
 @lru_cache(maxsize=None)
+def _inner_rows(inner) -> PowerRows:
+    """The rows [t^j/j!] inner^m of one inner, shared by every (k, params)."""
+    return PowerRows(inner)
+
+
+@lru_cache(maxsize=None)
+def _polylog_column(
+    provider: str, k: int, params: PQParams, inner, shift: int
+) -> Column:
+    """EGF coefficients of sum_m c_(m + shift) inner^m, with c_m the ordinary
+    coefficients ``sequences.<provider>`` gives.
+
+    The provider is looked up each time the column grows, once per growth,
+    so a rebound provider reaches every column made after the rebinding.
+    """
+    rows = _inner_rows(inner)
+
+    def grow(coeffs: list, n: int) -> None:
+        c = getattr(sequences, provider)(k, params, n + shift)[shift:]
+        for j in range(len(coeffs), n + 1):
+            coeffs.append(rows.compose_coeff(c, j))
+
+    return Column(grow)
+
+
+@lru_cache(maxsize=None)
+def _two_over_exp_plus_one() -> Column:
+    """EGF of 2/(e^t + 1): h_0 = 1, and (e^t + 1) h = 2 gives
+    h_j = -(1/2) sum over i = 1..j of C(j, i) h_(j-i)."""
+
+    def grow(h: list, n: int) -> None:
+        for j in range(len(h), n + 1):
+            acc = sum(math.comb(j, i) * h[j - i] for i in range(1, j + 1))
+            h.append(Fraction(1) if j == 0 else -acc / 2)
+
+    return Column(grow)
+
+
+@lru_cache(maxsize=None)
+def _euler_column(k: int, params: PQParams) -> Column:
+    """EGF coefficients of 2 Li_k(1 - e^(-t)) / (1 + e^t)."""
+    li = _polylog_column(_LI, k, params, _one_minus_exp_neg, 0)
+
+    def grow(coeffs: list, n: int) -> None:
+        li_part = li.series(n)
+        halves = _two_over_exp_plus_one().series(n)
+        for j in range(len(coeffs), n + 1):
+            coeffs.append(li_part.mul_coeff(halves, j))
+
+    return Column(grow)
+
+
+# ---------------------------------------------------------------------------
+# poly-Euler
+
+
 def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     """EGF of 2 Li_k(1 - e^(-t)) / (1 + e^t), the x = 0 column."""
-    outer = sequences.li_pq_ordinary_coeffs(k, params, order)
-    li_part = compose(outer, sequences.one_minus_exp_neg_series(order))
-    denom = EgfSeries([2] + [1] * order)  # e^t + 1
-    return li_part.mul(denom.reciprocal()).scale(Fraction(2))
+    return _euler_column(k, params).series(order)
 
 
 @lru_cache(maxsize=None)
@@ -127,10 +204,9 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 
     The quotient has a removable singularity; dividing the ordinary series
     of Li_k by its argument is an index shift of the coefficients, so the
-    composition below is already the full quotient.
+    shifted composition is already the full quotient.
     """
-    shifted = sequences.li_pq_ordinary_coeffs(k, params, order + 1)[1:]
-    return compose(shifted, sequences.one_minus_exp_neg_series(order))
+    return _polylog_column(_LI, k, params, _one_minus_exp_neg, 1).series(order)
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +248,7 @@ def poly_bernoulli(
 def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of Lif_k(ln(1+t)) (1+t)^(-x)."""
     _check_n(n)
-    outer = sequences.lif_pq_ordinary_coeffs(k, params, n)
-    lif_part = compose(outer, sequences.log1p_series(n))
+    lif_part = _polylog_column(_LIF, k, params, _log1p, 0).series(n)
     binom_part = EgfSeries(
         [(-1) ** j * rising_factorial(j) for j in range(n + 1)]
     )
@@ -222,8 +297,7 @@ def poly_cauchy_1(
 def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of (1+t)^x Lif_k(-ln(1+t))."""
     _check_n(n)
-    outer = sequences.lif_pq_ordinary_coeffs(k, params, n)
-    lif_part = compose(outer, sequences.log1p_series(n).scale(Fraction(-1)))
+    lif_part = _polylog_column(_LIF, k, params, _neg_log1p, 0).series(n)
     binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
     return lif_part.mul_coeff(binom_part, n)
 

@@ -36,18 +36,6 @@ def exp_minus_one_series(order: int) -> EgfSeries:
     return EgfSeries([0] + [1] * order)
 
 
-def one_minus_exp_neg_series(order: int) -> EgfSeries:
-    """EGF of 1 - e^(-t)."""
-    return EgfSeries([0] + [-((-1) ** j) for j in range(1, order + 1)])
-
-
-def log1p_series(order: int) -> EgfSeries:
-    """EGF of ln(1 + t)."""
-    return EgfSeries(
-        [0] + [(-1) ** (j - 1) * math.factorial(j - 1) for j in range(1, order + 1)]
-    )
-
-
 def neg_log1m_series(order: int) -> EgfSeries:
     """EGF of -ln(1 - t)."""
     return EgfSeries([0] + [math.factorial(j - 1) for j in range(1, order + 1)])

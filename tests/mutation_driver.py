@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from pqpoly import families, sequences
-from pqpoly.egf import EgfSeries
+from pqpoly.egf import EgfSeries, PowerRows
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
 
@@ -80,9 +80,9 @@ def mutate_li_forgets_deformation() -> None:
 def mutate_egf_powers_skip() -> None:
     """The shared power chain jumps from base^2 to base^4.
 
-    compose, pow and every Stirling row read their powers from this one
-    chain, so the defect reaches both sides of each route comparison; the
-    checks that pin values independently must still see it.
+    pow and every Stirling row read their powers from this one chain, so
+    the defect reaches the Stirling side of each route comparison and the
+    classical families built on pow.
     """
     chain = EgfSeries.powers
 
@@ -94,11 +94,30 @@ def mutate_egf_powers_skip() -> None:
     EgfSeries.powers = skipping
 
 
+def mutate_power_rows_drop_cube() -> None:
+    """The generating-function row builder loses the inner^3 term.
+
+    compose and every gf route read their powers of an inner series from
+    these rows and the Stirling routes never do, so the route comparisons
+    must see it.
+    """
+    row = PowerRows.row
+
+    def dropping(self, j: int) -> tuple:
+        entries = row(self, j)
+        if j < 3:
+            return entries
+        return entries[:3] + (entries[3] * 0,) + entries[4:]
+
+    PowerRows.row = dropping
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
     "li-classical": mutate_li_forgets_deformation,
     "egf-powers-skip": mutate_egf_powers_skip,
+    "power-rows-drop-cube": mutate_power_rows_drop_cube,
 }
 
 

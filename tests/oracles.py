@@ -3,9 +3,11 @@
 Everything here is deliberately written against plain Fractions and
 coefficient lists, with recurrences or brute-force enumeration instead of
 generating functions, so a defect in the library's series engine cannot
-hide inside its own oracle.  The one exception is ``horner_compose``: it
-reuses the library's EGF product on purpose, so that ``egf.compose`` can be
-held to it coefficient type for coefficient type.
+hide inside its own oracle.  The exceptions reuse library types on
+purpose, so that the library can be held to them coefficient type for
+coefficient type: ``horner_compose`` reuses the EGF product, to pin
+``egf.compose``, and ``binomial_conv`` is the EGF product's coefficient
+with no term skipped.  ``derivative`` differentiates an ``XPoly``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from pqpoly.egf import EgfSeries
+from pqpoly.exact import XPoly
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -172,3 +175,17 @@ def horner_compose(outer_coeffs, inner):
     for m in range(n - 1, -1, -1):
         result = result.mul(inner).add(EgfSeries.constant(outer_coeffs[m], n))
     return result
+
+
+def binomial_conv(a, b, n: int):
+    """Coefficient n of the EGF product of coefficient lists a and b, every
+    term multiplied out, zero factors included."""
+    acc = a[0] * b[n]
+    for i in range(1, n + 1):
+        acc = acc + math.comb(n, i) * (a[i] * b[n - i])
+    return acc
+
+
+def derivative(poly: XPoly) -> XPoly:
+    """d/dx of an XPoly, term by term."""
+    return XPoly([i * c for i, c in enumerate(poly.coeffs)][1:])

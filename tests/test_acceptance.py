@@ -158,6 +158,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "cauchy1-stirling-sign-flip",
         "li-classical",
         "egf-powers-skip",
+        "power-rows-drop-cube",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -168,6 +169,11 @@ def test_criterion_5_mutation_sensitivity(capsys):
         payload = json.loads(proc.stdout)
         assert payload["mutation"] == name
         assert payload["failing"], f"suite blind to mutation {name}"
+        if name == "power-rows-drop-cube":
+            # only the gf routes read the rows, so a route comparison sees it
+            assert set(payload["failing"]) & {
+                "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
+            }, payload
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     baseline = subprocess.run(
         [sys.executable, str(script), "none"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pqpoly.egf import EgfSeries, compose
 from pqpoly.exact import XPoly
 
+from . import oracles
 from .oracles import horner_compose
 
 rationals = st.fractions(
@@ -72,6 +73,44 @@ def test_mul_coeff_is_one_coefficient_of_mul(left, right, data):
     product = a.mul(b)
     for n in range(a.order + 1):
         assert a.mul_coeff(b, n) == product.coeff(n)
+
+
+zero_or_rational = st.one_of(st.just(Fraction(0)), rationals)
+zero_or_xpoly = st.one_of(st.just(XPoly.zero()), xpolys)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(
+        [
+            zero_or_rational,
+            zero_or_xpoly,
+            st.one_of(zero_or_rational, zero_or_xpoly),
+        ]
+    ),
+    st.sampled_from([zero_or_rational, zero_or_xpoly]),
+    st.data(),
+)
+def test_zero_skip_keeps_value_and_ring(left, right, data):
+    # Fraction, XPoly and mixed series with forced zeros, zero XPoly
+    # entries against scalar factors among them: each coefficient equals the
+    # unskipped sum in value and in type
+    a = data.draw(series(5, left))
+    b = data.draw(series(5, right))
+    product = a.mul(b)
+    for n in range(a.order + 1):
+        want = oracles.binomial_conv(a.coeffs, b.coeffs, n)
+        for got in (product.coeff(n), a.mul_coeff(b, n), b.mul_coeff(a, n)):
+            assert got == want
+            assert type(got) is type(want)
+
+
+def test_skipped_xpoly_zero_still_makes_an_xpoly():
+    a = EgfSeries([XPoly.zero(), Fraction(2)])
+    b = EgfSeries([Fraction(3), Fraction(0)])
+    for n in range(2):
+        assert type(a.mul_coeff(b, n)) is XPoly
+        assert type(b.mul(a).coeff(n)) is XPoly
 
 
 def test_mul_coeff_rejects_mismatched_orders_and_indices():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pqpoly import clear_caches, sequences
 from pqpoly.exact import XPoly
 from pqpoly.families import (
     FAMILY_POLY_BERNOULLI,
@@ -97,7 +98,7 @@ def test_degrees_and_leading_coefficients(params):
 def test_euler_family_derivative_lowers_degree(params):
     for k in K_RANGE:
         for n in range(1, 9):
-            got = poly_euler(n, k, params).derivative()
+            got = oracles.derivative(poly_euler(n, k, params))
             assert got == n * poly_euler(n - 1, k, params)
 
 
@@ -105,7 +106,7 @@ def test_euler_family_derivative_lowers_degree(params):
 def test_bernoulli_family_derivative_lowers_degree(params):
     for k in K_RANGE:
         for n in range(1, 9):
-            got = poly_bernoulli(n, k, params).derivative()
+            got = oracles.derivative(poly_bernoulli(n, k, params))
             assert got == -n * poly_bernoulli(n - 1, k, params)
 
 
@@ -244,3 +245,67 @@ def test_equal_limit_point_is_supported_everywhere():
         assert poly_cauchy_1(n, 2, params, ROUTE_GF) == poly_cauchy_1(
             n, 2, params, ROUTE_INTEGRAL
         )
+
+
+# ---------------------------------------------------------------------------
+# generating-function columns
+
+GF_PROVIDERS = {
+    FAMILY_POLY_EULER: "li_pq_ordinary_coeffs",
+    FAMILY_POLY_BERNOULLI: "li_pq_ordinary_coeffs",
+    FAMILY_POLY_CAUCHY_1: "lif_pq_ordinary_coeffs",
+    FAMILY_POLY_CAUCHY_2: "lif_pq_ordinary_coeffs",
+}
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+@pytest.mark.parametrize(
+    "params",
+    [BASE, PQParams(Fraction(2, 3), Fraction(2, 3))],
+    ids=["generic", "p=q"],
+)
+@pytest.mark.parametrize("family", list(GF_PROVIDERS))
+def test_gf_column_grows_one_coefficient_per_n(family, params, k, monkeypatch):
+    # the column asks its provider once per growth; a fresh order-n series
+    # per n would ask again for every n, in any order
+    n_max = 12
+    calls = []
+    provider = getattr(sequences, GF_PROVIDERS[family])
+
+    def counted(k, params, order):
+        calls.append(order)
+        return provider(k, params, order)
+
+    monkeypatch.setattr(sequences, GF_PROVIDERS[family], counted)
+    try:
+        clear_caches()
+        in_order = [compute(family, n, k, params) for n in range(n_max + 1)]
+        assert len(calls) == n_max + 1
+        clear_caches()
+        calls.clear()
+        alone = compute(family, n_max, k, params)
+        below = [compute(family, n, k, params) for n in range(n_max)]
+        assert len(calls) == 1
+        assert below + [alone] == in_order
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def test_clear_caches_lets_a_rebound_ingredient_reach_poly_euler(monkeypatch):
+    n, k = 6, 2
+    classical = poly_euler(n, k, CLASSICAL)
+    deformed = poly_euler(n, k, BASE)
+    assert deformed != classical
+    provider = sequences.li_pq_ordinary_coeffs
+    monkeypatch.setattr(
+        sequences,
+        "li_pq_ordinary_coeffs",
+        lambda k, params, order: provider(k, CLASSICAL, order),
+    )
+    try:
+        clear_caches()
+        assert poly_euler(n, k, BASE) == classical
+    finally:
+        monkeypatch.undo()
+        clear_caches()

@@ -1,11 +1,19 @@
-"""Generated files stay out of version control; no import goes unused."""
+"""Generated files stay out of version control; no import goes unused;
+clear_caches leaves no cache in the package filled."""
 
 import ast
+import importlib
+import pkgutil
 import shutil
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import pqpoly
+from pqpoly.identities import SuiteConfig, run_all
+from pqpoly.pqcalc import PQParams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,3 +71,28 @@ def test_no_unused_imports():
     assert paths
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _package_caches():
+    """Every lru_cache bound at module level anywhere in pqpoly."""
+    caches = {}
+    for info in pkgutil.iter_modules(pqpoly.__path__):
+        if info.name.startswith("__"):
+            continue  # __main__ runs the CLI when imported
+        module = importlib.import_module(f"pqpoly.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def test_clear_caches_empties_every_cache():
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    run_all(SuiteConfig(n_max=3, k_values=(1,), param_points=(params,)))
+    caches = _package_caches()
+    filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
+    assert len(filled) > len(caches) // 2, filled
+    pqpoly.clear_caches()
+    assert {
+        name for name, cache in caches.items() if cache.cache_info().currsize
+    } == set()
