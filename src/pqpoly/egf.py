@@ -10,25 +10,24 @@ Binary operations require equal orders; there is no implicit truncation.
 for callers that read a single coefficient of an EGF product.  A product
 term with a zero factor is skipped, but the sum keeps the ring of its
 factors: it is an XPoly whenever any factor is one, skipped or not.
-``EgfSeries.powers`` is the power chain that ``pow`` and the Stirling rows
-read their powers of a series from.
+``pow(m)`` multiplies a series by itself m - 1 times.
 
 Composition is computed one coefficient at a time from the ones before it,
 the way relaxed power-series arithmetic does (van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  ``PowerRows`` builds the rows
 [t^j/j!] inner^m, m <= j, of an inner series, row j from the rows before
-it; ``compose`` reads them, and so do the generating-function routes, each
+it.  ``compose`` reads them; so do the generating-function routes, each
 through a ``Column`` that grows by the coefficients asked for and is never
-rebuilt.
+rebuilt; and so do the four Stirling triangles, each from a table of its
+own.  Apart from ``pow``, nothing else raises a series to a power.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import XPoly
 
@@ -101,10 +100,6 @@ class EgfSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def add(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
-        return EgfSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
     def scale(self, scalar) -> "EgfSeries":
         return EgfSeries([c * scalar for c in self._coeffs])
 
@@ -121,19 +116,15 @@ class EgfSeries:
             raise IndexError(f"coefficient {n} outside order {self.order}")
         return _binomial_conv(self._coeffs, other._coeffs, n)
 
-    def powers(self) -> Iterator["EgfSeries"]:
-        """self^0, self^1, self^2, ... without end, each power made from the
-        one before by a single product; the caller decides where to stop."""
-        yield EgfSeries.constant(Fraction(1), self.order)
-        power = self
-        while True:
-            yield power
-            power = power.mul(self)
-
     def pow(self, m: int) -> "EgfSeries":
         if m < 0:
             raise ValueError("exponent must be nonnegative")
-        return next(islice(self.powers(), m, None))
+        if m == 0:
+            return EgfSeries.constant(Fraction(1), self.order)
+        power = self
+        for _ in range(m - 1):
+            power = power.mul(self)
+        return power
 
     def reciprocal(self) -> "EgfSeries":
         """Multiplicative inverse; requires an invertible constant term."""

@@ -5,12 +5,15 @@ classical Euler polynomials, higher-order Bernoulli polynomials and
 Frobenius-Euler polynomials, plus the ordinary coefficient providers for the
 two-parameter polylogarithm Li_k and its factorial variant Lif_k.
 
-Every Stirling-type value is extracted from its generating function, one
-power chain per row: the first read of row n takes base^0..base^n at order
-n from ``EgfSeries.powers``, one EGF product per step, and caches the row's
-values.  The plain and weighted triangles each keep their own rows and
-chains.  The triangular recurrences stay test-only oracles, independent
-cross-checks of the extractions.
+Every Stirling-type value is extracted from its generating function,
+[t^n/n!] w(t) base^m / m! with base = e^t - 1 or -ln(1 - t) and weight w = 1
+for the plain triangles.  Each triangle reads its entries off its own
+``PowerRows`` table of base^m, which builds row n once, from the rows before
+it, on the first read that needs it; a weighted entry is one EGF product
+coefficient of w against column m of that table.  No triangle shares its
+table with another, so the plain and weighted triangles of one kind stay
+independent routes.  The triangular recurrences stay test-only oracles,
+independent cross-checks of the extractions.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -21,24 +24,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
-from .egf import EgfSeries
+from .egf import EgfSeries, PowerRows
 from .exact import XPoly, rising_factorial
 from .pqcalc import PQParams, pq_integer
 
 # ---------------------------------------------------------------------------
 # generating function building blocks
-
-
-def exp_minus_one_series(order: int) -> EgfSeries:
-    """EGF of e^t - 1."""
-    return EgfSeries([0] + [1] * order)
-
-
-def neg_log1m_series(order: int) -> EgfSeries:
-    """EGF of -ln(1 - t)."""
-    return EgfSeries([0] + [math.factorial(j - 1) for j in range(1, order + 1)])
 
 
 def exp_x_series(order: int) -> EgfSeries:
@@ -50,87 +42,86 @@ def exp_x_series(order: int) -> EgfSeries:
 # Stirling numbers, plain and weighted
 
 
-def _plain_row(base: EgfSeries) -> tuple[int, ...]:
-    """Coefficient N of base^m / m! for m = 0..N, as integers."""
-    n = base.order
-    row = []
-    for m, power in enumerate(islice(base.powers(), n + 1)):
-        value = power.coeff(n) / math.factorial(m)
-        assert value.denominator == 1
-        row.append(int(value))
-    return tuple(row)
+def _exp_minus_one(j: int) -> int:
+    """EGF coefficient j >= 1 of e^t - 1."""
+    return 1
 
 
-def _weighted_row(weight: EgfSeries, base: EgfSeries) -> tuple[XPoly, ...]:
-    """Coefficient N of weight * base^m / m! for m = 0..N."""
-    n = base.order
-    return tuple(
-        weight.mul_coeff(power, n) * Fraction(1, math.factorial(m))
-        for m, power in enumerate(islice(base.powers(), n + 1))
-    )
-
-
-# Each triangle caches its own rows and builds its own power chain, so the
-# plain and weighted triangles of one kind stay independent routes.
+def _neg_log1m(j: int) -> int:
+    """EGF coefficient j >= 1 of -ln(1 - t)."""
+    return math.factorial(j - 1)
 
 
 @lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    return _plain_row(exp_minus_one_series(n))
+def _power_table(triangle: str, base) -> PowerRows:
+    """The rows [t^j/j!] base^m of one triangle.  The key names the
+    triangle, so the plain and weighted triangles of one kind build separate
+    tables and stay independent routes."""
+    return PowerRows(base)
 
 
 @lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    return _plain_row(neg_log1m_series(n))
+def _weight_series(weight, order: int) -> EgfSeries:
+    """The EGF sum weight(j) t^j/j! to the given order, built once for all
+    the entries of a row."""
+    return EgfSeries([weight(j) for j in range(order + 1)])
 
 
-@lru_cache(maxsize=None)
-def _weighted_stirling2_row(n: int) -> tuple[XPoly, ...]:
-    return _weighted_row(exp_x_series(n), exp_minus_one_series(n))
-
-
-@lru_cache(maxsize=None)
-def _weighted_stirling1_row(n: int) -> tuple[XPoly, ...]:
-    lifted = EgfSeries([rising_factorial(j) for j in range(n + 1)])
-    return _weighted_row(lifted, neg_log1m_series(n))
-
-
-def _entry(row, n: int, m: int, zero):
+def _check_indices(n: int, m: int) -> None:
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    return row(n)[m] if m <= n else zero
+
+
+def _plain_entry(triangle: str, base, n: int, m: int) -> int:
+    """[t^n/n!] base^m / m!, read off the triangle's table."""
+    _check_indices(n, m)
+    if m > n:
+        return 0
+    return _power_table(triangle, base).row(n)[m] // math.factorial(m)
+
+
+def _weighted_entry(triangle: str, base, weight, n: int, m: int) -> XPoly:
+    """[t^n/n!] w(t) base^m / m!, where weight(j) is EGF coefficient j of w,
+    from column m of the triangle's table."""
+    _check_indices(n, m)
+    if m > n:
+        return XPoly.zero()
+    table = _power_table(triangle, base)
+    column = EgfSeries([0] * m + [table.row(j)[m] for j in range(m, n + 1)])
+    weights = _weight_series(weight, n)
+    return weights.mul_coeff(column, n) * Fraction(1, math.factorial(m))
 
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
-    """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!.
-
-    Row n is read off one power chain, built on its first read."""
-    return _entry(_stirling2_row, n, m, 0)
+    """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!."""
+    return _plain_entry("stirling2", _exp_minus_one, n, m)
 
 
 @lru_cache(maxsize=None)
 def stirling1_unsigned(n: int, m: int) -> int:
-    """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!.
-
-    Row n is read off one power chain, built on its first read."""
-    return _entry(_stirling1_row, n, m, 0)
+    """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!."""
+    return _plain_entry("stirling1_unsigned", _neg_log1m, n, m)
 
 
 @lru_cache(maxsize=None)
 def weighted_stirling2(n: int, m: int) -> XPoly:
     """Shifted second-kind triangle from the EGF e^(xt) (e^t - 1)^m / m!.
 
-    Row n is read off its own power chain, never the plain triangle's."""
-    return _entry(_weighted_stirling2_row, n, m, XPoly.zero())
+    It reads its own table, never the plain triangle's."""
+    return _weighted_entry(
+        "weighted_stirling2", _exp_minus_one, XPoly.monomial, n, m
+    )
 
 
 @lru_cache(maxsize=None)
 def weighted_stirling1(n: int, m: int) -> XPoly:
     """Shifted first-kind triangle from the EGF (1-t)^(-x) (-ln(1-t))^m / m!.
 
-    Row n is read off its own power chain, never the plain triangle's."""
-    return _entry(_weighted_stirling1_row, n, m, XPoly.zero())
+    It reads its own table, never the plain triangle's."""
+    return _weighted_entry(
+        "weighted_stirling1", _neg_log1m, rising_factorial, n, m
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -77,29 +77,28 @@ def mutate_li_forgets_deformation() -> None:
     sequences.li_pq_ordinary_coeffs = classical
 
 
-def mutate_egf_powers_skip() -> None:
-    """The shared power chain jumps from base^2 to base^4.
+def mutate_egf_pow_extra_factor() -> None:
+    """pow(m) returns self^(m + 1) for m >= 1, one factor too many.
 
-    pow and every Stirling row read their powers from this one chain, so
-    the defect reaches the Stirling side of each route comparison and the
-    classical families built on pow.
+    bernoulli_order and frobenius_euler raise their cores to the order s
+    with pow, so the defect reaches the checks built on them.
     """
-    chain = EgfSeries.powers
+    power = EgfSeries.pow
 
-    def skipping(self):
-        for m, power in enumerate(chain(self)):
-            if m != 3:
-                yield power
+    def extra(self, m: int) -> EgfSeries:
+        return power(self, m + 1) if m >= 1 else power(self, m)
 
-    EgfSeries.powers = skipping
+    EgfSeries.pow = extra
 
 
 def mutate_power_rows_drop_cube() -> None:
-    """The generating-function row builder loses the inner^3 term.
+    """The row builder loses the inner^3 term.
 
-    compose and every gf route read their powers of an inner series from
-    these rows and the Stirling routes never do, so the route comparisons
-    must see it.
+    compose, every gf route and the four Stirling triangles read their
+    powers of a series from these rows, so the Stirling route loses its
+    m = 3 term too and poly-Bernoulli's two routes still agree.  The
+    integral routes read no rows, so the Cauchy route comparisons must see
+    it.
     """
     row = PowerRows.row
 
@@ -116,7 +115,7 @@ MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
     "li-classical": mutate_li_forgets_deformation,
-    "egf-powers-skip": mutate_egf_powers_skip,
+    "egf-pow-extra-factor": mutate_egf_pow_extra_factor,
     "power-rows-drop-cube": mutate_power_rows_drop_cube,
 }
 

@@ -7,7 +7,9 @@ hide inside its own oracle.  The exceptions reuse library types on
 purpose, so that the library can be held to them coefficient type for
 coefficient type: ``horner_compose`` reuses the EGF product, to pin
 ``egf.compose``, and ``binomial_conv`` is the EGF product's coefficient
-with no term skipped.  ``derivative`` differentiates an ``XPoly``.
+with no term skipped.  ``derivative`` differentiates an ``XPoly``, and the
+weighted Stirling recurrences run over ``XPoly``, whose product is not the
+EGF engine.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from pqpoly.egf import EgfSeries
 from pqpoly.exact import XPoly
@@ -44,22 +47,41 @@ def falling_factorial_coeffs(n: int) -> list[Fraction]:
     return result
 
 
-def stirling2_rec(n: int, m: int) -> int:
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
-        return 0
-    return m * stirling2_rec(n - 1, m) + stirling2_rec(n - 1, m - 1)
+def _triangle_rows(n_max: int, one, weight) -> list[list]:
+    """Rows 0..n_max of T(n+1, m) = weight(n, m) T(n, m) + T(n, m-1) with
+    T(0, 0) = one, built row by row; row n lists m = 0..n."""
+    rows = [[one]]
+    for n in range(n_max):
+        prev = rows[-1] + [one * 0]
+        rows.append(
+            [weight(n, 0) * prev[0]]
+            + [weight(n, m) * prev[m] + prev[m - 1] for m in range(1, n + 2)]
+        )
+    return rows
 
 
-def stirling1_unsigned_rec(n: int, m: int) -> int:
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
-        return 0
-    return (n - 1) * stirling1_unsigned_rec(n - 1, m) + stirling1_unsigned_rec(
-        n - 1, m - 1
-    )
+def stirling2_rec(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of S(n+1, m) = m S(n, m) + S(n, m-1)."""
+    return _triangle_rows(n_max, 1, lambda n, m: m)
+
+
+def stirling1_unsigned_rec(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of c(n+1, m) = n c(n, m) + c(n, m-1)."""
+    return _triangle_rows(n_max, 1, lambda n, m: n)
+
+
+def weighted_stirling2_rec(n_max: int) -> list[list[XPoly]]:
+    """Rows 0..n_max of S(n+1, m, x) = (x + m) S(n, m, x) + S(n, m-1, x).
+
+    At x = r this is the r-Stirling recurrence of the second kind (Broder,
+    "The r-Stirling numbers", Discrete Math. 49, 1984), shifted by r."""
+    return _triangle_rows(n_max, XPoly.one(), lambda n, m: XPoly((m, 1)))
+
+
+def weighted_stirling1_rec(n_max: int) -> list[list[XPoly]]:
+    """Rows 0..n_max of s(n+1, m, x) = (x + n) s(n, m, x) + s(n, m-1, x),
+    Broder's first-kind r-Stirling recurrence with r = x, shifted by r."""
+    return _triangle_rows(n_max, XPoly.one(), lambda n, m: XPoly((n, 1)))
 
 
 def stirling2_enum(n: int, m: int) -> int:
@@ -169,11 +191,15 @@ def pq_integer_homogeneous(n: int, p: Fraction, q: Fraction) -> Fraction:
 
 
 def horner_compose(outer_coeffs, inner):
-    """sum c_m inner^m by Horner's rule over EGF products, for m <= order."""
+    """sum c_m inner^m by Horner's rule over EGF products, for m <= order.
+
+    Each step adds the series c_m + 0 t + ... coefficient by coefficient, so
+    a zero of c_m's ring reaches every coefficient, as a series sum would."""
     n = inner.order
     result = EgfSeries.constant(outer_coeffs[n], n)
     for m in range(n - 1, -1, -1):
-        result = result.mul(inner).add(EgfSeries.constant(outer_coeffs[m], n))
+        constant = EgfSeries.constant(outer_coeffs[m], n)
+        result = EgfSeries(map(add, result.mul(inner).coeffs, constant.coeffs))
     return result
 
 

@@ -157,7 +157,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "stirling2-off-by-one",
         "cauchy1-stirling-sign-flip",
         "li-classical",
-        "egf-powers-skip",
+        "egf-pow-extra-factor",
         "power-rows-drop-cube",
     ):
         proc = subprocess.run(
@@ -170,10 +170,13 @@ def test_criterion_5_mutation_sensitivity(capsys):
         assert payload["mutation"] == name
         assert payload["failing"], f"suite blind to mutation {name}"
         if name == "power-rows-drop-cube":
-            # only the gf routes read the rows, so a route comparison sees it
+            # the integral routes read no rows, so a route comparison sees it
             assert set(payload["failing"]) & {
                 "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
             }, payload
+        if name == "egf-pow-extra-factor":
+            # tid3 and tid4 read bernoulli_order and frobenius_euler at s >= 1
+            assert set(payload["failing"]) & {"tid3", "tid4"}, payload
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     baseline = subprocess.run(
         [sys.executable, str(script), "none"],

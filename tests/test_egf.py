@@ -155,6 +155,23 @@ def test_pow_is_a_fold_of_products(coeffs, zero_constant, data):
         assert a.pow(m) == reduce(EgfSeries.mul, [a] * m, one)
 
 
+def test_pow_takes_one_product_per_extra_factor(monkeypatch):
+    a = EgfSeries([0, 1, 2, 3])
+    assert a.pow(1) is a
+    calls = []
+    mul = EgfSeries.mul
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(EgfSeries, "mul", counted)
+    for m in range(6):
+        calls.clear()
+        a.pow(m)
+        assert len(calls) == max(m - 1, 0)
+
+
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         EgfSeries([1, 2, 3]).pow(-1)

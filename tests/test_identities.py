@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from pqpoly import sequences
 from pqpoly.identities import (
@@ -18,6 +19,8 @@ from pqpoly.identities import (
     y_samples,
 )
 from pqpoly.pqcalc import PQParams
+
+from .test_pqcalc import box_params_st
 
 SMALL = SuiteConfig(
     n_max=5,
@@ -45,6 +48,30 @@ def test_all_checks_pass_on_reduced_grid():
     for report in reports:
         assert report.passed, (report.id, report.first_failure)
         assert report.first_failure is None
+
+
+# route agreement for the three families, and the inversions back to the
+# deformed integers, which read the weighted Stirling triangles
+RANDOM_POINT_CHECKS = (
+    "polyberrel1",
+    "cauchy_routes_1",
+    "cauchy_routes_2",
+    "invrel1",
+    "invrel2",
+    "invrel3",
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(box_params_st())
+def test_routes_and_inversions_hold_at_random_points(params):
+    config = SuiteConfig(
+        n_max=6, k_values=(-2, -1, 0, 1, 2), param_points=(params,)
+    )
+    reports = run_all(config, only=RANDOM_POINT_CHECKS)
+    assert [r.id for r in reports] == list(RANDOM_POINT_CHECKS)
+    for report in reports:
+        assert report.passed, (params, report.id, report.first_failure)
 
 
 def test_runs_are_deterministic():

@@ -19,6 +19,16 @@ PARAM_POINTS = [
 params_st = st.sampled_from(PARAM_POINTS)
 
 
+@st.composite
+def box_params_st(draw):
+    """A random point 0 < q <= p <= 1 of the parameter box, p = q in half of
+    the draws; small denominators keep the exact values small."""
+    nonzero = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(bool)
+    p = draw(nonzero)
+    q = p if draw(st.booleans()) else draw(nonzero.filter(lambda q: q <= p))
+    return PQParams(p, q)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PQParams(Fraction(0), Fraction(0))
@@ -48,6 +58,14 @@ def test_deformed_integer_matches_homogeneous_sum(params):
     for n in range(0, 12):
         want = pq_integer_homogeneous(n, params.p, params.q)
         assert pq_integer(n, params) == want
+
+
+@given(box_params_st())
+def test_deformed_integer_matches_homogeneous_sum_in_the_box(params):
+    for n in range(0, 8):
+        assert pq_integer(n, params) == pq_integer_homogeneous(
+            n, params.p, params.q
+        )
 
 
 @pytest.mark.parametrize("params", PARAM_POINTS)

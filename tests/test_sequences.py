@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import sequences
-from pqpoly.egf import EgfSeries
+from pqpoly import clear_caches
+from pqpoly.egf import PowerRows
 from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
 from pqpoly.sequences import (
@@ -35,15 +35,13 @@ GENERIC_POINTS = [
 
 
 def test_stirling2_matches_recurrence():
-    for n in range(16):
-        for m in range(n + 2):
-            assert stirling2(n, m) == oracles.stirling2_rec(n, m)
+    for n, row in enumerate(oracles.stirling2_rec(40)):
+        assert [stirling2(n, m) for m in range(n + 2)] == row + [0]
 
 
 def test_stirling1_matches_recurrence():
-    for n in range(16):
-        for m in range(n + 2):
-            assert stirling1_unsigned(n, m) == oracles.stirling1_unsigned_rec(n, m)
+    for n, row in enumerate(oracles.stirling1_unsigned_rec(40)):
+        assert [stirling1_unsigned(n, m) for m in range(n + 2)] == row + [0]
 
 
 def test_stirling2_matches_partition_enumeration():
@@ -81,33 +79,43 @@ def test_entries_above_the_diagonal_are_zero():
     assert weighted_stirling2(3, 5) == weighted_stirling1(3, 5) == XPoly.zero()
 
 
-def _clear_sequence_caches():
-    for value in vars(sequences).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+def _record_table_rows(monkeypatch) -> list:
+    """(table, j) for every row a PowerRows table builds from now on."""
+    built = []
+    row = PowerRows.row
+
+    def recording(self, j):
+        before = len(self._rows)
+        entries = row(self, j)
+        built.extend((id(self), i) for i in range(before, len(self._rows)))
+        return entries
+
+    monkeypatch.setattr(PowerRows, "row", recording)
+    return built
 
 
-def _count_egf_products(monkeypatch) -> list:
-    calls = []
-    mul = EgfSeries.mul
-
-    def counted(self, other):
-        calls.append(self.order)
-        return mul(self, other)
-
-    monkeypatch.setattr(EgfSeries, "mul", counted)
-    return calls
+def _assert_one_table_built_rows(built: list, n: int) -> None:
+    tables = {table for table, _ in built}
+    assert len(tables) == 1, tables
+    assert sorted(j for _, j in built) == list(range(1, n + 1))
 
 
 @pytest.mark.parametrize("triangle", TRIANGLES, ids=lambda f: f.__name__)
-def test_a_row_costs_one_power_chain(triangle, monkeypatch):
-    # n products build base^0..base^n; per-entry powers would take ~n^2/2
+def test_each_table_row_is_built_once(triangle, monkeypatch):
+    # row 12 first, then rows 0..11: the later reads build nothing.  The
+    # other triangles' row 12, read before, builds none of these rows,
+    # since each triangle has a table of its own
     n = 12
-    _clear_sequence_caches()
-    calls = _count_egf_products(monkeypatch)
-    for m in [n] + list(range(n)):
-        triangle(n, m)
-    assert 0 < len(calls) <= n
+    clear_caches()
+    for other in TRIANGLES:
+        if other is not triangle:
+            for m in range(n + 1):
+                other(n, m)
+    built = _record_table_rows(monkeypatch)
+    for r in [n] + list(range(n)):
+        for m in range(r + 1):
+            triangle(r, m)
+    _assert_one_table_built_rows(built, n)
 
 
 @pytest.mark.parametrize(
@@ -115,16 +123,19 @@ def test_a_row_costs_one_power_chain(triangle, monkeypatch):
     [(stirling2, weighted_stirling2), (stirling1_unsigned, weighted_stirling1)],
     ids=["second_kind", "first_kind"],
 )
-def test_weighted_row_builds_its_own_chain(plain, weighted, monkeypatch):
-    # the routes compared by cauchy_routes_1/2 must not share a power chain
+def test_weighted_triangle_builds_its_own_table(plain, weighted, monkeypatch):
+    # the routes compared by cauchy_routes_1/2 must not share a table
     n = 12
-    _clear_sequence_caches()
+    clear_caches()
+    built = _record_table_rows(monkeypatch)
     for m in range(n + 1):
         plain(n, m)
-    calls = _count_egf_products(monkeypatch)
+    plain_tables = {table for table, _ in built}
+    built.clear()
     for m in range(n + 1):
         weighted(n, m)
-    assert calls
+    _assert_one_table_built_rows(built, n)
+    assert not plain_tables & {table for table, _ in built}
 
 
 def test_stirling_orthogonality():
@@ -146,6 +157,16 @@ def test_stirling_orthogonality():
 
 # ---------------------------------------------------------------------------
 # weighted Stirling triangles
+
+
+def test_weighted_stirling2_matches_r_stirling_recurrence():
+    for n, row in enumerate(oracles.weighted_stirling2_rec(20)):
+        assert [weighted_stirling2(n, m) for m in range(n + 1)] == row
+
+
+def test_weighted_stirling1_matches_r_stirling_recurrence():
+    for n, row in enumerate(oracles.weighted_stirling1_rec(20)):
+        assert [weighted_stirling1(n, m) for m in range(n + 1)] == row
 
 
 def test_weighted_stirling2_at_zero_reduces_to_plain():
