@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import families, identities, sequences
 from .exact import rational_from_str, rational_to_str
@@ -35,6 +36,15 @@ CLASSICAL_FAMILIES = ("euler", "bernoulli-order", "frobenius-euler")
 TRIANGLE_FAMILIES = ("stirling2", "stirling1")
 
 ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
+
+
+# Largest run sizes accepted.  The slowest run measured at these bounds,
+# poly-Cauchy at |k| = 30 to n = 100, takes about six minutes (timings in
+# CHANGES.md); time and memory keep growing past them, so a larger value
+# is refused when the flag is parsed.
+GEN_NMAX_LIMIT = 100
+VERIFY_NMAX_LIMIT = 24
+K_LIMIT = 30
 
 
 class CliError(Exception):
@@ -58,6 +68,22 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _at_most(limit: int, parse: Callable[[str], int]) -> Callable[[str], int]:
+    """``parse`` with |value| <= limit enforced; its own errors, and the
+    name argparse reports them under, are kept."""
+
+    def bounded(text: str) -> int:
+        value = parse(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        if value < -limit:
+            raise argparse.ArgumentTypeError(f"must be at least {-limit}")
+        return value
+
+    bounded.__name__ = parse.__name__
+    return bounded
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqpoly",
@@ -68,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="tabulate a family for n = 0..nmax")
     gen.add_argument("--family", required=True, choices=ALL_FAMILIES)
-    gen.add_argument("--nmax", type=_nonneg_int, required=True)
-    gen.add_argument("--k", type=int, default=1)
+    gen.add_argument(
+        "--nmax", type=_at_most(GEN_NMAX_LIMIT, _nonneg_int), required=True
+    )
+    gen.add_argument("--k", type=_at_most(K_LIMIT, int), default=1)
     gen.add_argument("--s", type=_nonneg_int, default=1)
     gen.add_argument("--u", type=_rational_arg, default=Fraction(-1))
     gen.add_argument("--p", type=_rational_arg, default=None)
@@ -78,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", default=None)
 
     verify = sub.add_parser("verify", help="run the identity suite")
-    verify.add_argument("--nmax", type=_nonneg_int, default=10)
+    verify.add_argument(
+        "--nmax", type=_at_most(VERIFY_NMAX_LIMIT, _nonneg_int), default=10
+    )
     verify.add_argument(
         "--only", default=None, help="comma-separated check ids"
     )
@@ -87,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     closed = sub.add_parser(
         "closed-form", help="rational closed form of the polylogarithm, k <= 0"
     )
-    closed.add_argument("--k", type=int, required=True)
+    closed.add_argument("--k", type=_at_most(K_LIMIT, int), required=True)
     closed.add_argument("--p", type=_rational_arg, default=None)
     closed.add_argument("--q", type=_rational_arg, default=None)
     closed.add_argument("--format", choices=("json", "csv"), default="json")
@@ -108,9 +138,12 @@ def _params_from_args(args) -> PQParams:
 def _emit(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise CliError(f"--output: {exc}") from None
 
 
 def _gen_rows(args, params: PQParams):

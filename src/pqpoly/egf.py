@@ -12,6 +12,10 @@ term with a zero factor is skipped, but the sum keeps the ring of its
 factors: it is an XPoly whenever any factor is one, skipped or not.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
+One recurrence, ``grow_reciprocal``, extends the coefficient list of 1/a:
+``reciprocal`` runs it once to the series order and needs a nonzero
+Fraction constant term, and the 2/(e^t + 1) column grows by it.
+
 Composition is computed one coefficient at a time from the ones before it,
 the way relaxed power-series arithmetic does (van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  ``PowerRows`` builds the rows
@@ -51,18 +55,21 @@ def _binomial_conv(a: Sequence, b: Sequence, n: int):
     return acc
 
 
-def _ring_inverse(c):
-    if isinstance(c, XPoly):
-        if c.degree > 0:
-            raise ValueError("constant term is not invertible in the ring")
-        c = c.coeff(0)
-        if c == 0:
+def grow_reciprocal(coeff: Callable[[int], object], r: list, n: int) -> None:
+    """Extend r, the coefficients of 1/a, through index n, where the EGF a
+    has coefficient i ``coeff(i)`` and a nonzero rational constant term:
+    r_0 = 1/a_0, r_j = -r_0 sum over i = 1..j of C(j, i) a_i r_(j-i)."""
+    if not r:
+        a0 = Fraction(coeff(0))
+        if a0 == 0:
             raise ValueError("constant term is zero, no reciprocal")
-        return XPoly.const(Fraction(1) / c)
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("constant term is zero, no reciprocal")
-    return Fraction(1) / c
+        r.append(1 / a0)
+    r0 = r[0]
+    for j in range(len(r), n + 1):
+        acc = sum(
+            math.comb(j, i) * (coeff(i) * r[j - i]) for i in range(1, j + 1)
+        )
+        r.append(-(r0 * acc))
 
 
 class EgfSeries:
@@ -100,9 +107,6 @@ class EgfSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def scale(self, scalar) -> "EgfSeries":
-        return EgfSeries([c * scalar for c in self._coeffs])
-
     def mul(self, other: "EgfSeries") -> "EgfSeries":
         """Product of EGFs, i.e. binomial convolution of coefficients."""
         self._check_order(other)
@@ -127,15 +131,9 @@ class EgfSeries:
         return power
 
     def reciprocal(self) -> "EgfSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        a = self._coeffs
-        r0 = _ring_inverse(a[0])
-        r = [r0]
-        for n in range(1, len(a)):
-            acc = math.comb(n, 1) * (a[1] * r[n - 1])
-            for i in range(2, n + 1):
-                acc = acc + math.comb(n, i) * (a[i] * r[n - i])
-            r.append(-(r0 * acc))
+        """Multiplicative inverse; needs a nonzero Fraction constant term."""
+        r = []
+        grow_reciprocal(self._coeffs.__getitem__, r, self.order)
         return EgfSeries(r)
 
     def __eq__(self, other) -> bool:

@@ -19,20 +19,22 @@ The generating-function routes read coefficient n from one ``Column`` per
 Coefficient j of Li_k(inner) or Lif_k(inner) is sum c_m [t^j/j!] inner^m;
 the rows [t^j/j!] inner^m of the three parameter-free inners 1 - e^(-t),
 ln(1+t) and -ln(1+t) are built once per process, and the coefficients of
-2/(e^t + 1) are a parameter-free column too.  None of them is shared with
-a Stirling triangle.  The columns, the rows and each gf route's values are
-cached; the weighted-Stirling and integral routes are recomputed on each
-call from their cached ingredient sequences.  ``pqpoly.clear_caches``
-empties them all.
+2/(e^t + 1) are a parameter-free column too, grown by ``egf``'s one
+reciprocal recurrence.  None of them is shared with a Stirling triangle.
+The Li_k and Lif_k coefficient providers are passed to the columns by
+reference, read off ``sequences`` at each call.  The columns, the rows and
+each gf route's values are cached; the weighted-Stirling and integral
+routes are recomputed on each call from their cached ingredient sequences.
+``pqpoly.clear_caches`` empties them all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from . import sequences
+from . import egf, sequences
 from .egf import Column, EgfSeries, PowerRows
 from .exact import XPoly, falling_factorial, rising_factorial
 from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
@@ -99,11 +101,6 @@ def compute(
 # ---------------------------------------------------------------------------
 # generating-function columns
 
-# the ordinary-coefficient providers in sequences, looked up by name
-_LI = "li_pq_ordinary_coeffs"
-_LIF = "lif_pq_ordinary_coeffs"
-
-
 # EGF coefficient j >= 1 of each parameter-free inner series
 def _one_minus_exp_neg(j: int) -> int:
     return -((-1) ** j)
@@ -125,18 +122,19 @@ def _inner_rows(inner) -> PowerRows:
 
 @lru_cache(maxsize=None)
 def _polylog_column(
-    provider: str, k: int, params: PQParams, inner, shift: int
+    provider, k: int, params: PQParams, inner, shift: int
 ) -> Column:
     """EGF coefficients of sum_m c_(m + shift) inner^m, with c_m the ordinary
-    coefficients ``sequences.<provider>`` gives.
+    coefficients ``provider(k, params, order)`` gives.
 
-    The provider is looked up each time the column grows, once per growth,
-    so a rebound provider reaches every column made after the rebinding.
+    Callers pass the provider by reference, read off ``sequences`` at the
+    call, so a rebound provider keys a column of its own.  It is called
+    once per growth.
     """
     rows = _inner_rows(inner)
 
     def grow(coeffs: list, n: int) -> None:
-        c = getattr(sequences, provider)(k, params, n + shift)[shift:]
+        c = provider(k, params, n + shift)[shift:]
         for j in range(len(coeffs), n + 1):
             coeffs.append(rows.compose_coeff(c, j))
 
@@ -145,21 +143,17 @@ def _polylog_column(
 
 @lru_cache(maxsize=None)
 def _two_over_exp_plus_one() -> Column:
-    """EGF of 2/(e^t + 1): h_0 = 1, and (e^t + 1) h = 2 gives
-    h_j = -(1/2) sum over i = 1..j of C(j, i) h_(j-i)."""
-
-    def grow(h: list, n: int) -> None:
-        for j in range(len(h), n + 1):
-            acc = sum(math.comb(j, i) * h[j - i] for i in range(1, j + 1))
-            h.append(Fraction(1) if j == 0 else -acc / 2)
-
-    return Column(grow)
+    """EGF of 2/(e^t + 1), grown by ``egf.grow_reciprocal`` as the
+    reciprocal of (e^t + 1)/2, whose coefficients are 1, 1/2, 1/2, ..."""
+    half = Fraction(1, 2)
+    return Column(partial(egf.grow_reciprocal, lambda j: half if j else 1))
 
 
 @lru_cache(maxsize=None)
 def _euler_column(k: int, params: PQParams) -> Column:
     """EGF coefficients of 2 Li_k(1 - e^(-t)) / (1 + e^t)."""
-    li = _polylog_column(_LI, k, params, _one_minus_exp_neg, 0)
+    provider = sequences.li_pq_ordinary_coeffs
+    li = _polylog_column(provider, k, params, _one_minus_exp_neg, 0)
 
     def grow(coeffs: list, n: int) -> None:
         li_part = li.series(n)
@@ -206,7 +200,8 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     of Li_k by its argument is an index shift of the coefficients, so the
     shifted composition is already the full quotient.
     """
-    return _polylog_column(_LI, k, params, _one_minus_exp_neg, 1).series(order)
+    li = sequences.li_pq_ordinary_coeffs
+    return _polylog_column(li, k, params, _one_minus_exp_neg, 1).series(order)
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +243,8 @@ def poly_bernoulli(
 def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of Lif_k(ln(1+t)) (1+t)^(-x)."""
     _check_n(n)
-    lif_part = _polylog_column(_LIF, k, params, _log1p, 0).series(n)
+    lif = sequences.lif_pq_ordinary_coeffs
+    lif_part = _polylog_column(lif, k, params, _log1p, 0).series(n)
     binom_part = EgfSeries(
         [(-1) ** j * rising_factorial(j) for j in range(n + 1)]
     )
@@ -297,7 +293,8 @@ def poly_cauchy_1(
 def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of (1+t)^x Lif_k(-ln(1+t))."""
     _check_n(n)
-    lif_part = _polylog_column(_LIF, k, params, _neg_log1p, 0).series(n)
+    lif = sequences.lif_pq_ordinary_coeffs
+    lif_part = _polylog_column(lif, k, params, _neg_log1p, 0).series(n)
     binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
     return lif_part.mul_coeff(binom_part, n)
 

@@ -133,7 +133,7 @@ def euler_poly(n: int) -> XPoly:
     """Euler polynomial E_n(x) from the EGF 2 e^(xt) / (e^t + 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    base = EgfSeries([2] + [1] * n).reciprocal().scale(Fraction(2))
+    base = EgfSeries([Fraction(1)] + [Fraction(1, 2)] * n).reciprocal()
     return base.mul_coeff(exp_x_series(n), n)
 
 

@@ -14,11 +14,12 @@ failed, which is the expected outcome for everything except "none".
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from pqpoly import families, sequences
+from pqpoly import egf, families, sequences
 from pqpoly.egf import EgfSeries, PowerRows
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
@@ -111,12 +112,34 @@ def mutate_power_rows_drop_cube() -> None:
     PowerRows.row = dropping
 
 
+def mutate_reciprocal_drops_first_term() -> None:
+    """The shared reciprocal recurrence loses its i = 1 term for j >= 2.
+
+    EgfSeries.reciprocal (euler_poly, bernoulli_order, frobenius_euler) and
+    the 2/(e^t + 1) column of the poly-Euler gf route both grow by
+    egf.grow_reciprocal, so this one rebinding reaches both.
+    """
+    grow = egf.grow_reciprocal
+
+    def dropping(coeff, r: list, n: int) -> None:
+        grow(coeff, r, min(n, 1))
+        for j in range(len(r), n + 1):
+            acc = sum(
+                math.comb(j, i) * (coeff(i) * r[j - i])
+                for i in range(2, j + 1)
+            )
+            r.append(-(r[0] * acc))
+
+    egf.grow_reciprocal = dropping
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
     "li-classical": mutate_li_forgets_deformation,
     "egf-pow-extra-factor": mutate_egf_pow_extra_factor,
     "power-rows-drop-cube": mutate_power_rows_drop_cube,
+    "reciprocal-drops-first-term": mutate_reciprocal_drops_first_term,
 }
 
 

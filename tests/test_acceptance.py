@@ -159,6 +159,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "li-classical",
         "egf-pow-extra-factor",
         "power-rows-drop-cube",
+        "reciprocal-drops-first-term",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -176,6 +177,12 @@ def test_criterion_5_mutation_sensitivity(capsys):
             }, payload
         if name == "egf-pow-extra-factor":
             # tid3 and tid4 read bernoulli_order and frobenius_euler at s >= 1
+            assert set(payload["failing"]) & {"tid3", "tid4"}, payload
+        if name == "reciprocal-drops-first-term":
+            # euler_bernoulli reads only the poly-Euler column, so the
+            # rebinding reaches families; tid3 and tid4 reach it through
+            # bernoulli_order and frobenius_euler
+            assert "euler_bernoulli" in payload["failing"], payload
             assert set(payload["failing"]) & {"tid3", "tid4"}, payload
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     baseline = subprocess.run(

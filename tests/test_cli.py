@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from pqpoly.cli import main
+from pqpoly.cli import (
+    GEN_NMAX_LIMIT,
+    K_LIMIT,
+    VERIFY_NMAX_LIMIT,
+    build_parser,
+    main,
+)
 from pqpoly.exact import XPoly
 from pqpoly.families import poly_bernoulli, poly_cauchy_1
 from pqpoly.pqcalc import PQParams
@@ -334,6 +340,59 @@ def test_closed_form_rejects_equal_parameters(capsys):
     )
     assert code == 2
     assert "--p/--q" in err
+
+
+# ---------------------------------------------------------------------------
+# shared flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "stirling2", "--nmax", "2"],
+        ["verify", "--only", "tid1", "--nmax", "2"],
+        ["closed-form", "--k", "-1"],
+    ],
+    ids=["gen", "verify", "closed-form"],
+)
+def test_unwritable_output_is_a_configuration_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output: ")
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit, low",
+    [
+        (["gen", "--family", "euler", "--nmax"], "--nmax", GEN_NMAX_LIMIT, 0),
+        (["verify", "--nmax"], "--nmax", VERIFY_NMAX_LIMIT, 0),
+        (
+            ["gen", "--family", "poly-euler", "--nmax", "1", "--k"],
+            "--k",
+            K_LIMIT,
+            -K_LIMIT,
+        ),
+        (["closed-form", "--k"], "--k", K_LIMIT, -K_LIMIT),
+    ],
+    ids=["gen-nmax", "verify-nmax", "gen-k", "closed-form-k"],
+)
+def test_run_size_flags_are_bounded_at_parse_time(capsys, argv, flag, limit, low):
+    # parsing only: a value past the bound never starts a run
+    parser = build_parser()
+    dest = flag.lstrip("-")
+    for value in (low, limit):
+        assert getattr(parser.parse_args(argv + [str(value)]), dest) == value
+    rejected = [limit + 1, 10**30] + ([low - 1] if low else [])
+    for value in rejected:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [str(value)])
+        assert exc.value.code == 2
+        message = f"at most {limit}" if value > 0 else f"at least {low}"
+        assert f"argument {flag}: must be {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpoly.egf import EgfSeries, compose
+from pqpoly.egf import EgfSeries, compose, grow_reciprocal
 from pqpoly.exact import XPoly
 
 from . import oracles
@@ -141,6 +141,24 @@ def test_reciprocal_is_two_sided_inverse(a):
     assert a.mul(inv) == one
     assert inv.mul(a) == one
     assert inv.reciprocal() == a
+
+
+@settings(max_examples=40)
+@given(
+    series(8, rationals.filter(lambda v: v != 0)),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=5),
+)
+def test_reciprocal_grown_in_steps_matches_one_shot(a, steps):
+    # the recurrence reads only the coefficients already in the list, so
+    # any growth schedule gives, at every order, the one-shot reciprocal
+    r = []
+    for n in steps + [a.order]:
+        grow_reciprocal(a.coeffs.__getitem__, r, n)
+        for order in range(len(r)):
+            once = EgfSeries(a.coeffs[: order + 1]).reciprocal()
+            assert r[: order + 1] == list(once.coeffs)
+    assert len(r) == a.order + 1
+    assert all(type(c) is Fraction for c in r)
 
 
 @settings(max_examples=40)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches, sequences
+from pqpoly import clear_caches, families, sequences
 from pqpoly.exact import XPoly
 from pqpoly.families import (
     FAMILY_POLY_BERNOULLI,
@@ -256,6 +256,21 @@ GF_PROVIDERS = {
     FAMILY_POLY_CAUCHY_1: "lif_pq_ordinary_coeffs",
     FAMILY_POLY_CAUCHY_2: "lif_pq_ordinary_coeffs",
 }
+
+
+def test_two_over_exp_plus_one_column_is_euler_at_zero():
+    # 2/(e^t + 1) is 2 e^(xt)/(e^t + 1) at x = 0
+    column = families._two_over_exp_plus_one().series(30)
+    assert list(column.coeffs) == [e[0] for e in oracles.euler_polys_rec(30)]
+    assert all(type(c) is Fraction for c in column.coeffs)
+
+
+def test_two_over_exp_plus_one_column_is_extended_not_rebuilt():
+    clear_caches()
+    column = families._two_over_exp_plus_one()
+    first = column.series(5).coeffs
+    later = column.series(30).coeffs
+    assert all(a is b for a, b in zip(first, later[:6], strict=True))
 
 
 @pytest.mark.parametrize("k", [-1, 0, 2])

@@ -1,5 +1,6 @@
 """Generated files stay out of version control; no import goes unused;
-clear_caches leaves no cache in the package filled."""
+clear_caches leaves no cache in the package filled; no private module-level
+name in the package goes unread."""
 
 import ast
 import importlib
@@ -96,3 +97,50 @@ def test_clear_caches_empties_every_cache():
     assert {
         name for name, cache in caches.items() if cache.cache_info().currsize
     } == set()
+
+
+def _top_level_names(node):
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        targets = [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _names_read(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_private_module_name_has_a_reader():
+    # a helper whose last caller went away lingers unnoticed otherwise;
+    # reads inside the helper's own definition do not count
+    statements = []
+    for path in sorted(ROOT.glob("src/pqpoly/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        statements += [(path, node, _names_read(node)) for node in tree.body]
+    assert statements
+
+    def read_elsewhere(name, node):
+        return any(
+            name in names for _, other, names in statements if other is not node
+        )
+
+    unread = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+        for path, node, _ in statements
+        for name in _top_level_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        if not read_elsewhere(name, node)
+    ]
+    assert unread == []
