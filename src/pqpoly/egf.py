@@ -12,9 +12,10 @@ term with a zero factor is skipped, but the sum keeps the ring of its
 factors: it is an XPoly whenever any factor is one, skipped or not.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
-One recurrence, ``grow_reciprocal``, extends the coefficient list of 1/a:
-``reciprocal`` runs it once to the series order and needs a nonzero
-Fraction constant term, and the 2/(e^t + 1) column grows by it.
+One power recurrence, ``grow_power``, extends the coefficients of a^alpha:
+``reciprocal``, the 2/(e^t + 1) column and the classical families' column
+per (s, u) grow by it.  One Appell expansion, ``appell``, reads coefficient
+n of base(t) e^(+-xt) off the coefficients of base.
 
 Composition is computed one coefficient at a time from the ones before it,
 the way relaxed power-series arithmetic does (van der Hoeven, "Relax, but
@@ -22,8 +23,7 @@ don't be too lazy", JSC 2002).  ``PowerRows`` builds the rows
 [t^j/j!] inner^m, m <= j, of an inner series, row j from the rows before
 it.  ``compose`` reads them; so do the generating-function routes, each
 through a ``Column`` that grows by the coefficients asked for and is never
-rebuilt; and so do the four Stirling triangles, each from a table of its
-own.  Apart from ``pow``, nothing else raises a series to a power.
+rebuilt; and so do the four Stirling triangles, each from its own table.
 """
 
 from __future__ import annotations
@@ -55,21 +55,27 @@ def _binomial_conv(a: Sequence, b: Sequence, n: int):
     return acc
 
 
-def grow_reciprocal(coeff: Callable[[int], object], r: list, n: int) -> None:
-    """Extend r, the coefficients of 1/a, through index n, where the EGF a
-    has coefficient i ``coeff(i)`` and a nonzero rational constant term:
-    r_0 = 1/a_0, r_j = -r_0 sum over i = 1..j of C(j, i) a_i r_(j-i)."""
+def grow_power(coeff: Callable[[int], object], alpha: int, r: list, n: int):
+    """Extend r, the coefficients of a^alpha, through index n, where the EGF a
+    has coefficient i ``coeff(i)`` and a nonzero rational constant term, by
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): r_0 = a_0^alpha,
+    r_j = sum_(i=1..j) C(j, i) ((alpha+1) i - j) a_i r_(j-i) / (j a_0)."""
+    a0 = Fraction(coeff(0))
+    if a0 == 0:
+        raise ValueError("constant term is zero, no power recurrence")
     if not r:
-        a0 = Fraction(coeff(0))
-        if a0 == 0:
-            raise ValueError("constant term is zero, no reciprocal")
-        r.append(1 / a0)
-    r0 = r[0]
+        r.append(a0**alpha)
     for j in range(len(r), n + 1):
         acc = sum(
-            math.comb(j, i) * (coeff(i) * r[j - i]) for i in range(1, j + 1)
+            math.comb(j, i) * ((alpha + 1) * i - j) * (coeff(i) * r[j - i])
+            for i in range(1, j + 1)
         )
-        r.append(-(r0 * acc))
+        r.append(acc / (j * a0))
+
+
+def appell(base: Sequence, n: int, sign: int = 1) -> XPoly:
+    """Coefficient n of base(t) e^(sign x t): sign^j C(n, j) base[n-j] at x^j."""
+    return XPoly([sign**j * math.comb(n, j) * base[n - j] for j in range(n + 1)])
 
 
 class EgfSeries:
@@ -133,7 +139,7 @@ class EgfSeries:
     def reciprocal(self) -> "EgfSeries":
         """Multiplicative inverse; needs a nonzero Fraction constant term."""
         r = []
-        grow_reciprocal(self._coeffs.__getitem__, r, self.order)
+        grow_power(self._coeffs.__getitem__, -1, r, self.order)
         return EgfSeries(r)
 
     def __eq__(self, other) -> bool:

@@ -14,6 +14,7 @@ the list of those strings, index = power of x.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -26,7 +27,10 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 def rational_to_str(value: Scalar) -> str:
     """Render a rational as ``num/den`` with an explicit denominator."""
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past the int-to-str digit limit, kept for parsing
+        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def rational_from_str(text: str) -> Fraction:

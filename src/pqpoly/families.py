@@ -19,8 +19,8 @@ The generating-function routes read coefficient n from one ``Column`` per
 Coefficient j of Li_k(inner) or Lif_k(inner) is sum c_m [t^j/j!] inner^m;
 the rows [t^j/j!] inner^m of the three parameter-free inners 1 - e^(-t),
 ln(1+t) and -ln(1+t) are built once per process, and the coefficients of
-2/(e^t + 1) are a parameter-free column too, grown by ``egf``'s one
-reciprocal recurrence.  None of them is shared with a Stirling triangle.
+2/(e^t + 1) are a parameter-free column too, grown by ``egf``'s one power
+recurrence.  None is shared with a Stirling triangle or a classical family.
 The Li_k and Lif_k coefficient providers are passed to the columns by
 reference, read off ``sequences`` at each call.  The columns, the rows and
 each gf route's values are cached; the weighted-Stirling and integral
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import egf, sequences
-from .egf import Column, EgfSeries, PowerRows
+from .egf import Column, EgfSeries, PowerRows, appell
 from .exact import XPoly, falling_factorial, rising_factorial
 from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 
@@ -143,10 +143,10 @@ def _polylog_column(
 
 @lru_cache(maxsize=None)
 def _two_over_exp_plus_one() -> Column:
-    """EGF of 2/(e^t + 1), grown by ``egf.grow_reciprocal`` as the
-    reciprocal of (e^t + 1)/2, whose coefficients are 1, 1/2, 1/2, ..."""
+    """EGF of 2/(e^t + 1), grown by ``egf.grow_power`` as the power -1 of
+    (e^t + 1)/2, whose coefficients are 1, 1/2, 1/2, ..."""
     half = Fraction(1, 2)
-    return Column(partial(egf.grow_reciprocal, lambda j: half if j else 1))
+    return Column(partial(egf.grow_power, lambda j: half if j else 1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +177,7 @@ def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 def poly_euler(n: int, k: int, params: PQParams) -> XPoly:
     """Poly-Euler polynomial, Appell over the base series with e^(xt)."""
     _check_n(n)
-    base = euler_base_series(k, params, n)
-    return XPoly(
-        [math.comb(n, j) * base.coeff(n - j) for j in range(n + 1)]
-    )
+    return appell(euler_base_series(k, params, n).coeffs, n)
 
 
 def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
@@ -207,14 +204,8 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 @lru_cache(maxsize=None)
 def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
-    base = bernoulli_base_series(k, params, n)
     # e^(-xt) factor: coefficient of x^j carries (-1)^j
-    return XPoly(
-        [
-            (-1) ** j * math.comb(n, j) * base.coeff(n - j)
-            for j in range(n + 1)
-        ]
-    )
+    return appell(bernoulli_base_series(k, params, n).coeffs, n, sign=-1)
 
 
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:

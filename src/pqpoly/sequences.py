@@ -14,6 +14,9 @@ coefficient of w against column m of that table.  No triangle shares its
 table with another, so the plain and weighted triangles of one kind stay
 independent routes.  The triangular recurrences stay test-only oracles,
 independent cross-checks of the extractions.
+The classical families read one column per (s, u), grown by ``egf``'s one
+power recurrence, through its one Appell expansion; the Euler polynomials
+are the Frobenius-Euler ones at s = 1, u = -1.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -23,9 +26,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .egf import EgfSeries, PowerRows
+from . import egf
+from .egf import Column, EgfSeries, PowerRows, appell
 from .exact import XPoly, rising_factorial
 from .pqcalc import PQParams, pq_integer
 
@@ -129,12 +133,21 @@ def weighted_stirling1(n: int, m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_column(s: int) -> Column:
+    """EGF of (t/(e^t - 1))^s, the power -s of (e^t - 1)/t = sum t^j/(j+1)!"""
+    return Column(partial(egf.grow_power, lambda j: Fraction(1, j + 1), -s))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_column(s: int, u: Fraction) -> Column:
+    """EGF of ((1-u)/(e^t - u))^s, the power -s of (e^t - u)/(1 - u)."""
+    c = 1 / (1 - u)
+    return Column(partial(egf.grow_power, lambda j: c if j else 1, -s))
+
+
 def euler_poly(n: int) -> XPoly:
     """Euler polynomial E_n(x) from the EGF 2 e^(xt) / (e^t + 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    base = EgfSeries([Fraction(1)] + [Fraction(1, 2)] * n).reciprocal()
-    return base.mul_coeff(exp_x_series(n), n)
+    return frobenius_euler(n, 1, Fraction(-1))
 
 
 @lru_cache(maxsize=None)
@@ -142,9 +155,7 @@ def bernoulli_order(n: int, s: int) -> XPoly:
     """Order-s Bernoulli polynomial from the EGF (t/(e^t - 1))^s e^(xt)."""
     if n < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
-    # (e^t - 1)/t has EGF coefficients 1/(j+1)
-    core = EgfSeries([Fraction(1, j + 1) for j in range(n + 1)]).reciprocal()
-    return core.pow(s).mul_coeff(exp_x_series(n), n)
+    return appell(_bernoulli_column(s).series(n).coeffs, n)
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +166,7 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")
-    # (e^t - u)/(1 - u) has constant term 1 and later EGF coefficients 1/(1-u)
-    core = EgfSeries([Fraction(1)] + [1 / (1 - u)] * n).reciprocal()
-    return core.pow(s).mul_coeff(exp_x_series(n), n)
+    return appell(_frobenius_column(s, u).series(n).coeffs, n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from pqpoly import egf, families, sequences
-from pqpoly.egf import EgfSeries, PowerRows
+from pqpoly.egf import PowerRows
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
 
@@ -79,17 +79,19 @@ def mutate_li_forgets_deformation() -> None:
 
 
 def mutate_egf_pow_extra_factor() -> None:
-    """pow(m) returns self^(m + 1) for m >= 1, one factor too many.
+    """The power recurrence builds a^(alpha - 1) for alpha < 0, one factor
+    too many.
 
-    bernoulli_order and frobenius_euler raise their cores to the order s
-    with pow, so the defect reaches the checks built on them.
+    bernoulli_order and frobenius_euler (and with it euler_poly) grow their
+    columns of a^(-s) by egf.grow_power, so the defect reaches the checks
+    built on them.
     """
-    power = EgfSeries.pow
+    power = egf.grow_power
 
-    def extra(self, m: int) -> EgfSeries:
-        return power(self, m + 1) if m >= 1 else power(self, m)
+    def extra(coeff, alpha: int, r: list, n: int) -> None:
+        power(coeff, alpha - 1 if alpha < 0 else alpha, r, n)
 
-    EgfSeries.pow = extra
+    egf.grow_power = extra
 
 
 def mutate_power_rows_drop_cube() -> None:
@@ -113,24 +115,25 @@ def mutate_power_rows_drop_cube() -> None:
 
 
 def mutate_reciprocal_drops_first_term() -> None:
-    """The shared reciprocal recurrence loses its i = 1 term for j >= 2.
+    """The shared power recurrence loses its i = 1 term for j >= 2.
 
-    EgfSeries.reciprocal (euler_poly, bernoulli_order, frobenius_euler) and
-    the 2/(e^t + 1) column of the poly-Euler gf route both grow by
-    egf.grow_reciprocal, so this one rebinding reaches both.
+    The columns of euler_poly, bernoulli_order and frobenius_euler and the
+    2/(e^t + 1) column of the poly-Euler gf route all grow by
+    egf.grow_power, so this one rebinding reaches both.
     """
-    grow = egf.grow_reciprocal
+    grow = egf.grow_power
 
-    def dropping(coeff, r: list, n: int) -> None:
-        grow(coeff, r, min(n, 1))
+    def dropping(coeff, alpha: int, r: list, n: int) -> None:
+        grow(coeff, alpha, r, min(n, 1))
+        a0 = Fraction(coeff(0))
         for j in range(len(r), n + 1):
             acc = sum(
-                math.comb(j, i) * (coeff(i) * r[j - i])
+                math.comb(j, i) * ((alpha + 1) * i - j) * (coeff(i) * r[j - i])
                 for i in range(2, j + 1)
             )
-            r.append(-(r[0] * acc))
+            r.append(acc / (j * a0))
 
-    egf.grow_reciprocal = dropping
+    egf.grow_power = dropping
 
 
 MUTATIONS = {

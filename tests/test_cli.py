@@ -197,6 +197,14 @@ def test_gen_rejects_decimal_parameter(capsys):
     assert excinfo.value.code == 2
 
 
+def test_gen_rejects_a_parameter_past_the_digit_limit(capsys):
+    # rendering any size of output must leave parsing bounded
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--family", "poly-euler", "--nmax", "2", "--p", "1" * 5000])
+    assert excinfo.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
 def test_gen_rejects_invalid_parameter_box(capsys):
     code, _, err = run_cli(
         capsys,

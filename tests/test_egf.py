@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpoly.egf import EgfSeries, compose, grow_reciprocal
+from pqpoly.egf import EgfSeries, appell, compose, grow_power
 from pqpoly.exact import XPoly
 
 from . import oracles
@@ -143,22 +143,72 @@ def test_reciprocal_is_two_sided_inverse(a):
     assert inv.reciprocal() == a
 
 
-@settings(max_examples=40)
+def invertible(order):
+    """Series with a nonzero rational constant term, zeros allowed later."""
+    return st.tuples(
+        rationals.filter(bool),
+        st.lists(rationals, min_size=order, max_size=order),
+    ).map(lambda parts: EgfSeries([parts[0]] + parts[1]))
+
+
+def grown_power(a: EgfSeries, alpha: int, order: int) -> list:
+    r = []
+    grow_power(a.coeffs.__getitem__, alpha, r, order)
+    return r
+
+
+def power_fold(a: EgfSeries, alpha: int) -> EgfSeries:
+    """a^alpha from products alone, of a or of its reciprocal."""
+    return (a if alpha >= 0 else a.reciprocal()).pow(abs(alpha))
+
+
+@settings(max_examples=60)
 @given(
-    series(8, rationals.filter(lambda v: v != 0)),
-    st.lists(st.integers(min_value=0, max_value=8), max_size=5),
+    invertible(6),
+    st.integers(min_value=-3, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=6), max_size=5),
 )
-def test_reciprocal_grown_in_steps_matches_one_shot(a, steps):
+def test_reciprocal_grown_in_steps_matches_one_shot(a, alpha, steps):
     # the recurrence reads only the coefficients already in the list, so
-    # any growth schedule gives, at every order, the one-shot reciprocal
+    # any growth schedule gives, at every order, the one-shot power and the
+    # reciprocal/pow fold
     r = []
     for n in steps + [a.order]:
-        grow_reciprocal(a.coeffs.__getitem__, r, n)
+        grow_power(a.coeffs.__getitem__, alpha, r, n)
         for order in range(len(r)):
-            once = EgfSeries(a.coeffs[: order + 1]).reciprocal()
-            assert r[: order + 1] == list(once.coeffs)
+            assert r[: order + 1] == grown_power(a, alpha, order)
+            prefix = EgfSeries(a.coeffs[: order + 1])
+            assert r[: order + 1] == list(power_fold(prefix, alpha).coeffs)
     assert len(r) == a.order + 1
     assert all(type(c) is Fraction for c in r)
+
+
+@settings(max_examples=40)
+@given(
+    invertible(5),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_power_exponents_add(a, alpha, beta):
+    product = EgfSeries(grown_power(a, alpha, a.order)).mul(
+        EgfSeries(grown_power(a, beta, a.order))
+    )
+    assert list(product.coeffs) == grown_power(a, alpha + beta, a.order)
+
+
+def test_power_requires_nonzero_constant_term():
+    for alpha in range(-3, 4):
+        with pytest.raises(ValueError):
+            grown_power(EgfSeries([0, 1, 1]), alpha, 2)
+
+
+@settings(max_examples=40)
+@given(series(6), st.sampled_from([1, -1]))
+def test_appell_is_one_coefficient_of_a_product_with_exp(base, sign):
+    # base(t) e^(sign x t), the exponential kept as a series over XPoly
+    exp = EgfSeries([XPoly.monomial(j, sign**j) for j in range(7)])
+    for n in range(7):
+        assert appell(base.coeffs, n, sign) == base.mul_coeff(exp, n)
 
 
 @settings(max_examples=40)

@@ -28,6 +28,17 @@ def test_rational_to_str_always_explicit_denominator():
     assert rational_to_str(0) == "0/1"
 
 
+def test_rational_to_str_renders_past_the_digit_limit():
+    # 5,000 digits is past Python's default int-to-str limit of 4,300;
+    # rendering must not lift that limit, which also bounds parsing
+    big = Fraction(-(10**4999 + 7), 3 * 10**4999 + 1)
+    assert rational_to_str(big) == (
+        "-1" + "0" * 4998 + "7/3" + "0" * 4998 + "1"
+    )
+    with pytest.raises(ValueError):
+        rational_from_str("1" * 5000)
+
+
 def test_rational_from_str_accepts_bare_integers():
     assert rational_from_str("7") == 7
     assert rational_from_str("-7") == -7

@@ -66,7 +66,7 @@ RANDOM_POINT_CHECKS = (
 @given(box_params_st())
 def test_routes_and_inversions_hold_at_random_points(params):
     config = SuiteConfig(
-        n_max=6, k_values=(-2, -1, 0, 1, 2), param_points=(params,)
+        n_max=6, k_values=(-2, -1, 0, 1, 2, 3), param_points=(params,)
     )
     reports = run_all(config, only=RANDOM_POINT_CHECKS)
     assert [r.id for r in reports] == list(RANDOM_POINT_CHECKS)

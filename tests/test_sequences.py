@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches
-from pqpoly.egf import PowerRows
+from pqpoly import clear_caches, egf
+from pqpoly.egf import EgfSeries, PowerRows
 from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
 from pqpoly.sequences import (
@@ -271,8 +272,41 @@ def test_bernoulli_order_two_is_convolution_of_order_one():
 
 
 def test_frobenius_euler_at_minus_one_is_euler_poly():
+    want = oracles.euler_polys_rec(12)
     for n in range(13):
-        assert frobenius_euler(n, 1, Fraction(-1)) == euler_poly(n)
+        assert frobenius_euler(n, 1, Fraction(-1)).coeffs == tuple(want[n])
+
+
+def test_classical_families_read_one_column_each(monkeypatch):
+    # every column index is computed once, and no series is multiplied,
+    # powered or inverted: euler_poly, bernoulli_order(., s) and
+    # frobenius_euler(., s, u) read one growing column per (s, u)
+    computed = Counter()
+    grow = egf.grow_power
+
+    def counted(coeff, alpha, r, n):
+        start = len(r)
+        grow(coeff, alpha, r, n)
+        computed.update((id(r), j) for j in range(start, len(r)))
+
+    def forbidden(*args):
+        raise AssertionError("a classical family built a series")
+
+    monkeypatch.setattr(egf, "grow_power", counted)
+    for name in ("mul", "pow", "reciprocal"):
+        monkeypatch.setattr(EgfSeries, name, forbidden)
+    clear_caches()
+    for n in range(31):
+        euler_poly(n)
+        for s in range(4):
+            bernoulli_order(n, s)
+            for u in (Fraction(-1), Fraction(2), Fraction(1, 2)):
+                frobenius_euler(n, s, u)
+    clear_caches()
+    # columns for s = 0..3 (Bernoulli) and (s, u) pairs (Frobenius-Euler),
+    # s = 1, u = -1 serving euler_poly too
+    assert len(computed) == (4 + 4 * 3) * 31
+    assert set(computed.values()) == {1}
 
 
 def test_frobenius_euler_small_value():
