@@ -203,10 +203,15 @@ class Column:
         self._grow = grow
         self._coeffs: list = []
 
+    def coeff(self, n: int):
+        """Coefficient n of the column, without copying the ones before it."""
+        if len(self._coeffs) <= n:
+            self._grow(self._coeffs, n)
+        return self._coeffs[n]
+
     def series(self, order: int) -> EgfSeries:
         """The column's coefficients 0..order as a series."""
-        if len(self._coeffs) <= order:
-            self._grow(self._coeffs, order)
+        self.coeff(order)
         return EgfSeries(self._coeffs[: order + 1])
 
 

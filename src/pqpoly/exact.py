@@ -1,10 +1,25 @@
 """Exact scalars and dense univariate polynomials.
 
-Every number in this package is a ``fractions.Fraction``; the stdlib keeps
-them canonical (reduced, positive denominator).  ``XPoly`` is a dense
-polynomial in one indeterminate x over those scalars.  Canonical form is
-enforced at construction: no trailing zero coefficients are stored, so the
-zero polynomial has an empty coefficient tuple and equality is structural.
+Every scalar in this package is an ``int`` or a ``fractions.Fraction``;
+``XPoly`` and ``PQParams`` refuse a float or any other number type with
+``TypeError`` (``check_scalar``).  ``XPoly`` is a dense polynomial in one
+indeterminate x with rational coefficients, stored the way FLINT's
+``fmpq_poly`` stores one: a tuple of ``int`` numerators over one positive
+``int`` denominator.  Canonical form is kept by one gcd pass: no trailing
+zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
+the zero polynomial, so equality is structural.  A product is one integer
+convolution, a product with a constant is one vector scale, and a sum
+aligns the two denominators once; no arithmetic builds a Fraction per
+coefficient.
+
+An XPoly also has a second form, the tuple of reduced ``Fraction``
+coefficients that ``coeffs`` returns.  Each form is built on first use:
+``XPoly(iterable)`` keeps the Fractions it was given and forms the
+numerators (over the lcm of their denominators) only when arithmetic needs
+them, and an arithmetic result forms its Fractions only when read through
+``coeffs``, ``coeff``, ``to_strings``, ``as_str`` or ``hash``.  A value
+that is built and printed never pays for the numerators, and one that is
+only computed with never pays for the Fractions.
 
 Serialized form of a scalar is the string ``"num/den"`` with the denominator
 always written out, e.g. ``"5/1"`` or ``"-3/4"``.  A polynomial serializes as
@@ -13,15 +28,25 @@ the list of those strings, index = power of x.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def check_scalar(value, what: str) -> None:
+    """Raise TypeError unless value is an exact scalar (int or Fraction)."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"{what} must be int or Fraction, not {type(value).__name__}"
+        )
 
 
 def rational_to_str(value: Scalar) -> str:
@@ -44,16 +69,43 @@ def rational_from_str(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-class XPoly:
-    """Immutable dense polynomial in x with Fraction coefficients."""
+def _fraction(c) -> Fraction:
+    check_scalar(c, "XPoly coefficient")
+    return Fraction(c)
 
-    __slots__ = ("_coeffs",)
+
+def _from_ints(num: list, den: int) -> "XPoly":
+    """The canonical XPoly num / den, for den > 0; takes ownership of num."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    poly = object.__new__(XPoly)
+    poly._num = tuple(num)
+    poly._den = den
+    poly._fracs = None
+    return poly
+
+
+class XPoly:
+    """Immutable dense polynomial in x: int numerators over one positive
+    int denominator, with the reduced Fraction coefficients formed on
+    demand.  Either form may be missing until it is first needed."""
+
+    __slots__ = ("_num", "_den", "_fracs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is Fraction else _fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._fracs: tuple[Fraction, ...] | None = tuple(cs)
+        self._num: tuple[int, ...] | None = None
+        self._den = 1
 
     @classmethod
     def zero(cls) -> "XPoly":
@@ -81,90 +133,142 @@ class XPoly:
     def from_strings(cls, items: Iterable[str]) -> "XPoly":
         return cls(rational_from_str(s) for s in items)
 
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator), formed from the Fractions on first use."""
+        if self._num is None:
+            # den is the lcm of reduced denominators, so no prime of it
+            # divides every numerator: the pair is canonical as it is
+            fracs = self._fracs
+            den = math.lcm(*[c.denominator for c in fracs])
+            self._num = tuple([c.numerator * (den // c.denominator) for c in fracs])
+            self._den = den
+        return self._num, self._den
+
     def to_strings(self) -> list[str]:
-        return [rational_to_str(c) for c in self._coeffs]
+        return [rational_to_str(c) for c in self.coeffs]
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        if self._fracs is None:
+            den = self._den
+            self._fracs = tuple([Fraction(c, den) for c in self._num])
+        return self._fracs
 
     @property
     def degree(self) -> int:
         """Highest stored power; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num if self._fracs is None else self._fracs) - 1
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i <= self.degree:
+            return self.coeffs[i]
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return self.degree >= 0
 
-    def _coerced(self, other) -> "XPoly":
+    @staticmethod
+    def _operand(other):
+        """An operand's (numerators, denominator), or None for a type that
+        is not an XPoly or an exact scalar."""
         if isinstance(other, XPoly):
-            return other
+            return other._ints()
         if isinstance(other, (int, Fraction)):
-            return XPoly((other,))
-        return NotImplemented
+            return ((other.numerator,) if other else ()), other.denominator
+        return None
 
-    def __add__(self, other) -> "XPoly":
-        o = self._coerced(other)
-        if o is NotImplemented:
+    def _add(self, other, sign: int) -> "XPoly":
+        """self + sign * other, for sign = 1 or -1."""
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
+        b, db = o
+        if not b:
+            return self
+        a, da = self._ints()
+        sb = sign
+        if da != db:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g * sign
+            da *= sa
+            a = [c * sa for c in a]
+        if sb != 1:
+            b = [c * sb for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return XPoly(out)
+        out[: len(b)] = map(add, a, b)
+        return _from_ints(out, da)
+
+    def __add__(self, other) -> "XPoly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        return XPoly([-c for c in self._coeffs])
+        num, den = self._ints()
+        return _from_ints([-c for c in num], den)
 
     def __sub__(self, other) -> "XPoly":
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "XPoly":
-        o = self._coerced(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        diff = self._add(other, -1)
+        return diff if diff is NotImplemented else -diff
+
+    def _scaled(self, num: int, den: int) -> "XPoly":
+        """self * (num / den), for a reduced fraction with den > 0."""
+        if not num:
+            return _from_ints([], 1)
+        a, da = self._ints()
+        return _from_ints([c * num for c in a], da * den)
 
     def __mul__(self, other) -> "XPoly":
-        o = self._coerced(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
-        if not a or not b:
-            return XPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        b, db = o
+        if len(b) <= 1:
+            return self._scaled(b[0] if b else 0, db)
+        a, da = self._ints()
+        if len(a) <= 1:
+            return other._scaled(a[0] if a else 0, da)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return XPoly(out)
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _from_ints(out, da * db)
 
     __rmul__ = __mul__
 
     def __call__(self, point):
         """Evaluate at a scalar or substitute another polynomial."""
-        acc = point * 0
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        num, den = self._ints()
+        if isinstance(point, XPoly):
+            acc = XPoly.zero()
+            for c in reversed(num):
+                acc = acc * point + c
+            return acc._scaled(1, den)
+        check_scalar(point, "evaluation point")
+        # sum c_i u^i / v^i = (sum c_i u^i v^(n-i)) / v^n, by integer Horner
+        u, v = point.numerator, point.denominator
+        acc, vpow = 0, 1
+        for c in reversed(num):
+            acc = acc * u + c * vpow
+            vpow *= v
+        return Fraction(acc, vpow // v * den) if num else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, XPoly):
-            return self._coeffs == other._coeffs
+            if self._fracs is not None and other._fracs is not None:
+                return self._fracs == other._fracs
+            return self._ints() == other._ints()
         if isinstance(other, (int, Fraction)):
-            return self.degree <= 0 and self.coeff(0) == other
+            num, den = self._ints()
+            if len(num) > 1:
+                return False
+            return (num[0] if num else 0) * other.denominator == other.numerator * den
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -172,14 +276,15 @@ class XPoly:
         # stays consistent with hashing.
         if self.degree <= 0:
             return hash(self.coeff(0))
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def as_str(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -202,6 +307,7 @@ class XPoly:
         return f"XPoly({self.as_str()!r})"
 
 
+
 @lru_cache(maxsize=None)
 def falling_factorial(n: int) -> XPoly:
     """x(x-1)...(x-n+1) as an XPoly; the empty product for n=0."""
@@ -222,4 +328,3 @@ def rising_factorial(n: int) -> XPoly:
     for j in range(n):
         result = result * XPoly((j, 1))
     return result
-

@@ -183,7 +183,7 @@ def poly_euler(n: int, k: int, params: PQParams) -> XPoly:
 def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
     """The constant term, i.e. the poly-Euler number."""
     _check_n(n)
-    return euler_base_series(k, params, n).coeff(n)
+    return _euler_column(k, params).coeff(n)
 
 
 # ---------------------------------------------------------------------------

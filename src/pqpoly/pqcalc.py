@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import rational_from_str, rational_to_str
+from .exact import check_scalar, rational_from_str, rational_to_str
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class PQParams:
     q: Fraction
 
     def __post_init__(self):
+        check_scalar(self.p, "p")
+        check_scalar(self.q, "q")
         object.__setattr__(self, "p", Fraction(self.p))
         object.__setattr__(self, "q", Fraction(self.q))
         if not 0 < self.q <= self.p <= 1:

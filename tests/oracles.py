@@ -23,6 +23,35 @@ from pqpoly.egf import EgfSeries
 from pqpoly.exact import XPoly
 
 
+# Polynomials as plain lists of Fraction coefficients, index = power of x,
+# one Fraction per term; every result is trimmed of trailing zeros, the
+# canonical form XPoly keeps.
+
+
+def poly_trim(a: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(c) for c in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return poly_trim(out)
+
+
+def poly_neg(a: list[Fraction]) -> list[Fraction]:
+    return poly_trim([-c for c in a])
+
+
+def poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return poly_add(a, poly_neg(b))
+
+
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     if not a or not b:
         return []
@@ -30,13 +59,21 @@ def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
-    return out
+    return poly_trim(out)
 
 
 def poly_eval(a: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
+    return acc
+
+
+def poly_substitute(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a(b(x)) by Horner's rule over coefficient lists."""
+    acc: list[Fraction] = []
+    for c in reversed(a):
+        acc = poly_add(poly_mul(acc, b), [c])
     return acc
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -431,3 +432,32 @@ def test_module_invocation_round_trip(tmp_path):
         assert XPoly.from_strings(row["coeffs"]) == poly_cauchy_1(
             row["n"], 3, params
         )
+
+
+# ---------------------------------------------------------------------------
+# golden output: standard output of fixed runs, recorded before the exact
+# core changed representation, must stay the same byte for byte
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("verify_nmax6.txt", ["verify", "--nmax", "6"]),
+        (
+            "gen_poly-cauchy-1_k3_nmax20.json",
+            ["gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "20"],
+        ),
+        (
+            "gen_poly-euler_k-2_nmax20.json",
+            ["gen", "--family", "poly-euler", "--k", "-2", "--nmax", "20"],
+        ),
+    ],
+)
+def test_cli_output_matches_golden(golden, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqpoly", *argv], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpoly.egf import EgfSeries, appell, compose, grow_power
+from pqpoly.egf import Column, EgfSeries, appell, compose, grow_power
 from pqpoly.exact import XPoly
 
 from . import oracles
@@ -181,6 +181,20 @@ def test_reciprocal_grown_in_steps_matches_one_shot(a, alpha, steps):
             assert r[: order + 1] == list(power_fold(prefix, alpha).coeffs)
     assert len(r) == a.order + 1
     assert all(type(c) is Fraction for c in r)
+
+
+def test_column_coeff_grows_only_to_the_coefficient_read():
+    asked = []
+
+    def grow(coeffs, n):
+        asked.append(n)
+        coeffs.extend(range(len(coeffs), n + 1))
+
+    column = Column(grow)
+    assert column.coeff(3) == 3 and asked == [3]
+    assert column.coeff(2) == 2 and asked == [3]
+    assert column.series(5) == EgfSeries(range(6)) and asked == [3, 5]
+    assert column.coeff(5) == 5 and asked == [3, 5]
 
 
 @settings(max_examples=40)

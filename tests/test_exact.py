@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqpoly.exact import (
@@ -109,6 +109,103 @@ def test_xpoly_serialization_round_trip():
     assert strings == ["1/3", "0/1", "-2/1"]
     assert XPoly.from_strings(strings) == p
     assert XPoly.zero().to_strings() == []
+
+
+def test_xpoly_rejects_inexact_scalars():
+    with pytest.raises(TypeError, match="float"):
+        XPoly([0.1])
+    with pytest.raises(TypeError, match="float"):
+        XPoly((1, 2))(0.5)
+    with pytest.raises(TypeError, match="str"):
+        XPoly(["1/2"])
+    with pytest.raises(TypeError):
+        XPoly((1, 2)) + 0.5
+    with pytest.raises(TypeError):
+        0.5 * XPoly((1, 2))
+
+
+def test_xpoly_equality_reads_the_denominator():
+    # integer form on both sides: same numerators, different denominators
+    p = XPoly.one() * XPoly([1, 2])
+    third = p * Fraction(1, 3)
+    assert p != third and third != p
+    assert third == XPoly([Fraction(1, 3), Fraction(2, 3)])
+    assert XPoly.one() * XPoly.const(Fraction(1, 2)) != 1
+
+
+# ---------------------------------------------------------------------------
+# XPoly against the Fraction coefficient-list oracle
+
+
+def _forms(cs):
+    """The same polynomial as given (Fraction form) and as an arithmetic
+    result (integer form)."""
+    return st.sampled_from([XPoly(cs), XPoly.one() * XPoly(cs)])
+
+
+coeff_lists = st.lists(rationals, max_size=6)
+polys_either_form = coeff_lists.flatmap(_forms)
+scalars = st.one_of(st.integers(-50, 50), rationals, st.just(0))
+operands = st.one_of(polys_either_form, scalars)
+
+
+@st.composite
+def related_pairs(draw):
+    """(a, b) where b is a again, a rational multiple of a, or a constant,
+    possibly zero, minus a; so a - b or a + b cancels."""
+    cs = draw(coeff_lists)
+    kind = draw(st.sampled_from(["equal", "multiple", "cancel"]))
+    if kind == "equal":
+        other = cs
+    elif kind == "multiple":
+        r = draw(rationals)
+        other = [r * v for v in cs]
+    else:
+        other = [-v for v in cs] or [Fraction(0)]
+        other[0] += draw(st.one_of(st.just(Fraction(0)), rationals))
+    return draw(_forms(cs)), draw(_forms(other))
+
+
+def _as_list(value):
+    if isinstance(value, XPoly):
+        return list(value.coeffs)
+    return oracles.poly_trim([value])
+
+
+def _assert_matches(result, expected):
+    assert isinstance(result, XPoly)
+    built = XPoly(expected)
+    # compared before anything reads result.coeffs, so an integer-form
+    # result meets a Fraction-form value
+    assert result == built and built == result
+    assert hash(result) == hash(built)
+    assert result.coeffs == tuple(expected)
+    assert all(type(c) is Fraction for c in result.coeffs)
+    if result.degree <= 0:
+        c = result.coeff(0)
+        assert result == c and hash(result) == hash(c)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.tuples(operands, operands), related_pairs()))
+def test_xpoly_matches_fraction_list_oracle(pair):
+    a, b = pair
+    assume(isinstance(a, XPoly) or isinstance(b, XPoly))
+    equal = a == b  # before _as_list forms the operands' Fractions
+    la, lb = _as_list(a), _as_list(b)
+    _assert_matches(a + b, oracles.poly_add(la, lb))
+    _assert_matches(a - b, oracles.poly_sub(la, lb))
+    _assert_matches(a * b, oracles.poly_mul(la, lb))
+    poly = a if isinstance(a, XPoly) else b
+    _assert_matches(-poly, oracles.poly_neg(_as_list(poly)))
+    if isinstance(a, XPoly) and isinstance(b, XPoly):
+        _assert_matches(a(b), oracles.poly_substitute(la, lb))
+    else:
+        point = a if isinstance(b, XPoly) else b
+        value = poly(point)
+        assert type(value) is Fraction
+        assert value == oracles.poly_eval(_as_list(poly), Fraction(point))
+    assert equal == (la == lb)
 
 
 @given(small_polys, small_polys)

@@ -40,6 +40,16 @@ def test_params_validation():
         PQParams(Fraction(1, 2), Fraction(-1, 3))
 
 
+def test_params_reject_inexact_types():
+    with pytest.raises(TypeError, match="p must be int or Fraction, not float"):
+        PQParams(0.1, 0.1)
+    with pytest.raises(TypeError, match="q must be int or Fraction, not float"):
+        PQParams(Fraction(1, 2), 0.25)
+    with pytest.raises(TypeError, match="str"):
+        PQParams("1/2", Fraction(1, 3))
+    assert PQParams(1, Fraction(1, 2)).p == 1
+
+
 def test_params_mode():
     assert not PQParams(Fraction(1, 2), Fraction(1, 3)).is_equal_limit
     assert PQParams(Fraction(2, 3), Fraction(2, 3)).is_equal_limit
