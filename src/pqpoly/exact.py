@@ -10,7 +10,9 @@ zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
 the zero polynomial, so equality is structural.  A product is one integer
 convolution, a product with a constant is one vector scale, and a sum
 aligns the two denominators once; no arithmetic builds a Fraction per
-coefficient.
+coefficient.  Calling an XPoly evaluates it at a scalar, by integer Horner;
+``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
+scale, and is the only substitution of a polynomial into a polynomial.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
@@ -242,14 +244,45 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, point):
-        """Evaluate at a scalar or substitute another polynomial."""
+    def affine(self, a: Scalar, b: Scalar) -> "XPoly":
+        """The polynomial p(a x + b), by an integer Taylor shift.
+
+        With b = u/v, the numerators c_i v^(n-i) are those of v^n p(z/v);
+        shifting z by u in place (Horner's Taylor shift, O(n^2) integer
+        multiply-adds) gives v^n p(z/v + b), and z = a v x is one scale of
+        coefficient i by (a v)^i.  No polynomial product and no per-term
+        Fraction is formed.
+        """
+        check_scalar(a, "affine scale")
+        check_scalar(b, "affine shift")
         num, den = self._ints()
-        if isinstance(point, XPoly):
-            acc = XPoly.zero()
-            for c in reversed(num):
-                acc = acc * point + c
-            return acc._scaled(1, den)
+        n = len(num) - 1
+        if n <= 0:
+            return self
+        u, v = b.numerator, b.denominator
+        c = list(num)
+        vpow = 1
+        for i in range(n, -1, -1):
+            c[i] *= vpow
+            vpow *= v
+        vpow //= v
+        if u:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    c[j] += u * c[j + 1]
+        # with a = s/d: coefficient i times (s v)^i d^(n-i), over d^n v^n den
+        sv, d = a.numerator * v, a.denominator
+        dpow = d**n
+        up, down = 1, dpow
+        for i in range(n + 1):
+            c[i] *= up * down
+            up *= sv
+            down //= d
+        return _from_ints(c, dpow * vpow * den)
+
+    def __call__(self, point: Scalar) -> Fraction:
+        """Evaluate at a scalar; substitute a linear polynomial with affine."""
+        num, den = self._ints()
         check_scalar(point, "evaluation point")
         # sum c_i u^i / v^i = (sum c_i u^i v^(n-i)) / v^n, by integer Horner
         u, v = point.numerator, point.denominator

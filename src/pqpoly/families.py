@@ -34,10 +34,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import egf, sequences
-from .egf import Column, EgfSeries, PowerRows, appell
+from . import egf, pqcalc, sequences
+from .egf import Column, EgfSeries, PowerRows
 from .exact import XPoly, falling_factorial, rising_factorial
-from .pqcalc import PQParams, pq_integer, pq_integral_01_monomial
+from .pqcalc import PQParams, pq_integral_01_monomial
 
 ROUTE_GF = "gf"
 ROUTE_STIRLING = "stirling_closed_form"
@@ -177,7 +177,7 @@ def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 def poly_euler(n: int, k: int, params: PQParams) -> XPoly:
     """Poly-Euler polynomial, Appell over the base series with e^(xt)."""
     _check_n(n)
-    return appell(euler_base_series(k, params, n).coeffs, n)
+    return egf.appell(euler_base_series(k, params, n).coeffs, n)
 
 
 def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
@@ -205,7 +205,7 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     # e^(-xt) factor: coefficient of x^j carries (-1)^j
-    return appell(bernoulli_base_series(k, params, n).coeffs, n, sign=-1)
+    return egf.appell(bernoulli_base_series(k, params, n).coeffs, n, sign=-1)
 
 
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
@@ -214,7 +214,7 @@ def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     for m in range(n + 1):
         weight = (
             Fraction((-1) ** (n + m) * math.factorial(m))
-            * pq_integer(m + 1, params) ** (-k)
+            * pqcalc.pq_integer(m + 1, params) ** (-k)
         )
         total = total + weight * sequences.weighted_stirling2(n, m)
     return total
@@ -246,7 +246,9 @@ def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     total = XPoly.zero()
     for m in range(n + 1):
-        weight = Fraction((-1) ** (n - m)) * pq_integer(m + 1, params) ** (-k)
+        weight = Fraction((-1) ** (n - m)) * pqcalc.pq_integer(
+            m + 1, params
+        ) ** (-k)
         total = total + weight * sequences.weighted_stirling1(n, m)
     return total
 
@@ -292,12 +294,12 @@ def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 
 def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
-    minus_x = XPoly((0, -1))
     total = XPoly.zero()
     for m in range(n + 1):
-        weight = pq_integer(m + 1, params) ** (-k)
-        total = total + weight * sequences.weighted_stirling1(n, m)(minus_x)
-    return Fraction((-1) ** n) * total
+        weight = pqcalc.pq_integer(m + 1, params) ** (-k)
+        total = total + weight * sequences.weighted_stirling1(n, m)
+    # the sum is taken at x and substituted x -> -x once
+    return Fraction((-1) ** n) * total.affine(-1, 0)
 
 
 def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:

@@ -11,6 +11,12 @@ identity.
 Reports are deterministic: cells are generated in a fixed order, the check
 list has a fixed order, and the first failing cell (if any) is captured
 with both sides serialized.
+
+Work that does not depend on the cell is cached: the inner sums of tid3 and
+tid4 (``_tid3_inner``, ``_tid4_weight``), the weighted Stirling polynomials
+at -x, the shifted Euler polynomials and the sums behind the cross
+relations.  Each cached sum is read by one side of a check only, never by
+both sides of the same check, so the two sides stay independent.
 """
 
 from __future__ import annotations
@@ -21,9 +27,15 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
-from . import families, sequences
-from .exact import XPoly, falling_factorial, rational_to_str, rising_factorial
-from .pqcalc import PQParams, pq_integer
+from . import families, pqcalc, sequences
+from .exact import (
+    XPoly,
+    check_scalar,
+    falling_factorial,
+    rational_to_str,
+    rising_factorial,
+)
+from .pqcalc import PQParams
 
 DEFAULT_PARAM_POINTS = (
     PQParams(Fraction(1, 2), Fraction(1, 3)),
@@ -48,6 +60,32 @@ class SuiteConfig:
     u_values: tuple[Fraction, ...] = (Fraction(-1), Fraction(2), Fraction(1, 2))
     scale_values: tuple[int, ...] = (1, 2, 3)
     param_points: tuple[PQParams, ...] = DEFAULT_PARAM_POINTS
+
+    def __post_init__(self):
+        """Reject a grid no check could run over, naming the field."""
+        _check_ints("n_max", (self.n_max,), 0)
+        _check_ints("k_values entry", self.k_values, None)
+        _check_ints("s_values entry", self.s_values, 0)
+        _check_ints("scale_values entry", self.scale_values, 1)
+        for u in self.u_values:
+            check_scalar(u, "u_values entry")
+            if u == 1:
+                raise ValueError(
+                    "u_values entry u = 1 is outside the Frobenius-Euler domain"
+                )
+        for params in self.param_points:
+            if not isinstance(params, PQParams):
+                raise TypeError(
+                    f"param_points entry must be PQParams, not {type(params).__name__}"
+                )
+
+
+def _check_ints(what: str, values: tuple, low: Optional[int]) -> None:
+    for value in values:
+        if not isinstance(value, int):
+            raise TypeError(f"{what} must be int, not {type(value).__name__}")
+        if low is not None and value < low:
+            raise ValueError(f"{what} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -137,17 +175,17 @@ def _euler_poly_at(n: int, point: Fraction, k: int, params: PQParams) -> Fractio
 @lru_cache(maxsize=None)
 def _classical_euler_shifted(n: int, j: int) -> XPoly:
     """Classical E_n(x - j) as an XPoly in x."""
-    return sequences.euler_poly(n)(XPoly((-j, 1)))
+    return sequences.euler_poly(n).affine(1, -j)
 
 
 @lru_cache(maxsize=None)
 def _ws1_neg_x(n: int, m: int) -> XPoly:
-    return sequences.weighted_stirling1(n, m)(XPoly((0, -1)))
+    return sequences.weighted_stirling1(n, m).affine(-1, 0)
 
 
 @lru_cache(maxsize=None)
 def _ws2_neg_x(n: int, m: int) -> XPoly:
-    return sequences.weighted_stirling2(n, m)(XPoly((0, -1)))
+    return sequences.weighted_stirling2(n, m).affine(-1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +282,7 @@ def _eval_appell_i(n, k, params):
 
 
 def _eval_appell_ii(n, k, params, y):
-    lhs = families.poly_euler(n, k, params)(XPoly((y, 1)))
+    lhs = families.poly_euler(n, k, params).affine(1, y)
     rhs = XPoly.zero()
     for i in range(n + 1):
         rhs = rhs + math.comb(n, i) * y ** (n - i) * families.poly_euler(
@@ -254,7 +292,7 @@ def _eval_appell_ii(n, k, params, y):
 
 
 def _eval_appell_iii(n, k, params, m):
-    lhs = families.poly_euler(n, k, params)(XPoly((0, m)))
+    lhs = families.poly_euler(n, k, params).affine(m, 0)
     rhs = XPoly.zero()
     for i in range(n + 1):
         rhs = rhs + (
@@ -268,7 +306,7 @@ def _eval_appell_iii(n, k, params, m):
 
 def _eval_appell_iv(n, k, params):
     e_n = families.poly_euler(n, k, params)
-    lhs = e_n(XPoly((1, 1))) - e_n
+    lhs = e_n.affine(1, 1) - e_n
     rhs = XPoly.zero()
     for i in range(n):
         rhs = rhs + math.comb(n, i) * families.poly_euler(i, k, params)
@@ -279,7 +317,7 @@ def _eucls_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
     acc = XPoly.zero()
     for j in range(l + 2):
         acc = acc + (-1) ** j * math.comb(l + 1, j) * _classical_euler_shifted(n, j)
-    return pq_integer(l + 1, params) ** (-k) * acc
+    return pqcalc.pq_integer(l + 1, params) ** (-k) * acc
 
 
 def _eval_eucls(n, k, params):
@@ -345,6 +383,17 @@ def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     return _tid2_term(n, k, params, n + 1)
 
 
+@lru_cache(maxsize=None)
+def _tid3_inner(m: int, k: int, params: PQParams, s: int) -> XPoly:
+    """sum_i C(m, i) E_(m-i) B_i^(s)(x), the inner sum of tid3's right side."""
+    inner = XPoly.zero()
+    for i in range(m + 1):
+        inner = inner + (
+            math.comb(m, i) * families.poly_euler_number(m - i, k, params)
+        ) * sequences.bernoulli_order(i, s)
+    return inner
+
+
 def _eval_tid3(n, k, params, s):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
@@ -352,40 +401,40 @@ def _eval_tid3(n, k, params, s):
         outer = math.comb(n, l) * sequences.stirling2(l + s, s)
         if outer == 0:
             continue
-        inner = XPoly.zero()
-        for i in range(n - l + 1):
-            inner = inner + (
-                Fraction(math.comb(n - l, i), math.comb(l + s, s))
-                * families.poly_euler_number(n - l - i, k, params)
-                * sequences.bernoulli_order(i, s)
-            )
-        rhs = rhs + outer * inner
+        rhs = rhs + Fraction(outer, math.comb(l + s, s)) * _tid3_inner(
+            n - l, k, params, s
+        )
     return lhs, rhs
+
+
+@lru_cache(maxsize=None)
+def _tid4_weight(m: int, k: int, params: PQParams, s: int, u: Fraction) -> Fraction:
+    """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's weight of H_l^(s)."""
+    weights = Fraction(0)
+    for i in range(s + 1):
+        weights += (
+            math.comb(s, i)
+            * (-u) ** (s - i)
+            * _euler_poly_at(m, Fraction(i), k, params)
+        )
+    return weights / (1 - u) ** s
 
 
 def _eval_tid4(n, k, params, s, u):
     lhs = families.poly_euler(n, k, params)
     rhs = XPoly.zero()
-    shift = Fraction(1) / (1 - u) ** s
     for l in range(n + 1):
-        weights = Fraction(0)
-        for i in range(s + 1):
-            weights += (
-                math.comb(s, i)
-                * (-u) ** (s - i)
-                * _euler_poly_at(n - l, Fraction(i), k, params)
-            )
         rhs = rhs + (
-            math.comb(n, l) * shift * weights
+            math.comb(n, l) * _tid4_weight(n - l, k, params, s, u)
         ) * sequences.frobenius_euler(l, s, u)
     return lhs, rhs
 
 
 def _eval_euler_bernoulli(n, k, params):
     e_n = families.poly_euler(n, k, params)
-    lhs = e_n + e_n(XPoly((1, 1)))
+    lhs = e_n + e_n.affine(1, 1)
     b_n = families.poly_bernoulli(n, k, params)
-    rhs = 2 * b_n(XPoly((0, -1))) - 2 * b_n(XPoly((1, -1)))
+    rhs = 2 * b_n.affine(-1, 0) - 2 * b_n.affine(-1, 1)
     return lhs, rhs
 
 
@@ -427,7 +476,7 @@ def _eval_invrel1(n, k, params):
             m, k, params
         )
     rhs = XPoly.const(
-        math.factorial(n) * pq_integer(n + 1, params) ** (-k)
+        math.factorial(n) * pqcalc.pq_integer(n + 1, params) ** (-k)
     )
     return lhs, rhs
 
@@ -438,7 +487,7 @@ def _eval_invrel2(n, k, params):
         lhs = lhs + sequences.weighted_stirling2(n, m) * families.poly_cauchy_1(
             m, k, params
         )
-    rhs = XPoly.const(pq_integer(n + 1, params) ** (-k))
+    rhs = XPoly.const(pqcalc.pq_integer(n + 1, params) ** (-k))
     return lhs, rhs
 
 
@@ -447,7 +496,7 @@ def _eval_invrel3(n, k, params):
     for m in range(n + 1):
         lhs = lhs + _ws2_neg_x(n, m) * families.poly_cauchy_2(m, k, params)
     rhs = XPoly.const(
-        Fraction((-1) ** n) * pq_integer(n + 1, params) ** (-k)
+        Fraction((-1) ** n) * pqcalc.pq_integer(n + 1, params) ** (-k)
     )
     return lhs, rhs
 

@@ -21,7 +21,12 @@ from .exact import check_scalar, rational_from_str, rational_to_str
 
 @dataclass(frozen=True)
 class PQParams:
-    """Validated parameter pair with 0 < q <= p <= 1."""
+    """Validated parameter pair with 0 < q <= p <= 1.
+
+    Every cached function takes one as a key, so the hash of the pair is
+    computed once, at construction; it is the value the dataclass would
+    generate, hash((p, q)).
+    """
 
     p: Fraction
     q: Fraction
@@ -35,6 +40,10 @@ class PQParams:
             raise ValueError(
                 f"parameters must satisfy 0 < q <= p <= 1, got p={self.p}, q={self.q}"
             )
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_equal_limit(self) -> bool:

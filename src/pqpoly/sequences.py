@@ -28,10 +28,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import egf
-from .egf import Column, EgfSeries, PowerRows, appell
+from . import egf, pqcalc
+from .egf import Column, EgfSeries, PowerRows
 from .exact import XPoly, rising_factorial
-from .pqcalc import PQParams, pq_integer
+from .pqcalc import PQParams
 
 # ---------------------------------------------------------------------------
 # generating function building blocks
@@ -155,7 +155,7 @@ def bernoulli_order(n: int, s: int) -> XPoly:
     """Order-s Bernoulli polynomial from the EGF (t/(e^t - 1))^s e^(xt)."""
     if n < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
-    return appell(_bernoulli_column(s).series(n).coeffs, n)
+    return egf.appell(_bernoulli_column(s).series(n).coeffs, n)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +166,7 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")
-    return appell(_frobenius_column(s, u).series(n).coeffs, n)
+    return egf.appell(_frobenius_column(s, u).series(n).coeffs, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def li_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction
     if order < 0:
         raise ValueError("order must be nonnegative")
     return [Fraction(0)] + [
-        pq_integer(m, params) ** (-k) for m in range(1, order + 1)
+        pqcalc.pq_integer(m, params) ** (-k) for m in range(1, order + 1)
     ]
 
 
@@ -187,7 +187,7 @@ def lif_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fractio
     if order < 0:
         raise ValueError("order must be nonnegative")
     return [
-        pq_integer(m + 1, params) ** (-k) / math.factorial(m)
+        pqcalc.pq_integer(m + 1, params) ** (-k) / math.factorial(m)
         for m in range(order + 1)
     ]
 

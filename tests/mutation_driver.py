@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from pqpoly import egf, families, sequences
 from pqpoly.egf import PowerRows
+from pqpoly.exact import XPoly
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
 
@@ -136,6 +137,24 @@ def mutate_reciprocal_drops_first_term() -> None:
     egf.grow_power = dropping
 
 
+def mutate_appell_high_term() -> None:
+    """The Appell expansion adds x^n/7 to every polynomial of degree n >= 3.
+
+    poly_euler, the gf route of poly_bernoulli and the classical families
+    all expand through egf.appell, looked up on the module at each call,
+    so this one rebinding reaches every one of them.  The Appell checks
+    compare E_n at a shifted or scaled argument with a sum over E_i, so the
+    extra term cannot cancel there.
+    """
+    appell = egf.appell
+
+    def high(base, n: int, sign: int = 1) -> XPoly:
+        value = appell(base, n, sign)
+        return value + XPoly.monomial(n, Fraction(1, 7)) if n >= 3 else value
+
+    egf.appell = high
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
@@ -143,6 +162,7 @@ MUTATIONS = {
     "egf-pow-extra-factor": mutate_egf_pow_extra_factor,
     "power-rows-drop-cube": mutate_power_rows_drop_cube,
     "reciprocal-drops-first-term": mutate_reciprocal_drops_first_term,
+    "appell-high-term": mutate_appell_high_term,
 }
 
 

@@ -160,6 +160,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "egf-pow-extra-factor",
         "power-rows-drop-cube",
         "reciprocal-drops-first-term",
+        "appell-high-term",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -184,6 +185,11 @@ def test_criterion_5_mutation_sensitivity(capsys):
             # bernoulli_order and frobenius_euler
             assert "euler_bernoulli" in payload["failing"], payload
             assert set(payload["failing"]) & {"tid3", "tid4"}, payload
+        if name == "appell-high-term":
+            # each Appell check reads E_n at a shifted or scaled argument
+            assert {"appell_ii", "appell_iii", "appell_iv"} <= set(
+                payload["failing"]
+            ), payload
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     baseline = subprocess.run(
         [sys.executable, str(script), "none"],

@@ -86,8 +86,15 @@ def test_xpoly_evaluation_and_substitution():
     assert p(3) == 10
     assert XPoly.zero()(Fraction(7)) == 0
     # substitute x -> x + 1
-    shifted = p(XPoly([1, 1]))
+    shifted = p.affine(1, 1)
     assert shifted == XPoly([0, 1, 2])
+
+
+def test_xpoly_call_is_scalar_evaluation_only():
+    with pytest.raises(TypeError, match="evaluation point.*XPoly"):
+        XPoly([1, -3, 2])(XPoly([1, 1]))
+    with pytest.raises(TypeError, match="affine shift.*float"):
+        XPoly([1, 2]).affine(1, 0.5)
 
 
 def test_xpoly_derivative():
@@ -199,13 +206,37 @@ def test_xpoly_matches_fraction_list_oracle(pair):
     poly = a if isinstance(a, XPoly) else b
     _assert_matches(-poly, oracles.poly_neg(_as_list(poly)))
     if isinstance(a, XPoly) and isinstance(b, XPoly):
-        _assert_matches(a(b), oracles.poly_substitute(la, lb))
+        # b's linear part: a(b_1 x + b_0)
+        _assert_matches(
+            a.affine(b.coeff(1), b.coeff(0)), oracles.poly_substitute(la, lb[:2])
+        )
     else:
         point = a if isinstance(b, XPoly) else b
         value = poly(point)
         assert type(value) is Fraction
         assert value == oracles.poly_eval(_as_list(poly), Fraction(point))
     assert equal == (la == lb)
+
+
+affine_scalars = st.one_of(
+    st.just(0), st.just(1), st.just(-1), st.integers(-9, 9), rationals
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.just([]), st.lists(rationals, max_size=1), coeff_lists).flatmap(
+        _forms
+    ),
+    affine_scalars,
+    affine_scalars,
+)
+def test_xpoly_affine_matches_substitution_oracle(p, a, b):
+    # zero, constants, a = 0, b = 0, negative and non-integer a and b, and
+    # both storage forms of p
+    result = p.affine(a, b)  # before p.coeffs forms p's Fractions
+    expected = oracles.poly_substitute(list(p.coeffs), oracles.poly_trim([b, a]))
+    _assert_matches(result, expected)
 
 
 @given(small_polys, small_polys)
@@ -246,6 +277,5 @@ def test_falling_factorial_at_n_is_factorial(n):
 @pytest.mark.parametrize("n", range(21))
 def test_falling_rising_reflection(n):
     # (x)_n = (-1)^n (-x)^(n)
-    minus_x = XPoly([0, -1])
-    assert falling_factorial(n) == (-1) ** n * rising_factorial(n)(minus_x)
+    assert falling_factorial(n) == (-1) ** n * rising_factorial(n).affine(-1, 0)
 

@@ -1,9 +1,13 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from pqpoly import sequences
+import pqpoly
+from pqpoly import families, identities, sequences
+from pqpoly.exact import XPoly
 from pqpoly.identities import (
     CHECK_IDS,
     CHECKS,
@@ -175,3 +179,116 @@ def test_truncation_tails_can_fail(monkeypatch):
     for tail in (tid1_tail_term, tid2_tail_term):
         value = tail(2, 1, params)
         assert value != 0 * value, tail.__name__
+
+
+@pytest.mark.parametrize(
+    "field, value, error, match",
+    [
+        ("u_values", (Fraction(-1), Fraction(1)), ValueError, "u_values.*u = 1"),
+        ("s_values", (1, -1), ValueError, "s_values.*-1"),
+        ("n_max", -1, ValueError, "n_max.*-1"),
+        ("scale_values", (0,), ValueError, "scale_values.*0"),
+        ("u_values", (0.5,), TypeError, "u_values.*float"),
+        ("k_values", (1, 2.0), TypeError, "k_values.*float"),
+        ("param_points", ((Fraction(1, 2), Fraction(1, 3)),), TypeError, "PQParams"),
+    ],
+)
+def test_suite_config_rejects_an_invalid_grid(field, value, error, match):
+    with pytest.raises(error, match=match):
+        SuiteConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# tid3 and tid4 regroup their right sides around cached inner sums; the
+# double sums below are the right sides as written in the paper
+
+
+def _tid3_double_sum(n, k, params, s):
+    rhs = XPoly.zero()
+    for l in range(n + 1):
+        outer = math.comb(n, l) * sequences.stirling2(l + s, s)
+        for i in range(n - l + 1):
+            rhs = rhs + (
+                Fraction(outer * math.comb(n - l, i), math.comb(l + s, s))
+                * families.poly_euler_number(n - l - i, k, params)
+                * sequences.bernoulli_order(i, s)
+            )
+    return rhs
+
+
+def _tid4_double_sum(n, k, params, s, u):
+    rhs = XPoly.zero()
+    for l in range(n + 1):
+        for i in range(s + 1):
+            rhs = rhs + (
+                math.comb(n, l)
+                * math.comb(s, i)
+                * (-u) ** (s - i)
+                * families.poly_euler(n - l, k, params)(i)
+                / (1 - u) ** s
+            ) * sequences.frobenius_euler(l, s, u)
+    return rhs
+
+
+REGROUP_POINTS = (
+    PQParams(Fraction(3, 4), Fraction(1, 5)),
+    PQParams(Fraction(2, 3), Fraction(2, 3)),
+)
+
+
+@pytest.mark.parametrize("params", REGROUP_POINTS)
+def test_tid3_and_tid4_right_sides_match_the_double_sums(params):
+    for n in range(9):
+        for k in (-1, 2):
+            for s in range(4):
+                _, rhs = identities._eval_tid3(n, k, params, s)
+                assert rhs == _tid3_double_sum(n, k, params, s), (n, k, s)
+                for u in (Fraction(-1), Fraction(2), Fraction(1, 2)):
+                    _, rhs = identities._eval_tid4(n, k, params, s, u)
+                    assert rhs == _tid4_double_sum(n, k, params, s, u), (n, k, s, u)
+
+
+def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
+    # count the uncached work under each cached inner sum: a key computed
+    # twice would count its work twice
+    pqpoly.clear_caches()
+    at_calls, number_calls = Counter(), Counter()
+    euler_at = identities._euler_poly_at.__wrapped__
+    euler_number = families.poly_euler_number
+
+    def counting_at(*key):
+        at_calls[key] += 1
+        return euler_at(*key)
+
+    def counting_number(*key):
+        number_calls[key] += 1
+        return euler_number(*key)
+
+    monkeypatch.setattr(identities, "_euler_poly_at", counting_at)
+    monkeypatch.setattr(families, "poly_euler_number", counting_number)
+    reports = run_all(SMALL, only=["tid3", "tid4"])
+    assert all(report.passed for report in reports)
+
+    grid = [
+        (m, k, params, s)
+        for m in range(SMALL.n_max + 1)
+        for k in SMALL.k_values
+        for params in SMALL.param_points
+        for s in SMALL.s_values
+    ]
+    want_at = Counter(
+        (m, Fraction(i), k, params)
+        for m, k, params, s in grid
+        for _ in SMALL.u_values
+        for i in range(s + 1)
+    )
+    want_numbers = Counter(
+        (m - i, k, params) for m, k, params, _ in grid for i in range(m + 1)
+    )
+    assert identities._tid3_inner.cache_info().currsize == len(grid)
+    assert identities._tid4_weight.cache_info().currsize == len(grid) * len(
+        SMALL.u_values
+    )
+    assert at_calls == want_at
+    assert number_calls == want_numbers
+    pqpoly.clear_caches()

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +51,21 @@ def test_params_reject_inexact_types():
     with pytest.raises(TypeError, match="str"):
         PQParams("1/2", Fraction(1, 3))
     assert PQParams(1, Fraction(1, 2)).p == 1
+
+
+def test_params_hash_is_the_pair_hash_and_survives_copies():
+    for params in PARAM_POINTS:
+        assert hash(params) == hash((params.p, params.q))
+        for same in (
+            PQParams(params.p, params.q),
+            copy.copy(params),
+            pickle.loads(pickle.dumps(params)),
+        ):
+            assert same == params and hash(same) == hash(params)
+        assert repr(params) == f"PQParams(p={params.p!r}, q={params.q!r})"
+        assert [f.name for f in dataclasses.fields(params)] == ["p", "q"]
+    ints, fractions = PQParams(1, 1), PQParams(Fraction(1), Fraction(1))
+    assert ints == fractions and hash(ints) == hash(fractions)
 
 
 def test_params_mode():
