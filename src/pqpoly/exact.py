@@ -10,7 +10,9 @@ zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
 the zero polynomial, so equality is structural.  A product is one integer
 convolution, a product with a constant is one vector scale, and a sum
 aligns the two denominators once; no arithmetic builds a Fraction per
-coefficient.  Calling an XPoly evaluates it at a scalar, by integer Horner;
+coefficient.  ``XPoly.sum_products`` builds a whole sum of products as one
+XPoly: each term's factors fold into one int vector, and the terms add over
+one common denominator with a single canonicalisation.  Calling an XPoly evaluates it at a scalar, by integer Horner;
 ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
 scale, and is the only substitution of a polynomial into a polynomial.
 
@@ -74,6 +76,16 @@ def rational_from_str(text: str) -> Fraction:
 def _fraction(c) -> Fraction:
     check_scalar(c, "XPoly coefficient")
     return Fraction(c)
+
+
+def _convolve(a: tuple, b: tuple) -> list:
+    """The integer product of two coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 def _from_ints(num: list, den: int) -> "XPoly":
@@ -235,14 +247,40 @@ class XPoly:
         a, da = self._ints()
         if len(a) <= 1:
             return other._scaled(a[0] if a else 0, da)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return _from_ints(out, da * db)
+        return _from_ints(_convolve(a, b), da * db)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_products(terms: Iterable[tuple]) -> "XPoly":
+        """The sum over terms of the product of each term's factors, each an
+        int, a Fraction or an XPoly: one int numerator and denominator per
+        term, one convolution per further XPoly factor, one int list over
+        the lcm of the term denominators, and one canonicalisation."""
+        parts, lcm = [], 1
+        for term in terms:
+            num, den, vec = 1, 1, (1,)
+            for f in term:
+                if isinstance(f, XPoly):
+                    a, da = f._ints()
+                    den *= da
+                    if len(a) <= 1:
+                        num *= a[0] if a else 0
+                    else:
+                        vec = a if len(vec) == 1 else _convolve(vec, a)
+                else:
+                    check_scalar(f, "sum_products factor")
+                    num *= f.numerator
+                    den *= f.denominator
+            if num:
+                g = math.gcd(num, den)
+                parts.append((num // g, den // g, vec))
+                lcm = math.lcm(lcm, den // g)
+        acc = [0] * max([len(vec) for _, _, vec in parts], default=0)
+        for num, den, vec in parts:
+            scale = num * (lcm // den)
+            acc[: len(vec)] = map(add, acc, [c * scale for c in vec])
+        return _from_ints(acc, lcm)
 
     def affine(self, a: Scalar, b: Scalar) -> "XPoly":
         """The polynomial p(a x + b), by an integer Taylor shift.

@@ -210,14 +210,11 @@ def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
-    total = XPoly.zero()
-    for m in range(n + 1):
-        weight = (
-            Fraction((-1) ** (n + m) * math.factorial(m))
-            * pqcalc.pq_integer(m + 1, params) ** (-k)
-        )
-        total = total + weight * sequences.weighted_stirling2(n, m)
-    return total
+    return XPoly.sum_products(
+        ((-1) ** (n + m) * math.factorial(m),
+         pqcalc.pq_integer(m + 1, params) ** (-k), sequences.weighted_stirling2(n, m))
+        for m in range(n + 1)
+    )
 
 
 def poly_bernoulli(
@@ -244,13 +241,11 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
-    total = XPoly.zero()
-    for m in range(n + 1):
-        weight = Fraction((-1) ** (n - m)) * pqcalc.pq_integer(
-            m + 1, params
-        ) ** (-k)
-        total = total + weight * sequences.weighted_stirling1(n, m)
-    return total
+    return XPoly.sum_products(
+        ((-1) ** (n - m), pqcalc.pq_integer(m + 1, params) ** (-k),
+         sequences.weighted_stirling1(n, m))
+        for m in range(n + 1)
+    )
 
 
 def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
@@ -294,12 +289,12 @@ def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 
 def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
-    total = XPoly.zero()
-    for m in range(n + 1):
-        weight = pqcalc.pq_integer(m + 1, params) ** (-k)
-        total = total + weight * sequences.weighted_stirling1(n, m)
     # the sum is taken at x and substituted x -> -x once
-    return Fraction((-1) ** n) * total.affine(-1, 0)
+    return XPoly.sum_products(
+        ((-1) ** n, pqcalc.pq_integer(m + 1, params) ** (-k),
+         sequences.weighted_stirling1(n, m))
+        for m in range(n + 1)
+    ).affine(-1, 0)
 
 
 def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:

@@ -12,11 +12,14 @@ Reports are deterministic: cells are generated in a fixed order, the check
 list has a fixed order, and the first failing cell (if any) is captured
 with both sides serialized.
 
-Work that does not depend on the cell is cached: the inner sums of tid3 and
-tid4 (``_tid3_inner``, ``_tid4_weight``), the weighted Stirling polynomials
-at -x, the shifted Euler polynomials and the sums behind the cross
-relations.  Each cached sum is read by one side of a check only, never by
-both sides of the same check, so the two sides stay independent.
+Each side that is a sum is built by one ``XPoly.sum_products`` call, with
+the scalar weights passed as separate factors.  Work that does not depend
+on the cell is cached: the inner sums of tid3 and tid4 (``_tid3_inner``,
+``_tid4_weight``), the weighted Stirling polynomials at -x and their
+values at ±y (``_ws1_at``, ``_ws2_at``), the shifted Euler polynomials and
+the sums behind the cross relations.  Each cached value is read by one
+side of a check only, never by both sides of the same check, so the two
+sides stay independent.
 """
 
 from __future__ import annotations
@@ -189,11 +192,20 @@ def _ws2_neg_x(n: int, m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
+def _ws1_at(m: int, l: int, y: Fraction) -> Fraction:
+    return sequences.weighted_stirling1(m, l)(y)
+
+
+@lru_cache(maxsize=None)
+def _ws2_at(m: int, l: int, y: Fraction) -> Fraction:
+    return sequences.weighted_stirling2(m, l)(y)
+
+
+@lru_cache(maxsize=None)
 def _inner_cauchy1(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
     # terms above l = m vanish with the weighted Stirling factor
     return sum(
-        sequences.weighted_stirling2(m, l)(y)
-        * families.poly_cauchy_1(l, k, params)(y)
+        _ws2_at(m, l, y) * families.poly_cauchy_1(l, k, params)(y)
         for l in range(m + 1)
     )
 
@@ -201,8 +213,7 @@ def _inner_cauchy1(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
 @lru_cache(maxsize=None)
 def _inner_cauchy2(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
     return sum(
-        sequences.weighted_stirling2(m, l)(-y)
-        * families.poly_cauchy_2(l, k, params)(y)
+        _ws2_at(m, l, -y) * families.poly_cauchy_2(l, k, params)(y)
         for l in range(m + 1)
     )
 
@@ -210,8 +221,7 @@ def _inner_cauchy2(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
 @lru_cache(maxsize=None)
 def _inner_bernoulli(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
     return sum(
-        sequences.weighted_stirling1(m, l)(y)
-        * families.poly_bernoulli(l, k, params)(y)
+        _ws1_at(m, l, y) * families.poly_bernoulli(l, k, params)(y)
         for l in range(m + 1)
     )
 
@@ -273,137 +283,117 @@ def _orthogonality_cells(config: SuiteConfig):
 
 def _eval_appell_i(n, k, params):
     lhs = _euler_gf_over_poly_ring(n, k, params)
-    rhs = XPoly.zero()
-    for i in range(n + 1):
-        rhs = rhs + math.comb(n, i) * families.poly_euler_number(
-            i, k, params
-        ) * XPoly.monomial(n - i)
+    rhs = XPoly.sum_products(
+        (math.comb(n, i), families.poly_euler_number(i, k, params),
+         XPoly.monomial(n - i))
+        for i in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_appell_ii(n, k, params, y):
     lhs = families.poly_euler(n, k, params).affine(1, y)
-    rhs = XPoly.zero()
-    for i in range(n + 1):
-        rhs = rhs + math.comb(n, i) * y ** (n - i) * families.poly_euler(
-            i, k, params
-        )
+    rhs = XPoly.sum_products(
+        (math.comb(n, i), y ** (n - i), families.poly_euler(i, k, params))
+        for i in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_appell_iii(n, k, params, m):
     lhs = families.poly_euler(n, k, params).affine(m, 0)
-    rhs = XPoly.zero()
-    for i in range(n + 1):
-        rhs = rhs + (
-            math.comb(n, i)
-            * Fraction(m - 1) ** (n - i)
-            * families.poly_euler(i, k, params)
-            * XPoly.monomial(n - i)
-        )
+    rhs = XPoly.sum_products(
+        (math.comb(n, i) * (m - 1) ** (n - i), families.poly_euler(i, k, params),
+         XPoly.monomial(n - i))
+        for i in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_appell_iv(n, k, params):
     e_n = families.poly_euler(n, k, params)
     lhs = e_n.affine(1, 1) - e_n
-    rhs = XPoly.zero()
-    for i in range(n):
-        rhs = rhs + math.comb(n, i) * families.poly_euler(i, k, params)
+    rhs = XPoly.sum_products(
+        (math.comb(n, i), families.poly_euler(i, k, params)) for i in range(n)
+    )
     return lhs, rhs
 
 
-def _eucls_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
-    acc = XPoly.zero()
-    for j in range(l + 2):
-        acc = acc + (-1) ** j * math.comb(l + 1, j) * _classical_euler_shifted(n, j)
-    return pqcalc.pq_integer(l + 1, params) ** (-k) * acc
+def _eucls_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
+    weights = {l: pqcalc.pq_integer(l + 1, params) ** (-k) for l in ls}
+    return XPoly.sum_products(
+        ((-1) ** j * math.comb(l + 1, j), weight, _classical_euler_shifted(n, j))
+        for l, weight in weights.items()
+        for j in range(l + 2)
+    )
 
 
 def _eval_eucls(n, k, params):
-    lhs = families.poly_euler(n, k, params)
-    rhs = XPoly.zero()
     # terms with l >= n vanish: the inner alternating sum is an (l+1)-fold
     # finite difference of a degree-n polynomial
-    for l in range(n):
-        rhs = rhs + _eucls_term(n, k, params, l)
-    return lhs, rhs
+    return families.poly_euler(n, k, params), _eucls_sum(n, k, params, range(n))
 
 
 def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """First term beyond the truncation used by the eucls check."""
-    return _eucls_term(n, k, params, n)
+    return _eucls_sum(n, k, params, (n,))
 
 
-def _tid1_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
-    acc = Fraction(0)
-    for i in range(n + 1):
-        s2 = sequences.stirling2(i, l)
-        if s2:
-            acc += math.comb(n, i) * s2 * _euler_poly_at(
-                n - i, Fraction(-l), k, params
-            )
-    return acc * rising_factorial(l)
+def _tid1_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
+    return XPoly.sum_products(
+        (math.comb(n, i) * sequences.stirling2(i, l),
+         _euler_poly_at(n - i, Fraction(-l), k, params), rising_factorial(l))
+        for l in ls
+        for i in range(n + 1)
+        if sequences.stirling2(i, l)
+    )
 
 
 def _eval_tid1(n, k, params):
-    lhs = families.poly_euler(n, k, params)
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        rhs = rhs + _tid1_term(n, k, params, l)
-    return lhs, rhs
+    return families.poly_euler(n, k, params), _tid1_sum(n, k, params, range(n + 1))
 
 
 def tid1_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """Term l = n + 1; every Stirling factor in it lies above the diagonal."""
-    return _tid1_term(n, k, params, n + 1)
+    return _tid1_sum(n, k, params, (n + 1,))
 
 
-def _tid2_term(n: int, k: int, params: PQParams, l: int) -> XPoly:
-    acc = Fraction(0)
-    for i in range(n + 1):
-        s2 = sequences.stirling2(i, l)
-        if s2:
-            acc += math.comb(n, i) * s2 * families.poly_euler_number(
-                n - i, k, params
-            )
-    return acc * falling_factorial(l)
+def _tid2_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
+    return XPoly.sum_products(
+        (math.comb(n, i) * sequences.stirling2(i, l),
+         families.poly_euler_number(n - i, k, params), falling_factorial(l))
+        for l in ls
+        for i in range(n + 1)
+        if sequences.stirling2(i, l)
+    )
 
 
 def _eval_tid2(n, k, params):
-    lhs = families.poly_euler(n, k, params)
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        rhs = rhs + _tid2_term(n, k, params, l)
-    return lhs, rhs
+    return families.poly_euler(n, k, params), _tid2_sum(n, k, params, range(n + 1))
 
 
 def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """First term beyond the truncation used by the tid2 check."""
-    return _tid2_term(n, k, params, n + 1)
+    return _tid2_sum(n, k, params, (n + 1,))
 
 
 @lru_cache(maxsize=None)
 def _tid3_inner(m: int, k: int, params: PQParams, s: int) -> XPoly:
     """sum_i C(m, i) E_(m-i) B_i^(s)(x), the inner sum of tid3's right side."""
-    inner = XPoly.zero()
-    for i in range(m + 1):
-        inner = inner + (
-            math.comb(m, i) * families.poly_euler_number(m - i, k, params)
-        ) * sequences.bernoulli_order(i, s)
-    return inner
+    return XPoly.sum_products(
+        (math.comb(m, i), families.poly_euler_number(m - i, k, params),
+         sequences.bernoulli_order(i, s))
+        for i in range(m + 1)
+    )
 
 
 def _eval_tid3(n, k, params, s):
     lhs = families.poly_euler(n, k, params)
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        outer = math.comb(n, l) * sequences.stirling2(l + s, s)
-        if outer == 0:
-            continue
-        rhs = rhs + Fraction(outer, math.comb(l + s, s)) * _tid3_inner(
-            n - l, k, params, s
-        )
+    rhs = XPoly.sum_products(
+        (math.comb(n, l) * sequences.stirling2(l + s, s),
+         Fraction(1, math.comb(l + s, s)), _tid3_inner(n - l, k, params, s))
+        for l in range(n + 1)
+    )
     return lhs, rhs
 
 
@@ -422,11 +412,11 @@ def _tid4_weight(m: int, k: int, params: PQParams, s: int, u: Fraction) -> Fract
 
 def _eval_tid4(n, k, params, s, u):
     lhs = families.poly_euler(n, k, params)
-    rhs = XPoly.zero()
-    for l in range(n + 1):
-        rhs = rhs + (
-            math.comb(n, l) * _tid4_weight(n - l, k, params, s, u)
-        ) * sequences.frobenius_euler(l, s, u)
+    rhs = XPoly.sum_products(
+        (math.comb(n, l), _tid4_weight(n - l, k, params, s, u),
+         sequences.frobenius_euler(l, s, u))
+        for l in range(n + 1)
+    )
     return lhs, rhs
 
 
@@ -450,31 +440,20 @@ def _eval_routes(n, k, params, family):
 
 
 def _eval_orthogonality(n, m, direction):
-    acc = XPoly.zero()
-    for l in range(m, n + 1):
-        if direction == "s2_then_s1":
-            term = (
-                sequences.weighted_stirling2(n, l)
-                * sequences.weighted_stirling1(l, m)
-                * Fraction((-1) ** (n - l))
-            )
-        else:
-            term = (
-                sequences.weighted_stirling1(n, l)
-                * sequences.weighted_stirling2(l, m)
-                * Fraction((-1) ** (l - m))
-            )
-        acc = acc + term
-    rhs = XPoly.one() if n == m else XPoly.zero()
-    return acc, rhs
+    ws1, ws2 = sequences.weighted_stirling1, sequences.weighted_stirling2
+    # (-1)^(n-l) for s2 then s1, (-1)^(l-m) for s1 then s2
+    outer, inner, base = (ws2, ws1, n) if direction == "s2_then_s1" else (ws1, ws2, m)
+    lhs = XPoly.sum_products(
+        ((-1) ** (base + l), outer(n, l), inner(l, m)) for l in range(m, n + 1)
+    )
+    return lhs, XPoly.one() if n == m else XPoly.zero()
 
 
 def _eval_invrel1(n, k, params):
-    lhs = XPoly.zero()
-    for m in range(n + 1):
-        lhs = lhs + sequences.weighted_stirling1(n, m) * families.poly_bernoulli(
-            m, k, params
-        )
+    lhs = XPoly.sum_products(
+        (sequences.weighted_stirling1(n, m), families.poly_bernoulli(m, k, params))
+        for m in range(n + 1)
+    )
     rhs = XPoly.const(
         math.factorial(n) * pqcalc.pq_integer(n + 1, params) ** (-k)
     )
@@ -482,19 +461,18 @@ def _eval_invrel1(n, k, params):
 
 
 def _eval_invrel2(n, k, params):
-    lhs = XPoly.zero()
-    for m in range(n + 1):
-        lhs = lhs + sequences.weighted_stirling2(n, m) * families.poly_cauchy_1(
-            m, k, params
-        )
+    lhs = XPoly.sum_products(
+        (sequences.weighted_stirling2(n, m), families.poly_cauchy_1(m, k, params))
+        for m in range(n + 1)
+    )
     rhs = XPoly.const(pqcalc.pq_integer(n + 1, params) ** (-k))
     return lhs, rhs
 
 
 def _eval_invrel3(n, k, params):
-    lhs = XPoly.zero()
-    for m in range(n + 1):
-        lhs = lhs + _ws2_neg_x(n, m) * families.poly_cauchy_2(m, k, params)
+    lhs = XPoly.sum_products(
+        (_ws2_neg_x(n, m), families.poly_cauchy_2(m, k, params)) for m in range(n + 1)
+    )
     rhs = XPoly.const(
         Fraction((-1) ** n) * pqcalc.pq_integer(n + 1, params) ** (-k)
     )
@@ -503,49 +481,41 @@ def _eval_invrel3(n, k, params):
 
 def _eval_cross_b_from_c(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        weight = (
-            Fraction((-1) ** (n - m))
-            * math.factorial(m)
-            * _inner_cauchy1(m, k, params, y)
-        )
-        rhs = rhs + weight * sequences.weighted_stirling2(n, m)
+    rhs = XPoly.sum_products(
+        ((-1) ** (n - m) * math.factorial(m), _inner_cauchy1(m, k, params, y),
+         sequences.weighted_stirling2(n, m))
+        for m in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_cross_b_from_chat(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        weight = (
-            Fraction((-1) ** n)
-            * math.factorial(m)
-            * _inner_cauchy2(m, k, params, y)
-        )
-        rhs = rhs + weight * sequences.weighted_stirling2(n, m)
+    rhs = XPoly.sum_products(
+        ((-1) ** n * math.factorial(m), _inner_cauchy2(m, k, params, y),
+         sequences.weighted_stirling2(n, m))
+        for m in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_cross_c_from_b(n, k, params, y):
     lhs = families.poly_cauchy_1(n, k, params)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        weight = Fraction((-1) ** (n - m), math.factorial(m)) * _inner_bernoulli(
-            m, k, params, y
-        )
-        rhs = rhs + weight * sequences.weighted_stirling1(n, m)
+    rhs = XPoly.sum_products(
+        (Fraction((-1) ** (n - m), math.factorial(m)),
+         _inner_bernoulli(m, k, params, y), sequences.weighted_stirling1(n, m))
+        for m in range(n + 1)
+    )
     return lhs, rhs
 
 
 def _eval_cross_chat_from_b(n, k, params, y):
     lhs = families.poly_cauchy_2(n, k, params)
-    rhs = XPoly.zero()
-    for m in range(n + 1):
-        weight = Fraction((-1) ** n, math.factorial(m)) * _inner_bernoulli(
-            m, k, params, y
-        )
-        rhs = rhs + weight * _ws1_neg_x(n, m)
+    rhs = XPoly.sum_products(
+        (Fraction((-1) ** n, math.factorial(m)), _inner_bernoulli(m, k, params, y),
+         _ws1_neg_x(n, m))
+        for m in range(n + 1)
+    )
     return lhs, rhs
 
 
@@ -553,11 +523,11 @@ def _eval_vandermonde(n, k, params, family, other):
     lhs = Fraction((-1) ** n, math.factorial(n)) * families.compute(
         family, n, k, params
     )
-    rhs = XPoly.zero()
-    for m in range(1, n + 1):
-        rhs = rhs + Fraction(
-            math.comb(n - 1, m - 1), math.factorial(m)
-        ) * families.compute(other, m, k, params)
+    rhs = XPoly.sum_products(
+        (Fraction(math.comb(n - 1, m - 1), math.factorial(m)),
+         families.compute(other, m, k, params))
+        for m in range(1, n + 1)
+    )
     return lhs, rhs
 
 

@@ -155,6 +155,22 @@ def mutate_appell_high_term() -> None:
     egf.appell = high
 
 
+def mutate_sum_products_drops_last_term() -> None:
+    """The sum-of-products kernel loses the last of four or more terms.
+
+    Every evaluator side and the weighted-Stirling routes build their sums
+    through XPoly.sum_products, looked up on the class at each call; the
+    gf and integral routes do not, so the route comparisons must see it.
+    """
+    kernel = XPoly.sum_products
+
+    def dropping(terms) -> XPoly:
+        terms = list(terms)
+        return kernel(terms[:-1] if len(terms) >= 4 else terms)
+
+    XPoly.sum_products = staticmethod(dropping)
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
@@ -163,6 +179,7 @@ MUTATIONS = {
     "power-rows-drop-cube": mutate_power_rows_drop_cube,
     "reciprocal-drops-first-term": mutate_reciprocal_drops_first_term,
     "appell-high-term": mutate_appell_high_term,
+    "sum-products-drops-last-term": mutate_sum_products_drops_last_term,
 }
 
 

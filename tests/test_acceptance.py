@@ -161,6 +161,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "power-rows-drop-cube",
         "reciprocal-drops-first-term",
         "appell-high-term",
+        "sum-products-drops-last-term",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -190,6 +191,14 @@ def test_criterion_5_mutation_sensitivity(capsys):
             assert {"appell_ii", "appell_iii", "appell_iv"} <= set(
                 payload["failing"]
             ), payload
+        if name == "sum-products-drops-last-term":
+            # the gf and integral routes build no sum of products, and the
+            # cross relations' left sides are single family values
+            failing = set(payload["failing"])
+            assert failing & {
+                "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
+            }, payload
+            assert any(i.startswith("cross_") for i in failing), payload
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     baseline = subprocess.run(
         [sys.executable, str(script), "none"],

@@ -218,6 +218,61 @@ def test_xpoly_matches_fraction_list_oracle(pair):
     assert equal == (la == lb)
 
 
+sum_factors = st.one_of(
+    scalars,
+    st.lists(rationals, max_size=1).flatmap(_forms),  # zero and constants
+    polys_either_form,
+)
+
+
+@st.composite
+def sums_of_products(draw):
+    """Terms of zero to three factors; sometimes followed by every term
+    negated, and a scalar term, so the sum cancels to zero or a constant."""
+    terms = draw(
+        st.lists(
+            st.one_of(
+                st.lists(sum_factors, max_size=3).map(tuple),
+                st.tuples(polys_either_form, scalars, polys_either_form),
+            ),
+            max_size=5,
+        )
+    )
+    kind = draw(st.sampled_from(["plain", "cancel", "constant"]))
+    if kind != "plain":
+        terms += [term + (-1,) for term in terms]
+    if kind == "constant":
+        terms.append((draw(scalars),))
+    return terms
+
+
+@settings(max_examples=300)
+@given(sums_of_products())
+def test_xpoly_sum_products_matches_fold_of_oracle(terms):
+    # the empty sum, zero factors, cancelling terms, scalar-only terms,
+    # degree-0 XPolys, two XPoly factors in a term, int and Fraction factors
+    # with different denominators, and both storage forms of each XPoly
+    result = XPoly.sum_products(terms)  # before _as_list forms any Fractions
+    expected = []
+    for term in terms:
+        product = [Fraction(1)]
+        for factor in term:
+            product = oracles.poly_mul(product, _as_list(factor))
+        expected = oracles.poly_add(expected, product)
+    _assert_matches(result, expected)
+
+
+def test_xpoly_sum_products_edge_cases():
+    x = XPoly.x()
+    assert XPoly.sum_products([]) == XPoly.zero()
+    assert XPoly.sum_products(iter([(), (x, x)])) == x * x + 1
+    assert XPoly.sum_products([(Fraction(1, 2), 4, x), (-2, x)]) == XPoly.zero()
+    with pytest.raises(TypeError, match="float"):
+        XPoly.sum_products([(x, 0.5)])
+    with pytest.raises(TypeError, match="float"):
+        XPoly.sum_products([(0, 1.5)])
+
+
 affine_scalars = st.one_of(
     st.just(0), st.just(1), st.just(-1), st.integers(-9, 9), rationals
 )

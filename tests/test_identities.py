@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import pqpoly
-from pqpoly import families, identities, sequences
+from pqpoly import exact, families, identities, sequences
 from pqpoly.exact import XPoly
 from pqpoly.identities import (
     CHECK_IDS,
@@ -292,3 +292,85 @@ def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
     assert at_calls == want_at
     assert number_calls == want_numbers
     pqpoly.clear_caches()
+
+
+CROSS_IDS = [
+    "cross_b_from_c", "cross_b_from_chat", "cross_c_from_b", "cross_chat_from_b"
+]
+
+
+class _CountedStirling(XPoly):
+    """A weighted Stirling polynomial that counts its evaluations."""
+
+    __slots__ = ("key", "counts")
+
+    def __call__(self, point):
+        self.counts[self.key, point] += 1
+        return super().__call__(point)
+
+
+def test_cross_checks_evaluate_each_weighted_stirling_value_once(monkeypatch):
+    # the cross helpers read W(m, l) at y (or -y) for every (k, params);
+    # the value depends on (m, l, y) only, so each is computed once
+    pqpoly.clear_caches()
+    counts = Counter()
+
+    def counting(kind, table):
+        def lookup(n, m):
+            poly = _CountedStirling(table(n, m).coeffs)
+            poly.key, poly.counts = (kind, n, m), counts
+            return poly
+
+        return lookup
+
+    monkeypatch.setattr(
+        sequences, "weighted_stirling1", counting(1, sequences.weighted_stirling1)
+    )
+    monkeypatch.setattr(
+        sequences, "weighted_stirling2", counting(2, sequences.weighted_stirling2)
+    )
+    reports = run_all(SMALL, only=CROSS_IDS)
+    assert [r.id for r in reports] == CROSS_IDS
+    assert all(report.passed for report in reports)
+
+    top = min(SMALL.n_max, identities.CROSS_N_CAP)
+    pairs = [
+        (m, l, y)
+        for m in range(top + 1)
+        for l in range(m + 1)
+        for y in y_samples(top)
+    ]
+    want = {((2, m, l), y) for m, l, y in pairs}  # _inner_cauchy1
+    want |= {((2, m, l), -y) for m, l, y in pairs}  # _inner_cauchy2
+    want |= {((1, m, l), y) for m, l, y in pairs}  # _inner_bernoulli
+    assert counts == Counter(dict.fromkeys(want, 1))
+    pqpoly.clear_caches()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_each_sum_is_canonicalised_once(monkeypatch, n):
+    # one XPoly per side: the kernel canonicalises its sum once, whatever n
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    sides = {
+        "tid4": lambda: identities._eval_tid4(n, 2, params, 2, Fraction(2)),
+        "cross_b_from_c": lambda: identities._eval_cross_b_from_c(
+            n, 2, params, Fraction(3, 2)
+        ),
+        "cauchy1_stirling": lambda: families.cauchy1_via_weighted_stirling(
+            n, 2, params
+        ),
+    }
+    for side in sides.values():
+        side()  # warm every cache the sums read
+    canonicalised = Counter()
+    from_ints = exact._from_ints
+
+    for name, side in sides.items():
+
+        def counting(num, den, name=name):
+            canonicalised[name] += 1
+            return from_ints(num, den)
+
+        monkeypatch.setattr(exact, "_from_ints", counting)
+        side()
+    assert canonicalised == Counter(dict.fromkeys(sides, 1))
