@@ -45,6 +45,7 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 GEN_NMAX_LIMIT = 100
 VERIFY_NMAX_LIMIT = 24
 K_LIMIT = 30
+S_LIMIT = 1000
 
 
 class CliError(Exception):
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax", type=_at_most(GEN_NMAX_LIMIT, _nonneg_int), required=True
     )
     gen.add_argument("--k", type=_at_most(K_LIMIT, int), default=1)
-    gen.add_argument("--s", type=_nonneg_int, default=1)
+    gen.add_argument("--s", type=_at_most(S_LIMIT, _nonneg_int), default=1)
     gen.add_argument("--u", type=_rational_arg, default=Fraction(-1))
     gen.add_argument("--p", type=_rational_arg, default=None)
     gen.add_argument("--q", type=_rational_arg, default=None)

@@ -9,7 +9,8 @@ Binary operations require equal orders; there is no implicit truncation.
 ``mul_coeff`` returns one coefficient of a product in O(n) ring products,
 for callers that read a single coefficient of an EGF product.  A product
 term with a zero factor is skipped, but the sum keeps the ring of its
-factors: it is an XPoly whenever any factor is one, skipped or not.
+factors: it is an XPoly whenever any factor is one, skipped or not, and
+then it is one ``XPoly.sum_products`` call; a scalar one is a Fraction.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
 One power recurrence, ``grow_power``, extends the coefficients of a^alpha:
@@ -39,20 +40,15 @@ from .exact import XPoly
 def _binomial_conv(a: Sequence, b: Sequence, n: int):
     """Coefficient n of the EGF product of coefficient lists a and b.
 
-    A term with a zero factor is skipped; a skipped XPoly factor still
-    makes the result an XPoly, as the unskipped sum would be.
+    A term with a zero factor is skipped.  If any factor read is an XPoly,
+    skipped or not, the coefficient is an XPoly, as the unskipped sum would
+    be, built by one ``XPoly.sum_products`` call; otherwise it is a Fraction.
     """
-    acc = Fraction(0)
-    lift = False
-    for i in range(n + 1):
-        x, y = a[i], b[n - i]
-        if x and y:
-            acc = acc + math.comb(n, i) * (x * y)
-        elif not lift:
-            lift = isinstance(x, XPoly) or isinstance(y, XPoly)
-    if lift and not isinstance(acc, XPoly):
-        acc = XPoly.const(acc)
-    return acc
+    pairs = list(zip(a[: n + 1], b[n::-1]))
+    terms = [(math.comb(n, i), x, y) for i, (x, y) in enumerate(pairs) if x and y]
+    if any(isinstance(x, XPoly) or isinstance(y, XPoly) for x, y in pairs):
+        return XPoly.sum_products(terms)
+    return sum([c * (x * y) for c, x, y in terms], Fraction(0))
 
 
 def grow_power(coeff: Callable[[int], object], alpha: int, r: list, n: int):

@@ -7,14 +7,16 @@ indeterminate x with rational coefficients, stored the way FLINT's
 ``fmpq_poly`` stores one: a tuple of ``int`` numerators over one positive
 ``int`` denominator.  Canonical form is kept by one gcd pass: no trailing
 zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
-the zero polynomial, so equality is structural.  A product is one integer
-convolution, a product with a constant is one vector scale, and a sum
-aligns the two denominators once; no arithmetic builds a Fraction per
-coefficient.  ``XPoly.sum_products`` builds a whole sum of products as one
-XPoly: each term's factors fold into one int vector, and the terms add over
-one common denominator with a single canonicalisation.  Calling an XPoly evaluates it at a scalar, by integer Horner;
-``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
-scale, and is the only substitution of a polynomial into a polynomial.
+the zero polynomial, so equality is structural.  All XPoly arithmetic is
+one kernel, ``XPoly.sum_products``, which builds a whole sum of products as
+one XPoly: each term's factors fold into one int vector, one integer
+convolution per further non-constant factor, and the terms add over one
+common denominator with a single canonicalisation; no arithmetic builds a
+Fraction per coefficient.  The operators ``+``, ``-`` and ``*`` are one
+call of it each.  Calling an XPoly evaluates it at a scalar, by integer
+Horner; ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift
+and one scale, and is the only substitution of a polynomial into a
+polynomial.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
@@ -106,6 +108,14 @@ def _from_ints(num: list, den: int) -> "XPoly":
     return poly
 
 
+def _kernel(other, terms) -> "XPoly":
+    """``XPoly.sum_products(terms)`` when an operator's other operand is an
+    XPoly or an exact scalar; NotImplemented for any other type."""
+    if isinstance(other, (XPoly, int, Fraction)):
+        return XPoly.sum_products(terms)
+    return NotImplemented
+
+
 class XPoly:
     """Immutable dense polynomial in x: int numerators over one positive
     int denominator, with the reduced Fraction coefficients formed on
@@ -181,73 +191,22 @@ class XPoly:
     def __bool__(self) -> bool:
         return self.degree >= 0
 
-    @staticmethod
-    def _operand(other):
-        """An operand's (numerators, denominator), or None for a type that
-        is not an XPoly or an exact scalar."""
-        if isinstance(other, XPoly):
-            return other._ints()
-        if isinstance(other, (int, Fraction)):
-            return ((other.numerator,) if other else ()), other.denominator
-        return None
-
-    def _add(self, other, sign: int) -> "XPoly":
-        """self + sign * other, for sign = 1 or -1."""
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        b, db = o
-        if not b:
-            return self
-        a, da = self._ints()
-        sb = sign
-        if da != db:
-            g = math.gcd(da, db)
-            sa, sb = db // g, da // g * sign
-            da *= sa
-            a = [c * sa for c in a]
-        if sb != 1:
-            b = [c * sb for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        out[: len(b)] = map(add, a, b)
-        return _from_ints(out, da)
-
     def __add__(self, other) -> "XPoly":
-        return self._add(other, 1)
+        return _kernel(other, ((self,), (other,)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        num, den = self._ints()
-        return _from_ints([-c for c in num], den)
+        return XPoly.sum_products(((-1, self),))
 
     def __sub__(self, other) -> "XPoly":
-        return self._add(other, -1)
+        return _kernel(other, ((self,), (-1, other)))
 
     def __rsub__(self, other) -> "XPoly":
-        diff = self._add(other, -1)
-        return diff if diff is NotImplemented else -diff
-
-    def _scaled(self, num: int, den: int) -> "XPoly":
-        """self * (num / den), for a reduced fraction with den > 0."""
-        if not num:
-            return _from_ints([], 1)
-        a, da = self._ints()
-        return _from_ints([c * num for c in a], da * den)
+        return _kernel(other, ((other,), (-1, self)))
 
     def __mul__(self, other) -> "XPoly":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        b, db = o
-        if len(b) <= 1:
-            return self._scaled(b[0] if b else 0, db)
-        a, da = self._ints()
-        if len(a) <= 1:
-            return other._scaled(a[0] if a else 0, da)
-        return _from_ints(_convolve(a, b), da * db)
+        return _kernel(other, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -378,16 +337,12 @@ class XPoly:
         return f"XPoly({self.as_str()!r})"
 
 
-
 @lru_cache(maxsize=None)
 def falling_factorial(n: int) -> XPoly:
     """x(x-1)...(x-n+1) as an XPoly; the empty product for n=0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = XPoly.one()
-    for j in range(n):
-        result = result * XPoly((-j, 1))
-    return result
+    return XPoly.sum_products(([XPoly((-j, 1)) for j in range(n)],))
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +350,4 @@ def rising_factorial(n: int) -> XPoly:
     """x(x+1)...(x+n-1) as an XPoly; the empty product for n=0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = XPoly.one()
-    for j in range(n):
-        result = result * XPoly((j, 1))
-    return result
+    return XPoly.sum_products(([XPoly((j, 1)) for j in range(n)],))

@@ -257,22 +257,11 @@ def li_pq_closed_form(k: int, params: PQParams) -> RationalFunction:
     kk = -k
     p, q = params.p, params.q
     factors = [XPoly((1, -(p**l * q ** (kk - l)))) for l in range(kk + 1)]
-    denominator = XPoly.one()
-    for f in factors:
-        denominator = denominator * f
-    numerator = XPoly.zero()
-    z = XPoly.x()
-    for l in range(kk + 1):
-        rest = XPoly.one()
-        for j, f in enumerate(factors):
-            if j != l:
-                rest = rest * f
-        weight = (
-            Fraction((-1) ** (kk - l))
-            * math.comb(kk, l)
-            * p**l
-            * q ** (kk - l)
-        )
-        numerator = numerator + weight * z * rest
-    numerator = numerator * (Fraction(1) / (p - q) ** kk)
+    scale = 1 / (p - q) ** kk
+    numerator = XPoly.sum_products(
+        ((-1) ** (kk - l), math.comb(kk, l), p**l, q ** (kk - l), scale,
+         XPoly.x(), *factors[:l], *factors[l + 1:])
+        for l in range(kk + 1)
+    )
+    denominator = XPoly.sum_products((factors,))
     return RationalFunction(numerator, denominator)

@@ -158,9 +158,11 @@ def mutate_appell_high_term() -> None:
 def mutate_sum_products_drops_last_term() -> None:
     """The sum-of-products kernel loses the last of four or more terms.
 
-    Every evaluator side and the weighted-Stirling routes build their sums
-    through XPoly.sum_products, looked up on the class at each call; the
-    gf and integral routes do not, so the route comparisons must see it.
+    Every XPoly sum and product goes through XPoly.sum_products, looked up
+    on the class at each call: the operators, the EGF products of the gf
+    routes, the weighted-Stirling routes and every evaluator side.  Only
+    the integral-expansion routes sum plain Fractions, so the Cauchy route
+    comparisons must see it.
     """
     kernel = XPoly.sum_products
 
@@ -169,6 +171,24 @@ def mutate_sum_products_drops_last_term() -> None:
         return kernel(terms[:-1] if len(terms) >= 4 else terms)
 
     XPoly.sum_products = staticmethod(dropping)
+
+
+def mutate_poly_euler_number() -> None:
+    """The poly-Euler number is off by 1/7 at n = 2.
+
+    The right sides of appell_i, tid2 and tid3 read E_n(0) through
+    families.poly_euler_number, looked up on the module at each call; their
+    left sides read the poly-Euler column directly.  Both sides of appell_i
+    are kernel sums, which a kernel defect may spoil alike; this one reaches
+    the right side only.
+    """
+    number = families.poly_euler_number
+
+    def skewed(n: int, k: int, params) -> Fraction:
+        value = number(n, k, params)
+        return value + Fraction(1, 7) if n == 2 else value
+
+    families.poly_euler_number = skewed
 
 
 MUTATIONS = {
@@ -180,6 +200,7 @@ MUTATIONS = {
     "reciprocal-drops-first-term": mutate_reciprocal_drops_first_term,
     "appell-high-term": mutate_appell_high_term,
     "sum-products-drops-last-term": mutate_sum_products_drops_last_term,
+    "poly-euler-number": mutate_poly_euler_number,
 }
 
 

@@ -23,6 +23,7 @@ from pqpoly.families import (
     poly_euler,
 )
 from pqpoly.identities import (
+    CHECK_IDS,
     DEFAULT_PARAM_POINTS,
     SuiteConfig,
     eucls_tail_term,
@@ -152,7 +153,7 @@ def test_criterion_4_truncation_tails(capsys):
 
 def test_criterion_5_mutation_sensitivity(capsys):
     script = pathlib.Path(__file__).with_name("mutation_driver.py")
-    caught = []
+    caught, killed = [], set()
     for name in (
         "stirling2-off-by-one",
         "cauchy1-stirling-sign-flip",
@@ -162,6 +163,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "reciprocal-drops-first-term",
         "appell-high-term",
         "sum-products-drops-last-term",
+        "poly-euler-number",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -192,14 +194,19 @@ def test_criterion_5_mutation_sensitivity(capsys):
                 payload["failing"]
             ), payload
         if name == "sum-products-drops-last-term":
-            # the gf and integral routes build no sum of products, and the
-            # cross relations' left sides are single family values
+            # only the integral routes skip the kernel, and the cross
+            # relations' left sides are single family values
             failing = set(payload["failing"])
-            assert failing & {
-                "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
-            }, payload
+            assert failing & {"cauchy_routes_1", "cauchy_routes_2"}, payload
             assert any(i.startswith("cross_") for i in failing), payload
+        if name == "poly-euler-number":
+            # both sides of appell_i are kernel sums; its right side alone
+            # reads the poly-Euler numbers
+            assert "appell_i" in payload["failing"], payload
+        killed.update(payload["failing"])
         caught.append(f"{name} -> {','.join(payload['failing'])}")
+    # every check fails under at least one seeded defect
+    assert killed == set(CHECK_IDS), sorted(set(CHECK_IDS) - killed)
     baseline = subprocess.run(
         [sys.executable, str(script), "none"],
         capture_output=True,

@@ -8,6 +8,7 @@ import pytest
 from pqpoly.cli import (
     GEN_NMAX_LIMIT,
     K_LIMIT,
+    S_LIMIT,
     VERIFY_NMAX_LIMIT,
     build_parser,
     main,
@@ -386,8 +387,14 @@ def test_unwritable_output_is_a_configuration_error(capsys, tmp_path, argv):
             -K_LIMIT,
         ),
         (["closed-form", "--k"], "--k", K_LIMIT, -K_LIMIT),
+        (
+            ["gen", "--family", "bernoulli-order", "--nmax", "1", "--s"],
+            "--s",
+            S_LIMIT,
+            0,
+        ),
     ],
-    ids=["gen-nmax", "verify-nmax", "gen-k", "closed-form-k"],
+    ids=["gen-nmax", "verify-nmax", "gen-k", "closed-form-k", "gen-s"],
 )
 def test_run_size_flags_are_bounded_at_parse_time(capsys, argv, flag, limit, low):
     # parsing only: a value past the bound never starts a run
@@ -435,8 +442,8 @@ def test_module_invocation_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# golden output: standard output of fixed runs, recorded before the exact
-# core changed representation, must stay the same byte for byte
+# golden output: standard output of fixed runs, each recorded before a
+# change to the exact core, must stay the same byte for byte
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -453,6 +460,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             "gen_poly-euler_k-2_nmax20.json",
             ["gen", "--family", "poly-euler", "--k", "-2", "--nmax", "20"],
         ),
+        (
+            "gen_poly-cauchy-2_k-2_nmax20.json",
+            ["gen", "--family", "poly-cauchy-2", "--k", "-2", "--nmax", "20"],
+        ),
+        ("closed-form_k-8.txt", ["closed-form", "--k", "-8"]),
     ],
 )
 def test_cli_output_matches_golden(golden, argv):

@@ -129,6 +129,11 @@ def test_xpoly_rejects_inexact_scalars():
         XPoly((1, 2)) + 0.5
     with pytest.raises(TypeError):
         0.5 * XPoly((1, 2))
+    # an operator declines any other type, so Python tries the other operand
+    p = XPoly([1, 2])
+    assert p.__add__(0.5) is NotImplemented
+    assert p.__mul__("x") is NotImplemented
+    assert p.__rsub__(object()) is NotImplemented
 
 
 def test_xpoly_equality_reads_the_denominator():
@@ -271,6 +276,31 @@ def test_xpoly_sum_products_edge_cases():
         XPoly.sum_products([(x, 0.5)])
     with pytest.raises(TypeError, match="float"):
         XPoly.sum_products([(0, 1.5)])
+
+
+def test_every_operator_is_one_kernel_call(monkeypatch):
+    # the operators hold no arithmetic of their own
+    a, b = XPoly([1, Fraction(1, 2)]), XPoly([Fraction(-2, 3), 0, 5])
+    cases = {
+        "a + b": lambda: a + b,
+        "a - b": lambda: a - b,
+        "1 - a": lambda: 1 - a,
+        "-a": lambda: -a,
+        "a * b": lambda: a * b,
+        "2 * a": lambda: 2 * a,
+    }
+    expected = {name: op() for name, op in cases.items()}
+    kernel, calls = XPoly.sum_products, []
+
+    def counting(terms):
+        calls.append(terms)
+        return kernel(terms)
+
+    monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
+    for name, op in cases.items():
+        calls.clear()
+        assert op() == expected[name], name
+        assert len(calls) == 1, name
 
 
 affine_scalars = st.one_of(
