@@ -151,7 +151,8 @@ class XPoly:
     def monomial(cls, power: int, coeff: Scalar = 1) -> "XPoly":
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls([0] * power + [coeff])
+        check_scalar(coeff, "XPoly coefficient")
+        return _from_ints([0] * power + [coeff.numerator], coeff.denominator)
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "XPoly":

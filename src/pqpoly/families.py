@@ -36,7 +36,7 @@ from functools import lru_cache, partial
 
 from . import egf, pqcalc, sequences
 from .egf import Column, EgfSeries, PowerRows
-from .exact import XPoly, falling_factorial, rising_factorial
+from .exact import XPoly, falling_factorial
 from .pqcalc import PQParams, pq_integral_01_monomial
 
 ROUTE_GF = "gf"
@@ -233,10 +233,10 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     lif = sequences.lif_pq_ordinary_coeffs
     lif_part = _polylog_column(lif, k, params, _log1p, 0).series(n)
-    binom_part = EgfSeries(
-        [(-1) ** j * rising_factorial(j) for j in range(n + 1)]
-    )
-    return lif_part.mul_coeff(binom_part, n)
+    # (1+t)^(-x) is (1+t)^x at -x: the product is taken at x and
+    # substituted once
+    binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
+    return lif_part.mul_coeff(binom_part, n).affine(-1, 0)
 
 
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:

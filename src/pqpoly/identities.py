@@ -15,11 +15,13 @@ with both sides serialized.
 Each side that is a sum is built by one ``XPoly.sum_products`` call, with
 the scalar weights passed as separate factors.  Work that does not depend
 on the cell is cached: the inner sums of tid3 and tid4 (``_tid3_inner``,
-``_tid4_weight``), the weighted Stirling polynomials at -x and their
-values at ±y (``_ws1_at``, ``_ws2_at``), the shifted Euler polynomials and
-the sums behind the cross relations.  Each cached value is read by one
-side of a check only, never by both sides of the same check, so the two
-sides stay independent.
+``_tid4_weight``, the latter over tid4's parameter-free coefficients per
+(s, u)), the weighted Stirling polynomials at -x, the shifted Euler
+polynomials, and the inner sums of the cross relations, one polynomial per
+(m, k, params) that a cell evaluates at its y (evaluation at y is a ring
+homomorphism, so this is the scalar sum over l at y).  Each cached value is
+read by one side of a check only, never by both sides of the same check,
+so the two sides stay independent.
 """
 
 from __future__ import annotations
@@ -192,36 +194,29 @@ def _ws2_neg_x(n: int, m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _ws1_at(m: int, l: int, y: Fraction) -> Fraction:
-    return sequences.weighted_stirling1(m, l)(y)
-
-
-@lru_cache(maxsize=None)
-def _ws2_at(m: int, l: int, y: Fraction) -> Fraction:
-    return sequences.weighted_stirling2(m, l)(y)
-
-
-@lru_cache(maxsize=None)
-def _inner_cauchy1(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
+def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
+    """sum_l W2(m, l) C_l, evaluated at y by cross_b_from_c."""
     # terms above l = m vanish with the weighted Stirling factor
-    return sum(
-        _ws2_at(m, l, y) * families.poly_cauchy_1(l, k, params)(y)
+    return XPoly.sum_products(
+        (sequences.weighted_stirling2(m, l), families.poly_cauchy_1(l, k, params))
         for l in range(m + 1)
     )
 
 
 @lru_cache(maxsize=None)
-def _inner_cauchy2(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
-    return sum(
-        _ws2_at(m, l, -y) * families.poly_cauchy_2(l, k, params)(y)
+def _inner_cauchy2(m: int, k: int, params: PQParams) -> XPoly:
+    """sum_l W2(m, l)(-x) Chat_l, evaluated at y by cross_b_from_chat."""
+    return XPoly.sum_products(
+        (_ws2_neg_x(m, l), families.poly_cauchy_2(l, k, params))
         for l in range(m + 1)
     )
 
 
 @lru_cache(maxsize=None)
-def _inner_bernoulli(m: int, k: int, params: PQParams, y: Fraction) -> Fraction:
-    return sum(
-        _ws1_at(m, l, y) * families.poly_bernoulli(l, k, params)(y)
+def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
+    """sum_l W1(m, l) B_l, evaluated at y by the two cross relations from B."""
+    return XPoly.sum_products(
+        (sequences.weighted_stirling1(m, l), families.poly_bernoulli(l, k, params))
         for l in range(m + 1)
     )
 
@@ -398,16 +393,19 @@ def _eval_tid3(n, k, params, s):
 
 
 @lru_cache(maxsize=None)
-def _tid4_weight(m: int, k: int, params: PQParams, s: int, u: Fraction) -> Fraction:
+def _tid4_coeffs(s: int, u: Fraction) -> tuple[Fraction, ...]:
+    """C(s, i) (-u)^(s-i) / (1 - u)^s for i = 0..s, free of k and params."""
+    scale = Fraction(1 - u) ** s
+    return tuple(math.comb(s, i) * (-u) ** (s - i) / scale for i in range(s + 1))
+
+
+@lru_cache(maxsize=None)
+def _tid4_weight(m: int, k: int, params: PQParams, s: int, u: Fraction) -> XPoly:
     """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's weight of H_l^(s)."""
-    weights = Fraction(0)
-    for i in range(s + 1):
-        weights += (
-            math.comb(s, i)
-            * (-u) ** (s - i)
-            * _euler_poly_at(m, Fraction(i), k, params)
-        )
-    return weights / (1 - u) ** s
+    return XPoly.sum_products(
+        (c, _euler_poly_at(m, Fraction(i), k, params))
+        for i, c in enumerate(_tid4_coeffs(s, u))
+    )
 
 
 def _eval_tid4(n, k, params, s, u):
@@ -482,7 +480,7 @@ def _eval_invrel3(n, k, params):
 def _eval_cross_b_from_c(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
     rhs = XPoly.sum_products(
-        ((-1) ** (n - m) * math.factorial(m), _inner_cauchy1(m, k, params, y),
+        ((-1) ** (n - m) * math.factorial(m), _inner_cauchy1(m, k, params)(y),
          sequences.weighted_stirling2(n, m))
         for m in range(n + 1)
     )
@@ -492,7 +490,7 @@ def _eval_cross_b_from_c(n, k, params, y):
 def _eval_cross_b_from_chat(n, k, params, y):
     lhs = families.poly_bernoulli(n, k, params)
     rhs = XPoly.sum_products(
-        ((-1) ** n * math.factorial(m), _inner_cauchy2(m, k, params, y),
+        ((-1) ** n * math.factorial(m), _inner_cauchy2(m, k, params)(y),
          sequences.weighted_stirling2(n, m))
         for m in range(n + 1)
     )
@@ -503,7 +501,7 @@ def _eval_cross_c_from_b(n, k, params, y):
     lhs = families.poly_cauchy_1(n, k, params)
     rhs = XPoly.sum_products(
         (Fraction((-1) ** (n - m), math.factorial(m)),
-         _inner_bernoulli(m, k, params, y), sequences.weighted_stirling1(n, m))
+         _inner_bernoulli(m, k, params)(y), sequences.weighted_stirling1(n, m))
         for m in range(n + 1)
     )
     return lhs, rhs
@@ -512,7 +510,7 @@ def _eval_cross_c_from_b(n, k, params, y):
 def _eval_cross_chat_from_b(n, k, params, y):
     lhs = families.poly_cauchy_2(n, k, params)
     rhs = XPoly.sum_products(
-        (Fraction((-1) ** n, math.factorial(m)), _inner_bernoulli(m, k, params, y),
+        (Fraction((-1) ** n, math.factorial(m)), _inner_bernoulli(m, k, params)(y),
          _ws1_neg_x(n, m))
         for m in range(n + 1)
     )

@@ -191,6 +191,35 @@ def mutate_poly_euler_number() -> None:
     families.poly_euler_number = skewed
 
 
+def _weighted_stirling_extra_term(name: str) -> None:
+    """W(3, 1) of one weighted Stirling triangle gains x/7."""
+    plain = getattr(sequences, name).__wrapped__
+
+    def skewed(n: int, m: int) -> XPoly:
+        value = plain(n, m)
+        if (n, m) == (3, 1):
+            value += XPoly.monomial(1, Fraction(1, 7))
+        return value
+
+    setattr(sequences, name, lru_cache(maxsize=None)(skewed))
+
+
+def mutate_weighted_stirling2_extra_term() -> None:
+    """One wrong entry of the second-kind weighted triangle.
+
+    The cross relations from the Cauchy polynomials read it in their
+    polynomial inner sums and in their outer sums."""
+    _weighted_stirling_extra_term("weighted_stirling2")
+
+
+def mutate_weighted_stirling1_extra_term() -> None:
+    """One wrong entry of the first-kind weighted triangle.
+
+    The cross relations to the Cauchy polynomials read it in their Bernoulli
+    inner sum and in their outer sums."""
+    _weighted_stirling_extra_term("weighted_stirling1")
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
@@ -201,6 +230,8 @@ MUTATIONS = {
     "appell-high-term": mutate_appell_high_term,
     "sum-products-drops-last-term": mutate_sum_products_drops_last_term,
     "poly-euler-number": mutate_poly_euler_number,
+    "weighted-stirling2-extra-term": mutate_weighted_stirling2_extra_term,
+    "weighted-stirling1-extra-term": mutate_weighted_stirling1_extra_term,
 }
 
 

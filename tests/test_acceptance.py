@@ -164,6 +164,8 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "appell-high-term",
         "sum-products-drops-last-term",
         "poly-euler-number",
+        "weighted-stirling2-extra-term",
+        "weighted-stirling1-extra-term",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -203,6 +205,17 @@ def test_criterion_5_mutation_sensitivity(capsys):
             # both sides of appell_i are kernel sums; its right side alone
             # reads the poly-Euler numbers
             assert "appell_i" in payload["failing"], payload
+        if name == "weighted-stirling2-extra-term":
+            # the inner sums of the cross relations from C and Chat read W2
+            assert {"cross_b_from_c", "cross_b_from_chat"} <= set(
+                payload["failing"]
+            ), payload
+        if name == "weighted-stirling1-extra-term":
+            # the Bernoulli inner sum of the cross relations to C and Chat
+            # reads W1
+            assert {"cross_c_from_b", "cross_chat_from_b"} <= set(
+                payload["failing"]
+            ), payload
         killed.update(payload["failing"])
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     # every check fails under at least one seeded defect

@@ -118,6 +118,16 @@ def test_xpoly_serialization_round_trip():
     assert XPoly.zero().to_strings() == []
 
 
+def test_monomial_matches_the_coefficient_list():
+    for power, coeff in [(0, 1), (3, Fraction(-2, 3)), (2, 0), (1, 5)]:
+        built = XPoly.monomial(power, coeff)
+        assert built == XPoly([0] * power + [coeff])
+        assert built.coeffs == XPoly([0] * power + [coeff]).coeffs
+    assert XPoly.monomial(4, 0) == XPoly.zero()
+    with pytest.raises(ValueError, match="nonnegative"):
+        XPoly.monomial(-1)
+
+
 def test_xpoly_rejects_inexact_scalars():
     with pytest.raises(TypeError, match="float"):
         XPoly([0.1])
@@ -125,6 +135,8 @@ def test_xpoly_rejects_inexact_scalars():
         XPoly((1, 2))(0.5)
     with pytest.raises(TypeError, match="str"):
         XPoly(["1/2"])
+    with pytest.raises(TypeError, match="XPoly coefficient.*float"):
+        XPoly.monomial(2, 0.5)
     with pytest.raises(TypeError):
         XPoly((1, 2)) + 0.5
     with pytest.raises(TypeError):

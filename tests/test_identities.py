@@ -300,7 +300,7 @@ CROSS_IDS = [
 
 
 class _CountedStirling(XPoly):
-    """A weighted Stirling polynomial that counts its evaluations."""
+    """A weighted Stirling polynomial that counts its scalar evaluations."""
 
     __slots__ = ("key", "counts")
 
@@ -309,9 +309,10 @@ class _CountedStirling(XPoly):
         return super().__call__(point)
 
 
-def test_cross_checks_evaluate_each_weighted_stirling_value_once(monkeypatch):
-    # the cross helpers read W(m, l) at y (or -y) for every (k, params);
-    # the value depends on (m, l, y) only, so each is computed once
+def test_cross_checks_build_each_inner_sum_once(monkeypatch):
+    # the inner sums of the cross relations are polynomials per
+    # (m, k, params), each built once and evaluated at every y of a cell;
+    # no weighted Stirling polynomial is evaluated at a scalar on the way
     pqpoly.clear_caches()
     counts = Counter()
 
@@ -332,19 +333,39 @@ def test_cross_checks_evaluate_each_weighted_stirling_value_once(monkeypatch):
     reports = run_all(SMALL, only=CROSS_IDS)
     assert [r.id for r in reports] == CROSS_IDS
     assert all(report.passed for report in reports)
+    assert counts == Counter()
 
     top = min(SMALL.n_max, identities.CROSS_N_CAP)
-    pairs = [
-        (m, l, y)
-        for m in range(top + 1)
-        for l in range(m + 1)
-        for y in y_samples(top)
-    ]
-    want = {((2, m, l), y) for m, l, y in pairs}  # _inner_cauchy1
-    want |= {((2, m, l), -y) for m, l, y in pairs}  # _inner_cauchy2
-    want |= {((1, m, l), y) for m, l, y in pairs}  # _inner_bernoulli
-    assert counts == Counter(dict.fromkeys(want, 1))
+    keys = (top + 1) * len(SMALL.k_values) * len(SMALL.param_points)
+    for name in ("_inner_cauchy1", "_inner_cauchy2", "_inner_bernoulli"):
+        info = getattr(identities, name).cache_info()
+        assert (info.misses, info.currsize) == (keys, keys), name
+        assert info.hits > 0, name
     pqpoly.clear_caches()
+
+
+@pytest.mark.parametrize("params", SMALL.param_points)  # p != q and p = q
+@pytest.mark.parametrize("k", [-1, 2])
+def test_cross_inner_sums_match_the_scalar_sums(k, params):
+    # the polynomial inner sum at y equals the sum of the values at y
+    ws1, ws2 = sequences.weighted_stirling1, sequences.weighted_stirling2
+    for m in range(9):
+        for y in y_samples(8):
+            cauchy1 = sum(
+                ws2(m, l)(y) * families.poly_cauchy_1(l, k, params)(y)
+                for l in range(m + 1)
+            )
+            cauchy2 = sum(
+                ws2(m, l)(-y) * families.poly_cauchy_2(l, k, params)(y)
+                for l in range(m + 1)
+            )
+            bernoulli = sum(
+                ws1(m, l)(y) * families.poly_bernoulli(l, k, params)(y)
+                for l in range(m + 1)
+            )
+            assert identities._inner_cauchy1(m, k, params)(y) == cauchy1
+            assert identities._inner_cauchy2(m, k, params)(y) == cauchy2
+            assert identities._inner_bernoulli(m, k, params)(y) == bernoulli
 
 
 @pytest.mark.parametrize("n", [4, 8])
