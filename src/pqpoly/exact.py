@@ -12,11 +12,16 @@ one kernel, ``XPoly.sum_products``, which builds a whole sum of products as
 one XPoly: each term's factors fold into one int vector, one integer
 convolution per further non-constant factor, and the terms add over one
 common denominator with a single canonicalisation; no arithmetic builds a
-Fraction per coefficient.  The operators ``+``, ``-`` and ``*`` are one
-call of it each.  Calling an XPoly evaluates it at a scalar, by integer
-Horner; ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift
-and one scale, and is the only substitution of a polynomial into a
-polynomial.
+Fraction per coefficient.  Each term costs a few int operations: a factor
+is dispatched on its exact type (``int``, ``Fraction``, ``XPoly``), while
+``bool``, XPoly subclasses and any other type take the ``isinstance`` and
+``check_scalar`` path; a term over denominator 1 takes no gcd, the common
+denominator is raised by ``math.lcm`` only when a term's denominator does
+not divide it, a scale of 1 multiplies nothing, and a scalar term adds one
+int.  The operators ``+``, ``-`` and ``*`` are one call of it each.
+Calling an XPoly evaluates it at a scalar, by integer Horner;
+``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
+scale, and is the only substitution of a polynomial into a polynomial.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
@@ -217,11 +222,19 @@ class XPoly:
         int, a Fraction or an XPoly: one int numerator and denominator per
         term, one convolution per further XPoly factor, one int list over
         the lcm of the term denominators, and one canonicalisation."""
-        parts, lcm = [], 1
+        parts, lcm, width = [], 1, 0
         for term in terms:
             num, den, vec = 1, 1, (1,)
             for f in term:
-                if isinstance(f, XPoly):
+                # exact int, Fraction and XPoly first; bool, subclasses and
+                # any other type take the isinstance and check_scalar path
+                t = type(f)
+                if t is int:
+                    num *= f
+                elif t is Fraction:
+                    num *= f.numerator
+                    den *= f.denominator
+                elif t is XPoly or isinstance(f, XPoly):
                     a, da = f._ints()
                     den *= da
                     if len(a) <= 1:
@@ -233,13 +246,25 @@ class XPoly:
                     num *= f.numerator
                     den *= f.denominator
             if num:
-                g = math.gcd(num, den)
-                parts.append((num // g, den // g, vec))
-                lcm = math.lcm(lcm, den // g)
-        acc = [0] * max([len(vec) for _, _, vec in parts], default=0)
+                if den != 1:
+                    g = math.gcd(num, den)
+                    if g != 1:
+                        num //= g
+                        den //= g
+                    if lcm % den:
+                        lcm = math.lcm(lcm, den)
+                parts.append((num, den, vec))
+                if len(vec) > width:
+                    width = len(vec)
+        acc = [0] * width
         for num, den, vec in parts:
-            scale = num * (lcm // den)
-            acc[: len(vec)] = map(add, acc, [c * scale for c in vec])
+            scale = num * (lcm // den) if den != lcm else num
+            if len(vec) == 1:  # a scalar term: vec is (1,)
+                acc[0] += scale
+                continue
+            if scale != 1:
+                vec = [c * scale for c in vec]
+            acc[: len(vec)] = map(add, acc, vec)
         return _from_ints(acc, lcm)
 
     def affine(self, a: Scalar, b: Scalar) -> "XPoly":

@@ -25,6 +25,10 @@ The Li_k and Lif_k coefficient providers are passed to the columns by
 reference, read off ``sequences`` at each call.  The columns, the rows and
 each gf route's values are cached; the weighted-Stirling and integral
 routes are recomputed on each call from their cached ingredient sequences.
+Each of those routes is one ``XPoly.sum_products`` call.  An integral
+route sums s(n, m) times ``egf.appell(a, m, sign=-1)`` over m, with
+a_j = I(j)^k the integral of the j-th power of t_1...t_k; no other Cauchy
+route reads ``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
 """
 
@@ -227,6 +231,15 @@ def poly_bernoulli(
 # poly-Cauchy, first kind
 
 
+def _integral_powers(n: int, k: int, params: PQParams) -> list[Fraction]:
+    """a_j = I(j)^k for j = 0..n, the k-fold deformed integral of
+    (t_1...t_k)^j over the unit cube; the integral routes need k >= 1."""
+    _check_n(n)
+    if k < 1:
+        raise ValueError("integral_expansion route requires k >= 1")
+    return [pq_integral_01_monomial(j, params) ** k for j in range(n + 1)]
+
+
 @lru_cache(maxsize=None)
 def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of Lif_k(ln(1+t)) (1+t)^(-x)."""
@@ -249,22 +262,18 @@ def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
 
 
 def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
-    """Expand (t_1...t_k - x)_n and integrate each monomial exactly."""
-    _check_n(n)
-    if k < 1:
-        raise ValueError("integral_expansion route requires k >= 1")
-    coeffs = []
-    for l in range(n + 1):
-        acc = Fraction(0)
-        for m in range(l, n + 1):
-            acc += (
-                (-1) ** (n - m)
-                * sequences.stirling1_unsigned(n, m)
-                * math.comb(m, l)
-                * pq_integral_01_monomial(m - l, params) ** k
-            )
-        coeffs.append((-1) ** l * acc)
-    return XPoly(coeffs)
+    """Expand (t_1...t_k - x)_n and integrate each monomial exactly.
+
+    The expansion is sum_m (-1)^(n-m) s(n, m) (t_1...t_k - x)^m, and the
+    integral of (t_1...t_k)^j is a_j = I(j)^k, so term m integrates to the
+    Appell polynomial sum_l C(m, l) a_(m-l) (-x)^l.
+    """
+    a = _integral_powers(n, k, params)
+    return XPoly.sum_products(
+        ((-1) ** (n - m), sequences.stirling1_unsigned(n, m),
+         egf.appell(a, m, sign=-1))
+        for m in range(n + 1)
+    )
 
 
 def poly_cauchy_1(
@@ -298,21 +307,17 @@ def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
 
 
 def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
-    """Expand (x - t_1...t_k)_n and integrate each monomial exactly."""
-    _check_n(n)
-    if k < 1:
-        raise ValueError("integral_expansion route requires k >= 1")
-    coeffs = []
-    for l in range(n + 1):
-        acc = Fraction(0)
-        for m in range(l, n + 1):
-            acc += (
-                sequences.stirling1_unsigned(n, m)
-                * math.comb(m, l)
-                * pq_integral_01_monomial(m - l, params) ** k
-            )
-        coeffs.append((-1) ** (n + l) * acc)
-    return XPoly(coeffs)
+    """Expand (x - t_1...t_k)_n and integrate each monomial exactly.
+
+    (x - t)_n = (-1)^n (t - x)^(n), and the rising factorial expands as
+    sum_m s(n, m) (t - x)^m; each power integrates as in the first kind.
+    """
+    a = _integral_powers(n, k, params)
+    return XPoly.sum_products(
+        ((-1) ** n, sequences.stirling1_unsigned(n, m),
+         egf.appell(a, m, sign=-1))
+        for m in range(n + 1)
+    )
 
 
 def poly_cauchy_2(

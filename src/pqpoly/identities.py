@@ -4,9 +4,11 @@ Each check owns a stable id, enumerates its parameter cells from a
 SuiteConfig, and compares two independently computed sides per cell.  A
 cell passes only on exact equality of canonical XPoly values; there is no
 tolerance anywhere.  Identities carrying a free scalar y are verified at
-n + 1 distinct rational y values per cell family, enough to pin down a
-polynomial of degree n in y, so a full pass certifies the bivariate
-identity.
+n + 1 distinct rational y values per cell family.  For appell_ii that is
+enough to pin down a polynomial of degree n in y, so a full pass certifies
+the bivariate identity.  In the four cross relations the y dependence
+cancels: each inner sum is the left side of invrel1, invrel2 or invrel3,
+a constant, so the n + 1 y cells of a cross relation compute one value.
 
 Reports are deterministic: cells are generated in a fixed order, the check
 list has a fixed order, and the first failing cell (if any) is captured
@@ -16,12 +18,16 @@ Each side that is a sum is built by one ``XPoly.sum_products`` call, with
 the scalar weights passed as separate factors.  Work that does not depend
 on the cell is cached: the inner sums of tid3 and tid4 (``_tid3_inner``,
 ``_tid4_weight``, the latter over tid4's parameter-free coefficients per
-(s, u)), the weighted Stirling polynomials at -x, the shifted Euler
-polynomials, and the inner sums of the cross relations, one polynomial per
-(m, k, params) that a cell evaluates at its y (evaluation at y is a ring
-homomorphism, so this is the scalar sum over l at y).  Each cached value is
-read by one side of a check only, never by both sides of the same check,
-so the two sides stay independent.
+(s, u)), the Frobenius-Euler polynomials tid4 reads, the weighted Stirling
+polynomials at -x, the shifted Euler polynomials, and the inner sums of
+the cross relations, one polynomial per (m, k, params) that a cell
+evaluates at its y (evaluation at y is a ring homomorphism, so this is the
+scalar sum over l at y).  Each cached value is read by one side of a check
+only, never by both sides of the same check, so the two sides stay
+independent.  No cache key here holds a bare Fraction, since
+``Fraction.__hash__`` computes a modular inverse on every lookup: tid1 and
+tid4 pass their points as ints, tid4 keys u by its numerator and
+denominator, and ``PQParams`` hashes once.
 """
 
 from __future__ import annotations
@@ -173,7 +179,7 @@ def run_check(check: IdentityCheck, config: SuiteConfig) -> IdentityReport:
 
 
 @lru_cache(maxsize=None)
-def _euler_poly_at(n: int, point: Fraction, k: int, params: PQParams) -> Fraction:
+def _euler_poly_at(n: int, point: int, k: int, params: PQParams) -> Fraction:
     return families.poly_euler(n, k, params)(point)
 
 
@@ -337,7 +343,7 @@ def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
 def _tid1_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
     return XPoly.sum_products(
         (math.comb(n, i) * sequences.stirling2(i, l),
-         _euler_poly_at(n - i, Fraction(-l), k, params), rising_factorial(l))
+         _euler_poly_at(n - i, -l, k, params), rising_factorial(l))
         for l in ls
         for i in range(n + 1)
         if sequences.stirling2(i, l)
@@ -393,26 +399,36 @@ def _eval_tid3(n, k, params, s):
 
 
 @lru_cache(maxsize=None)
-def _tid4_coeffs(s: int, u: Fraction) -> tuple[Fraction, ...]:
+def _tid4_coeffs(s: int, u_num: int, u_den: int) -> tuple[Fraction, ...]:
     """C(s, i) (-u)^(s-i) / (1 - u)^s for i = 0..s, free of k and params."""
-    scale = Fraction(1 - u) ** s
+    u = Fraction(u_num, u_den)
+    scale = (1 - u) ** s
     return tuple(math.comb(s, i) * (-u) ** (s - i) / scale for i in range(s + 1))
 
 
 @lru_cache(maxsize=None)
-def _tid4_weight(m: int, k: int, params: PQParams, s: int, u: Fraction) -> XPoly:
+def _tid4_weight(
+    m: int, k: int, params: PQParams, s: int, u_num: int, u_den: int
+) -> XPoly:
     """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's weight of H_l^(s)."""
     return XPoly.sum_products(
-        (c, _euler_poly_at(m, Fraction(i), k, params))
-        for i, c in enumerate(_tid4_coeffs(s, u))
+        (c, _euler_poly_at(m, i, k, params))
+        for i, c in enumerate(_tid4_coeffs(s, u_num, u_den))
     )
+
+
+@lru_cache(maxsize=None)
+def _tid4_frobenius_euler(l: int, s: int, u_num: int, u_den: int) -> XPoly:
+    """The Frobenius-Euler polynomial H_l^(s)(x; u) that tid4 reads."""
+    return sequences.frobenius_euler(l, s, Fraction(u_num, u_den))
 
 
 def _eval_tid4(n, k, params, s, u):
     lhs = families.poly_euler(n, k, params)
+    key = (s, u.numerator, u.denominator)
     rhs = XPoly.sum_products(
-        (math.comb(n, l), _tid4_weight(n - l, k, params, s, u),
-         sequences.frobenius_euler(l, s, u))
+        (math.comb(n, l), _tid4_weight(n - l, k, params, *key),
+         _tid4_frobenius_euler(l, *key))
         for l in range(n + 1)
     )
     return lhs, rhs

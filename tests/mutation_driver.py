@@ -140,11 +140,13 @@ def mutate_reciprocal_drops_first_term() -> None:
 def mutate_appell_high_term() -> None:
     """The Appell expansion adds x^n/7 to every polynomial of degree n >= 3.
 
-    poly_euler, the gf route of poly_bernoulli and the classical families
-    all expand through egf.appell, looked up on the module at each call,
-    so this one rebinding reaches every one of them.  The Appell checks
-    compare E_n at a shifted or scaled argument with a sum over E_i, so the
-    extra term cannot cancel there.
+    poly_euler, the gf route of poly_bernoulli, the classical families and
+    the integral routes of both poly-Cauchy kinds all expand through
+    egf.appell, looked up on the module at each call, so this one rebinding
+    reaches every one of them.  The Appell checks compare E_n at a shifted
+    or scaled argument with a sum over E_i, so the extra term cannot cancel
+    there; no other Cauchy route reads egf.appell, so the Cauchy route
+    comparisons see it too.
     """
     appell = egf.appell
 
@@ -160,9 +162,10 @@ def mutate_sum_products_drops_last_term() -> None:
 
     Every XPoly sum and product goes through XPoly.sum_products, looked up
     on the class at each call: the operators, the EGF products of the gf
-    routes, the weighted-Stirling routes and every evaluator side.  Only
-    the integral-expansion routes sum plain Fractions, so the Cauchy route
-    comparisons must see it.
+    routes, the weighted-Stirling and integral-expansion routes and every
+    evaluator side.  The three routes of each Cauchy kind sum different
+    terms, so each loses a different one and the Cauchy route comparisons
+    must see it.
     """
     kernel = XPoly.sum_products
 

@@ -227,6 +227,46 @@ def pq_integer_homogeneous(n: int, p: Fraction, q: Fraction) -> Fraction:
     return sum((p**i) * (q ** (n - 1 - i)) for i in range(n))
 
 
+def _integral_expansion(n: int, k: int, p: Fraction, q: Fraction, kind: int):
+    """Coefficients of the poly-Cauchy polynomial of the given kind by the
+    falling-factorial expansion under the iterated deformed integral, one
+    Fraction sum per power of x: coefficient l is (-1)^l times
+    sum_(m >= l) sign_m c(n, m) C(m, l) I(m - l)^k, with I(j) = 1/[j+1] in
+    its homogeneous form, sign_m = (-1)^(n-m) for the first kind and
+    (-1)^n for the second."""
+    c = stirling1_unsigned_rec(n)[n]
+    integral = [1 / pq_integer_homogeneous(j + 1, p, q) ** k for j in range(n + 1)]
+    coeffs = []
+    for l in range(n + 1):
+        acc = Fraction(0)
+        for m in range(l, n + 1):
+            sign = (-1) ** (n - m) if kind == 1 else (-1) ** n
+            acc += sign * c[m] * math.comb(m, l) * integral[m - l]
+        coeffs.append((-1) ** l * acc)
+    return poly_trim(coeffs)
+
+
+def cauchy1_integral_oracle(n: int, k: int, p: Fraction, q: Fraction):
+    """First-kind poly-Cauchy coefficients, integrating (t_1...t_k - x)_n."""
+    return _integral_expansion(n, k, p, q, 1)
+
+
+def cauchy2_integral_oracle(n: int, k: int, p: Fraction, q: Fraction):
+    """Second-kind poly-Cauchy coefficients, integrating (x - t_1...t_k)_n."""
+    return _integral_expansion(n, k, p, q, 2)
+
+
+def poly_bernoulli_negative_k(n: int, k: int) -> int:
+    """B_n^(-k) at p = q = 1 by Arakawa and Kaneko's formula
+    sum_j (j!)^2 S(n+1, j+1) S(k+1, j+1), S from the integer recurrence
+    ("On poly-Bernoulli numbers", Comment. Math. Univ. St. Pauli 48, 1999)."""
+    rows = stirling2_rec(max(n, k) + 1)
+    return sum(
+        math.factorial(j) ** 2 * rows[n + 1][j + 1] * rows[k + 1][j + 1]
+        for j in range(min(n, k) + 1)
+    )
+
+
 def horner_compose(outer_coeffs, inner):
     """sum c_m inner^m by Horner's rule over EGF products, for m <= order.
 

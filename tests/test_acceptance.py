@@ -196,8 +196,9 @@ def test_criterion_5_mutation_sensitivity(capsys):
                 payload["failing"]
             ), payload
         if name == "sum-products-drops-last-term":
-            # only the integral routes skip the kernel, and the cross
-            # relations' left sides are single family values
+            # every Cauchy route goes through the kernel, each over terms
+            # of its own, and the cross relations' left sides are single
+            # family values
             failing = set(payload["failing"])
             assert failing & {"cauchy_routes_1", "cauchy_routes_2"}, payload
             assert any(i.startswith("cross_") for i in failing), payload

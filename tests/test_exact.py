@@ -270,13 +270,69 @@ def test_xpoly_sum_products_matches_fold_of_oracle(terms):
     # degree-0 XPolys, two XPoly factors in a term, int and Fraction factors
     # with different denominators, and both storage forms of each XPoly
     result = XPoly.sum_products(terms)  # before _as_list forms any Fractions
+    _assert_matches(result, _oracle_sum_products(terms))
+
+
+def _oracle_sum_products(terms) -> list[Fraction]:
+    """The sum of products folded over Fraction coefficient lists."""
     expected = []
     for term in terms:
         product = [Fraction(1)]
         for factor in term:
             product = oracles.poly_mul(product, _as_list(factor))
         expected = oracles.poly_add(expected, product)
+    return expected
+
+
+class _SubPoly(XPoly):
+    __slots__ = ()
+
+
+_X = XPoly.x()
+_SQUARE = XPoly([Fraction(1, 2), 0, 1])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        pytest.param([], id="no-terms"),
+        pytest.param(
+            [(True, _SQUARE), (False, _X), (True, Fraction(1, 3)), (-1, True)],
+            id="bool-factors",
+        ),
+        pytest.param(
+            [(_SubPoly([1, Fraction(1, 2)]), 3), (_SubPoly([Fraction(2, 5)]), _X),
+             (_SubPoly([1, 1]), _SubPoly([0, 3]))],
+            id="subclass-factors",
+        ),
+        pytest.param(
+            [(Fraction(1, 6), _X), (Fraction(1, 3), _SQUARE), (2, _X),
+             (Fraction(5, 2),), (Fraction(3, 2), 2, _X)],
+            id="denominators-divide-the-running-lcm",
+        ),
+        pytest.param(
+            [(Fraction(1, 4), _X), (Fraction(1, 3), _SQUARE), (Fraction(2, 5),),
+             (XPoly([Fraction(1, 7)]), _X)],
+            id="denominators-raise-the-running-lcm",
+        ),
+        pytest.param(
+            [(0, _SQUARE), (_X, Fraction(0)), (XPoly.zero(), 5),
+             (Fraction(2, 3), _X)],
+            id="zero-terms",
+        ),
+        pytest.param(
+            [(Fraction(1, 6), _SQUARE), (Fraction(-1, 6), _SQUARE),
+             (Fraction(3, 4), _X), (_X, Fraction(-3, 4))],
+            id="cancel-to-zero",
+        ),
+    ],
+)
+def test_xpoly_sum_products_fast_paths_match_the_oracle(terms):
+    result = XPoly.sum_products(terms)
+    expected = _oracle_sum_products(terms)
     _assert_matches(result, expected)
+    if not expected:
+        assert result._ints() == ((), 1)
 
 
 def test_xpoly_sum_products_edge_cases():

@@ -21,6 +21,7 @@ from pqpoly.families import (
     poly_euler,
     poly_euler_number,
 )
+from pqpoly.identities import DEFAULT_PARAM_POINTS
 from pqpoly.pqcalc import PQParams, pq_integer
 from pqpoly.sequences import euler_poly, weighted_stirling2
 
@@ -141,6 +142,21 @@ def test_alternating_counts_from_euler_polynomials():
         assert value == oracles.alternating_count(2 * m)
 
 
+def test_negative_k_poly_bernoulli_numbers_at_classical_point():
+    # Arakawa and Kaneko's formula, and Kaneko's duality B_n^(-k) = B_k^(-n)
+    # ("Poly-Bernoulli numbers", J. Theor. Nombres Bordeaux 9, 1997); neither
+    # reads a Li coefficient
+    for route in (ROUTE_GF, ROUTE_STIRLING):
+        values = {
+            (n, k): poly_bernoulli(n, -k, CLASSICAL, route)(0)
+            for n in range(9)
+            for k in range(9)
+        }
+        for (n, k), value in values.items():
+            assert value == oracles.poly_bernoulli_negative_k(n, k), (route, n, k)
+            assert value == values[k, n], (route, n, k)
+
+
 # ---------------------------------------------------------------------------
 # one-parameter reduction at p = 1
 
@@ -198,6 +214,20 @@ def test_integral_route_requires_positive_weight():
         poly_cauchy_1(3, 0, BASE, ROUTE_INTEGRAL)
     with pytest.raises(ValueError):
         poly_cauchy_2(3, -1, BASE, ROUTE_INTEGRAL)
+
+
+@pytest.mark.parametrize("params", DEFAULT_PARAM_POINTS)
+def test_integral_routes_match_the_double_loop_oracle(params):
+    # the integral expansion as one Fraction sum per power of x, which reads
+    # neither the kernel nor egf.appell
+    for k in (1, 2, 3):
+        for n in range(21):
+            want1 = oracles.cauchy1_integral_oracle(n, k, params.p, params.q)
+            want2 = oracles.cauchy2_integral_oracle(n, k, params.p, params.q)
+            got1 = poly_cauchy_1(n, k, params, ROUTE_INTEGRAL)
+            got2 = poly_cauchy_2(n, k, params, ROUTE_INTEGRAL)
+            assert got1.coeffs == tuple(want1), (n, k)
+            assert got2.coeffs == tuple(want2), (n, k)
 
 
 # ---------------------------------------------------------------------------

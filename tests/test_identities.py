@@ -277,7 +277,7 @@ def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
         for s in SMALL.s_values
     ]
     want_at = Counter(
-        (m, Fraction(i), k, params)
+        (m, i, k, params)
         for m, k, params, s in grid
         for _ in SMALL.u_values
         for i in range(s + 1)
@@ -297,6 +297,26 @@ def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
 CROSS_IDS = [
     "cross_b_from_c", "cross_b_from_chat", "cross_c_from_b", "cross_chat_from_b"
 ]
+
+
+def test_tid1_and_tid4_cache_lookups_hash_no_fraction(monkeypatch):
+    # Fraction.__hash__ computes a modular inverse on every call, so tid1's
+    # points and tid4's u key their caches by ints; a warm run hashes none
+    pqpoly.clear_caches()
+    run_all(SMALL, only=["tid1", "tid4"])
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(str(self))
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    reports = run_all(SMALL, only=["tid1", "tid4"])
+    monkeypatch.undo()
+    assert all(report.passed for report in reports)
+    assert hashed == []
+    pqpoly.clear_caches()
 
 
 class _CountedStirling(XPoly):
