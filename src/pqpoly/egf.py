@@ -10,7 +10,9 @@ Binary operations require equal orders; there is no implicit truncation.
 for callers that read a single coefficient of an EGF product.  A product
 term with a zero factor is skipped, but the sum keeps the ring of its
 factors: it is an XPoly whenever any factor is one, skipped or not, and
-then it is one ``XPoly.sum_products`` call; a scalar one is a Fraction.
+then it is one ``XPoly.sum_products`` call; a scalar one is a Fraction,
+summed as int numerators over one common denominator, as is each scalar
+coefficient ``PowerRows.compose_coeff`` reads.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
 One power recurrence, ``grow_power``, extends the coefficients of a^alpha:
@@ -37,16 +39,48 @@ from typing import Callable, Iterable, Sequence
 from .exact import XPoly
 
 
+_SCALARS = {int, Fraction}
+
+
+def _scalar_sum(terms) -> int | Fraction:
+    """The sum over terms of the product of each term's factors, every one
+    an exact int or Fraction, as int numerators over one common
+    denominator: a Fraction whenever a factor is one, else an int."""
+    num, den, is_fraction = 0, 1, False
+    for term in terms:
+        tn, td = 1, 1
+        for f in term:
+            if type(f) is int:
+                tn *= f
+            else:
+                tn *= f.numerator
+                td *= f.denominator
+                is_fraction = True
+        if not tn:
+            continue
+        if den % td:
+            lcm = math.lcm(den, td)
+            num *= lcm // den
+            den = lcm
+        num += tn * (den // td)
+    return Fraction(num, den) if is_fraction else num
+
+
 def _binomial_conv(a: Sequence, b: Sequence, n: int):
     """Coefficient n of the EGF product of coefficient lists a and b.
 
     A term with a zero factor is skipped.  If any factor read is an XPoly,
     skipped or not, the coefficient is an XPoly, as the unskipped sum would
-    be, built by one ``XPoly.sum_products`` call; otherwise it is a Fraction.
+    be, built by one ``XPoly.sum_products`` call; otherwise it is a Fraction,
+    one int sum over a common denominator when every factor is an int or a
+    Fraction.
     """
     pairs = list(zip(a[: n + 1], b[n::-1]))
     terms = [(math.comb(n, i), x, y) for i, (x, y) in enumerate(pairs) if x and y]
-    if any(isinstance(x, XPoly) or isinstance(y, XPoly) for x, y in pairs):
+    kinds = {type(v) for pair in pairs for v in pair}
+    if kinds <= _SCALARS:
+        return Fraction(_scalar_sum(terms))
+    if any(issubclass(kind, XPoly) for kind in kinds):
         return XPoly.sum_products(terms)
     return sum([c * (x * y) for c, x, y in terms], Fraction(0))
 
@@ -181,8 +215,15 @@ class PowerRows:
         return rows[j]
 
     def compose_coeff(self, outer: Sequence, j: int):
-        """Coefficient j of sum_m outer[m] inner^m; outer reaches index j."""
-        return sum(map(mul, outer, self.row(j)))
+        """Coefficient j of sum_m outer[m] inner^m; outer reaches index j.
+
+        Over int and Fraction entries it is one int sum over a common
+        denominator, a Fraction whenever an entry read is one."""
+        row = self.row(j)
+        outer = outer[: j + 1]
+        if {type(v) for v in row} | {type(c) for c in outer} <= _SCALARS:
+            return _scalar_sum(zip(outer, row))
+        return sum(map(mul, outer, row))
 
 
 class Column:

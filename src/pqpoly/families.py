@@ -24,10 +24,12 @@ recurrence.  None is shared with a Stirling triangle or a classical family.
 The Li_k and Lif_k coefficient providers are passed to the columns by
 reference, read off ``sequences`` at each call.  The columns, the rows and
 each gf route's values are cached; the weighted-Stirling and integral
-routes are recomputed on each call from their cached ingredient sequences.
-Each of those routes is one ``XPoly.sum_products`` call.  An integral
-route sums s(n, m) times ``egf.appell(a, m, sign=-1)`` over m, with
-a_j = I(j)^k the integral of the j-th power of t_1...t_k; no other Cauchy
+routes are recomputed on each call from their cached ingredients.  Each
+of those routes is one ``XPoly.sum_products`` call.  An integral route
+sums s(n, m) times the Appell polynomial A_m = ``egf.appell(a, m,
+sign=-1)`` over m, with a_j = I(j)^k the integral of the j-th power of
+t_1...t_k.  A_m does not depend on n or on the kind, so it is built once
+per (m, k, params) and read by both kinds' values n >= m; no other Cauchy
 route reads ``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
 """
@@ -231,13 +233,21 @@ def poly_bernoulli(
 # poly-Cauchy, first kind
 
 
-def _integral_powers(n: int, k: int, params: PQParams) -> list[Fraction]:
-    """a_j = I(j)^k for j = 0..n, the k-fold deformed integral of
-    (t_1...t_k)^j over the unit cube; the integral routes need k >= 1."""
-    _check_n(n)
+def _check_integral_weight(k: int) -> None:
     if k < 1:
         raise ValueError("integral_expansion route requires k >= 1")
-    return [pq_integral_01_monomial(j, params) ** k for j in range(n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _integral_appell(m: int, k: int, params: PQParams, integral, appell) -> XPoly:
+    """The Appell polynomial sum_l C(m, l) a_(m-l) (-x)^l, the deformed
+    integral of (t_1...t_k - x)^m, with a_j = I(j)^k the k-fold integral
+    of (t_1...t_k)^j over the unit cube.
+
+    Callers pass ``integral`` and ``appell`` read off ``families`` and
+    ``egf`` at the call, so a rebound one keys a polynomial of its own.
+    """
+    return appell([integral(j, params) ** k for j in range(m + 1)], m, sign=-1)
 
 
 @lru_cache(maxsize=None)
@@ -268,10 +278,11 @@ def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     integral of (t_1...t_k)^j is a_j = I(j)^k, so term m integrates to the
     Appell polynomial sum_l C(m, l) a_(m-l) (-x)^l.
     """
-    a = _integral_powers(n, k, params)
+    _check_n(n)
+    _check_integral_weight(k)
     return XPoly.sum_products(
         ((-1) ** (n - m), sequences.stirling1_unsigned(n, m),
-         egf.appell(a, m, sign=-1))
+         _integral_appell(m, k, params, pq_integral_01_monomial, egf.appell))
         for m in range(n + 1)
     )
 
@@ -312,10 +323,11 @@ def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     (x - t)_n = (-1)^n (t - x)^(n), and the rising factorial expands as
     sum_m s(n, m) (t - x)^m; each power integrates as in the first kind.
     """
-    a = _integral_powers(n, k, params)
+    _check_n(n)
+    _check_integral_weight(k)
     return XPoly.sum_products(
         ((-1) ** n, sequences.stirling1_unsigned(n, m),
-         egf.appell(a, m, sign=-1))
+         _integral_appell(m, k, params, pq_integral_01_monomial, egf.appell))
         for m in range(n + 1)
     )
 

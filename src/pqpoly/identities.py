@@ -19,15 +19,17 @@ the scalar weights passed as separate factors.  Work that does not depend
 on the cell is cached: the inner sums of tid3 and tid4 (``_tid3_inner``,
 ``_tid4_weight``, the latter over tid4's parameter-free coefficients per
 (s, u)), the Frobenius-Euler polynomials tid4 reads, the weighted Stirling
-polynomials at -x, the shifted Euler polynomials, and the inner sums of
-the cross relations, one polynomial per (m, k, params) that a cell
-evaluates at its y (evaluation at y is a ring homomorphism, so this is the
-scalar sum over l at y).  Each cached value is read by one side of a check
-only, never by both sides of the same check, so the two sides stay
-independent.  No cache key here holds a bare Fraction, since
-``Fraction.__hash__`` computes a modular inverse on every lookup: tid1 and
-tid4 pass their points as ints, tid4 keys u by its numerator and
-denominator, and ``PQParams`` hashes once.
+polynomials at -x, the shifted Euler polynomials, the inner sums Q_m of
+the cross relations, one polynomial per (m, k, params), and the right
+side of each cross relation as a polynomial in y, whose coefficients
+R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per (check, n, k, params);
+a cell computes sum_j y^j R_j at its y, exactly the sum of the Q_m(y)
+terms, so a Q_m that did depend on y would still fail cells.  Each cached
+value is read by one side of a check only, never by both sides of the
+same check, so the two sides stay independent.  No cache key here holds
+a bare Fraction, since ``Fraction.__hash__`` computes a modular inverse on
+every lookup: tid1 and tid4 pass their points as ints, tid4 keys u by its
+numerator and denominator, and ``PQParams`` hashes once.
 """
 
 from __future__ import annotations
@@ -493,43 +495,41 @@ def _eval_invrel3(n, k, params):
     return lhs, rhs
 
 
-def _eval_cross_b_from_c(n, k, params, y):
-    lhs = families.poly_bernoulli(n, k, params)
-    rhs = XPoly.sum_products(
-        ((-1) ** (n - m) * math.factorial(m), _inner_cauchy1(m, k, params)(y),
-         sequences.weighted_stirling2(n, m))
+@lru_cache(maxsize=None)
+def _cross_rhs_coeffs(
+    inner, outer, alternating: bool, by_factorial: bool,
+    n: int, k: int, params: PQParams,
+) -> tuple[XPoly, ...]:
+    """R_j = sum_m c_m [y^j]Q_m W(n, m) for j = 0..max deg Q_m, so that a
+    cross relation's right side at y is sum_j y^j R_j.
+
+    Q_m = inner(m, k, params) is the inner sum, W(n, m) = outer(n, m) the
+    outer weighted Stirling polynomial, and c_m is (-1)^(n-m) if
+    ``alternating`` else (-1)^n, times m! if ``by_factorial`` else 1/m!.
+    """
+    inners = [inner(m, k, params) for m in range(n + 1)]
+    weights = [
+        ((-1) ** (n - m if alternating else n),
+         math.factorial(m) if by_factorial else Fraction(1, math.factorial(m)))
         for m in range(n + 1)
+    ]
+    return tuple(
+        XPoly.sum_products(
+            (*weights[m], q.coeff(j), outer(n, m))
+            for m, q in enumerate(inners)
+            if j <= q.degree
+        )
+        for j in range(max(q.degree for q in inners) + 1)
     )
-    return lhs, rhs
 
 
-def _eval_cross_b_from_chat(n, k, params, y):
-    lhs = families.poly_bernoulli(n, k, params)
-    rhs = XPoly.sum_products(
-        ((-1) ** n * math.factorial(m), _inner_cauchy2(m, k, params)(y),
-         sequences.weighted_stirling2(n, m))
-        for m in range(n + 1)
+def _eval_cross(n, k, params, y, family, inner, outer, alternating, by_factorial):
+    """One cross relation: the family value against sum_j y^j R_j."""
+    lhs = families.compute(family, n, k, params)
+    coeffs = _cross_rhs_coeffs(
+        inner, outer, alternating, by_factorial, n, k, params
     )
-    return lhs, rhs
-
-
-def _eval_cross_c_from_b(n, k, params, y):
-    lhs = families.poly_cauchy_1(n, k, params)
-    rhs = XPoly.sum_products(
-        (Fraction((-1) ** (n - m), math.factorial(m)),
-         _inner_bernoulli(m, k, params)(y), sequences.weighted_stirling1(n, m))
-        for m in range(n + 1)
-    )
-    return lhs, rhs
-
-
-def _eval_cross_chat_from_b(n, k, params, y):
-    lhs = families.poly_cauchy_2(n, k, params)
-    rhs = XPoly.sum_products(
-        (Fraction((-1) ** n, math.factorial(m)), _inner_bernoulli(m, k, params)(y),
-         _ws1_neg_x(n, m))
-        for m in range(n + 1)
-    )
+    rhs = XPoly.sum_products((y**j, r) for j, r in enumerate(coeffs))
     return lhs, rhs
 
 
@@ -586,25 +586,28 @@ CHECKS: tuple[IdentityCheck, ...] = (
     IdentityCheck("invrel1", _nkp_cells, _eval_invrel1),
     IdentityCheck("invrel2", _nkp_cells, _eval_invrel2),
     IdentityCheck("invrel3", _nkp_cells, _eval_invrel3),
-    IdentityCheck(
-        "cross_b_from_c",
-        lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
-        _eval_cross_b_from_c,
-    ),
-    IdentityCheck(
-        "cross_b_from_chat",
-        lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
-        _eval_cross_b_from_chat,
-    ),
-    IdentityCheck(
-        "cross_c_from_b",
-        lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
-        _eval_cross_c_from_b,
-    ),
-    IdentityCheck(
-        "cross_chat_from_b",
-        lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
-        _eval_cross_chat_from_b,
+    # the cross relations: (id, family, inner sum, outer weighted Stirling
+    # polynomial, alternating sign, times m! rather than over m!); the outer
+    # triangles are read off ``sequences`` at each call
+    *(
+        IdentityCheck(
+            check_id,
+            lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
+            partial(
+                _eval_cross, family=family, inner=inner, outer=outer,
+                alternating=alternating, by_factorial=by_factorial,
+            ),
+        )
+        for check_id, family, inner, outer, alternating, by_factorial in (
+            ("cross_b_from_c", families.FAMILY_POLY_BERNOULLI, _inner_cauchy1,
+             lambda n, m: sequences.weighted_stirling2(n, m), True, True),
+            ("cross_b_from_chat", families.FAMILY_POLY_BERNOULLI, _inner_cauchy2,
+             lambda n, m: sequences.weighted_stirling2(n, m), False, True),
+            ("cross_c_from_b", families.FAMILY_POLY_CAUCHY_1, _inner_bernoulli,
+             lambda n, m: sequences.weighted_stirling1(n, m), True, False),
+            ("cross_chat_from_b", families.FAMILY_POLY_CAUCHY_2, _inner_bernoulli,
+             _ws1_neg_x, False, False),
+        )
     ),
     IdentityCheck(
         "vandermonde_1",

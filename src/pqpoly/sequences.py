@@ -17,6 +17,8 @@ independent cross-checks of the extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
 power recurrence, through its one Appell expansion; the Euler polynomials
 are the Frobenius-Euler ones at s = 1, u = -1.
+The Li_k and Lif_k providers read [m]^(-k) from one cache per
+(m, k, params), which no other caller reads.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -173,12 +175,19 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
 # polylogarithm coefficient providers
 
 
+@lru_cache(maxsize=None)
+def _pq_inverse_power(m: int, k: int, params: PQParams) -> Fraction:
+    """[m]^(-k), the ordinary coefficient m of Li_k and the deformed part of
+    coefficient m - 1 of Lif_k.  The two providers alone read it."""
+    return pqcalc.pq_integer(m, params) ** (-k)
+
+
 def li_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:
     """Ordinary coefficients of Li_k: zero, then 1/[m]^k for m >= 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return [Fraction(0)] + [
-        pqcalc.pq_integer(m, params) ** (-k) for m in range(1, order + 1)
+        _pq_inverse_power(m, k, params) for m in range(1, order + 1)
     ]
 
 
@@ -187,7 +196,7 @@ def lif_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fractio
     if order < 0:
         raise ValueError("order must be nonnegative")
     return [
-        pqcalc.pq_integer(m + 1, params) ** (-k) / math.factorial(m)
+        _pq_inverse_power(m + 1, k, params) / math.factorial(m)
         for m in range(order + 1)
     ]
 

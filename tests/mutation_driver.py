@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from pqpoly import egf, families, sequences
+from pqpoly import egf, families, pqcalc, sequences
 from pqpoly.egf import PowerRows
 from pqpoly.exact import XPoly
 from pqpoly.identities import SuiteConfig, run_all
@@ -57,6 +57,42 @@ def mutate_cauchy1_sign_flip() -> None:
         return -route(n, k, params)
 
     families.cauchy1_via_weighted_stirling = flipped
+
+
+def mutate_cauchy1_integral_at_neg_x() -> None:
+    """The first-kind integral route integrates (t_1...t_k + x)_n, the
+    falling factorial taken at -x, instead of (t_1...t_k - x)_n."""
+    route = families.cauchy1_via_integral_expansion
+
+    def reflected(n, k, params):
+        return route(n, k, params).affine(-1, 0)
+
+    families.cauchy1_via_integral_expansion = reflected
+
+
+def mutate_cauchy2_integral_drops_sign() -> None:
+    """The second-kind integral route loses its factor (-1)^n, the sign
+    between (x - t_1...t_k)_n and the rising factorial it expands."""
+    route = families.cauchy2_via_integral_expansion
+
+    def unsigned(n, k, params):
+        return (-1) ** n * route(n, k, params)
+
+    families.cauchy2_via_integral_expansion = unsigned
+
+
+def mutate_polylog_coeff_exponent_sign() -> None:
+    """The cached polylogarithm coefficient [m]^(-k) is taken as [m]^k.
+
+    Only the Li_k and Lif_k providers read that cache, so the gf routes
+    carry the defect; the right sides of invrel1-invrel3 compute
+    [n+1]^(-k) on their own and must see it.
+    """
+
+    def flipped(m: int, k: int, params) -> Fraction:
+        return pqcalc.pq_integer(m, params) ** k
+
+    sequences._pq_inverse_power = lru_cache(maxsize=None)(flipped)
 
 
 def mutate_li_forgets_deformation() -> None:
@@ -226,6 +262,9 @@ def mutate_weighted_stirling1_extra_term() -> None:
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
+    "cauchy1-integral-at-neg-x": mutate_cauchy1_integral_at_neg_x,
+    "cauchy2-integral-drops-sign": mutate_cauchy2_integral_drops_sign,
+    "polylog-coeff-exponent-sign": mutate_polylog_coeff_exponent_sign,
     "li-classical": mutate_li_forgets_deformation,
     "egf-pow-extra-factor": mutate_egf_pow_extra_factor,
     "power-rows-drop-cube": mutate_power_rows_drop_cube,

@@ -151,12 +151,23 @@ def test_criterion_4_truncation_tails(capsys):
     )
 
 
+APPELL_HIGH_TERM_KILLS = [
+    "appell_ii", "appell_iii", "appell_iv", "eucls", "tid1", "tid2", "tid3",
+    "tid4", "euler_bernoulli", "polyberrel1", "cauchy_routes_1",
+    "cauchy_routes_2", "invrel1", "cross_b_from_c", "cross_b_from_chat",
+    "cross_c_from_b", "cross_chat_from_b",
+]
+
+
 def test_criterion_5_mutation_sensitivity(capsys):
     script = pathlib.Path(__file__).with_name("mutation_driver.py")
     caught, killed = [], set()
     for name in (
         "stirling2-off-by-one",
         "cauchy1-stirling-sign-flip",
+        "cauchy1-integral-at-neg-x",
+        "cauchy2-integral-drops-sign",
+        "polylog-coeff-exponent-sign",
         "li-classical",
         "egf-pow-extra-factor",
         "power-rows-drop-cube",
@@ -190,11 +201,20 @@ def test_criterion_5_mutation_sensitivity(capsys):
             # bernoulli_order and frobenius_euler
             assert "euler_bernoulli" in payload["failing"], payload
             assert set(payload["failing"]) & {"tid3", "tid4"}, payload
+        if name == "cauchy1-integral-at-neg-x":
+            assert "cauchy_routes_1" in payload["failing"], payload
+        if name == "cauchy2-integral-drops-sign":
+            assert "cauchy_routes_2" in payload["failing"], payload
+        if name == "polylog-coeff-exponent-sign":
+            # the invrel right sides read [n+1]^(-k) without the cache
+            assert set(payload["failing"]) & {
+                "invrel1", "invrel2", "invrel3"
+            }, payload
         if name == "appell-high-term":
-            # each Appell check reads E_n at a shifted or scaled argument
-            assert {"appell_ii", "appell_iii", "appell_iv"} <= set(
-                payload["failing"]
-            ), payload
+            # each Appell check reads E_n at a shifted or scaled argument,
+            # and the integral routes read their cached Appell polynomials
+            # through the rebound egf.appell
+            assert payload["failing"] == APPELL_HIGH_TERM_KILLS, payload
         if name == "sum-products-drops-last-term":
             # every Cauchy route goes through the kernel, each over terms
             # of its own, and the cross relations' left sides are single

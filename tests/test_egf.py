@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpoly.egf import Column, EgfSeries, appell, compose, grow_power
+from pqpoly import egf
+from pqpoly.egf import Column, EgfSeries, PowerRows, appell, compose, grow_power
 from pqpoly.exact import XPoly
 
 from . import oracles
@@ -103,6 +105,36 @@ def test_zero_skip_keeps_value_and_ring(left, right, data):
         for got in (product.coeff(n), a.mul_coeff(b, n), b.mul_coeff(a, n)):
             assert got == want
             assert type(got) is type(want)
+
+
+scalars = st.one_of(
+    st.integers(-30, 30), rationals, st.sampled_from([0, Fraction(0)])
+)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([st.integers(-30, 30), scalars]), st.data())
+def test_scalar_sums_equal_plain_fraction_sums(entries, data):
+    # int-only, mixed, zero and negative entries: the common-denominator
+    # sums equal the plain sums in value and in type
+    n = data.draw(st.integers(0, 6))
+    a, b, outer = (
+        data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+        for _ in range(3)
+    )
+    want = sum(
+        [math.comb(n, i) * (a[i] * b[n - i]) for i in range(n + 1)], Fraction(0)
+    )
+    got = egf._binomial_conv(a, b, n)
+    assert got == want
+    assert type(got) is Fraction
+    inner = data.draw(st.lists(entries, min_size=n, max_size=n))
+    rows = PowerRows(lambda j: inner[j - 1])
+    for j in range(n + 1):
+        want = sum(map(mul, outer, rows.row(j)))
+        got = rows.compose_coeff(outer, j)
+        assert got == want
+        assert type(got) is type(want)
 
 
 def test_skipped_xpoly_zero_still_makes_an_xpoly():

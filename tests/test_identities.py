@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import pqpoly
 from pqpoly import exact, families, identities, sequences
 from pqpoly.exact import XPoly
 from pqpoly.identities import (
+    _CHECKS_BY_ID,
     CHECK_IDS,
     CHECKS,
     DEFAULT_PARAM_POINTS,
@@ -331,8 +333,10 @@ class _CountedStirling(XPoly):
 
 def test_cross_checks_build_each_inner_sum_once(monkeypatch):
     # the inner sums of the cross relations are polynomials per
-    # (m, k, params), each built once and evaluated at every y of a cell;
-    # no weighted Stirling polynomial is evaluated at a scalar on the way
+    # (m, k, params), each built once; each check folds them into its
+    # coefficients R_j in y once per (n, k, params), and a cell evaluates
+    # sum_j y^j R_j; no weighted Stirling polynomial is evaluated at a
+    # scalar on the way
     pqpoly.clear_caches()
     counts = Counter()
 
@@ -361,7 +365,44 @@ def test_cross_checks_build_each_inner_sum_once(monkeypatch):
         info = getattr(identities, name).cache_info()
         assert (info.misses, info.currsize) == (keys, keys), name
         assert info.hits > 0, name
+    info = identities._cross_rhs_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (4 * keys, 4 * keys)
+    cells = sum(report.cells_total for report in reports)
+    assert info.hits == cells - 4 * keys
     pqpoly.clear_caches()
+
+
+@pytest.mark.parametrize("check_id", CROSS_IDS)
+def test_cross_rhs_in_y_equals_the_sum_over_inner_values(check_id):
+    # sum_j y^j R_j equals sum_m c_m Q_m(y) W(n, m) even for an inner sum
+    # that depends on y, and then the cross relation fails its cells
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    evaluate = _CHECKS_BY_ID[check_id].evaluate
+    inner = evaluate.keywords["inner"]
+
+    def tilted(m, k, params):
+        return inner(m, k, params) + XPoly.monomial(m, Fraction(1, 7))
+
+    tilted_eval = partial(evaluate.func, **dict(evaluate.keywords, inner=tilted))
+    outer = evaluate.keywords["outer"]
+    alternating = evaluate.keywords["alternating"]
+    by_factorial = evaluate.keywords["by_factorial"]
+    n, k = 4, 2
+    for y in y_samples(n):
+        lhs, rhs = tilted_eval(n=n, k=k, params=params, y=y)
+        want = sum(
+            (
+                (-1) ** (n - m if alternating else n)
+                * Fraction(math.factorial(m)) ** (1 if by_factorial else -1)
+                * tilted(m, k, params)(y)
+                * outer(n, m)
+                for m in range(n + 1)
+            ),
+            XPoly.zero(),
+        )
+        assert rhs == want
+        assert lhs != rhs
+        assert evaluate(n=n, k=k, params=params, y=y) == (lhs, lhs)
 
 
 @pytest.mark.parametrize("params", SMALL.param_points)  # p != q and p = q
@@ -394,8 +435,8 @@ def test_each_sum_is_canonicalised_once(monkeypatch, n):
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
     sides = {
         "tid4": lambda: identities._eval_tid4(n, 2, params, 2, Fraction(2)),
-        "cross_b_from_c": lambda: identities._eval_cross_b_from_c(
-            n, 2, params, Fraction(3, 2)
+        "cross_b_from_c": lambda: _CHECKS_BY_ID["cross_b_from_c"].evaluate(
+            n=n, k=2, params=params, y=Fraction(3, 2)
         ),
         "cauchy1_stirling": lambda: families.cauchy1_via_weighted_stirling(
             n, 2, params

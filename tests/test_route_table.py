@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import families
+from pqpoly import clear_caches, egf, families
 from pqpoly.exact import XPoly
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams, pq_integral_01_monomial
@@ -60,6 +60,28 @@ def test_integral_routes_go_through_the_integral(monkeypatch):
         "cauchy_routes_1",
         "cauchy_routes_2",
     ]
+
+
+def test_integral_routes_build_each_appell_polynomial_once(monkeypatch):
+    # A_m does not depend on n or on the kind: one appell call per m serves
+    # every value n >= m of both routes (the routes once made 182 here)
+    calls = []
+    appell = egf.appell
+
+    def counted(base, n, sign=1):
+        calls.append(n)
+        return appell(base, n, sign)
+
+    monkeypatch.setattr(egf, "appell", counted)
+    try:
+        clear_caches()
+        for n in range(13):
+            families.cauchy1_via_integral_expansion(n, 2, BASE)
+            families.cauchy2_via_integral_expansion(n, 2, BASE)
+        assert sorted(calls) == list(range(13))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 @pytest.mark.parametrize("family", sorted(families.ROUTES_BY_FAMILY))
