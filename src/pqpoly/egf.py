@@ -1,9 +1,9 @@
 """Truncated exponential generating functions over an exact ring.
 
 A series of order N stores coefficients a_0..a_N and stands for
-sum a_n t^n / n!.  Coefficients may be Fraction scalars or XPoly values, or
-any commutative exact ring elements supporting +, -, * and equality; mixed
-Fraction/XPoly series combine through the coercion XPoly already provides.
+sum a_n t^n / n!.  Coefficients are Fraction scalars (an int becomes one)
+or XPoly values; mixed Fraction/XPoly series combine through the coercion
+XPoly already provides.
 
 Binary operations require equal orders; there is no implicit truncation.
 ``mul_coeff`` returns one coefficient of a product in O(n) ring products,
@@ -39,9 +39,6 @@ from typing import Callable, Iterable, Sequence
 from .exact import XPoly
 
 
-_SCALARS = {int, Fraction}
-
-
 def _scalar_sum(terms) -> int | Fraction:
     """The sum over terms of the product of each term's factors, every one
     an exact int or Fraction, as int numerators over one common
@@ -72,17 +69,13 @@ def _binomial_conv(a: Sequence, b: Sequence, n: int):
     A term with a zero factor is skipped.  If any factor read is an XPoly,
     skipped or not, the coefficient is an XPoly, as the unskipped sum would
     be, built by one ``XPoly.sum_products`` call; otherwise it is a Fraction,
-    one int sum over a common denominator when every factor is an int or a
-    Fraction.
+    one int sum over a common denominator.
     """
     pairs = list(zip(a[: n + 1], b[n::-1]))
     terms = [(math.comb(n, i), x, y) for i, (x, y) in enumerate(pairs) if x and y]
-    kinds = {type(v) for pair in pairs for v in pair}
-    if kinds <= _SCALARS:
-        return Fraction(_scalar_sum(terms))
-    if any(issubclass(kind, XPoly) for kind in kinds):
+    if any(isinstance(x, XPoly) or isinstance(y, XPoly) for x, y in pairs):
         return XPoly.sum_products(terms)
-    return sum([c * (x * y) for c, x, y in terms], Fraction(0))
+    return Fraction(_scalar_sum(terms))
 
 
 def grow_power(coeff: Callable[[int], object], alpha: int, r: list, n: int):
@@ -217,13 +210,13 @@ class PowerRows:
     def compose_coeff(self, outer: Sequence, j: int):
         """Coefficient j of sum_m outer[m] inner^m; outer reaches index j.
 
-        Over int and Fraction entries it is one int sum over a common
+        Unless an entry read is an XPoly it is one int sum over a common
         denominator, a Fraction whenever an entry read is one."""
         row = self.row(j)
         outer = outer[: j + 1]
-        if {type(v) for v in row} | {type(c) for c in outer} <= _SCALARS:
-            return _scalar_sum(zip(outer, row))
-        return sum(map(mul, outer, row))
+        if any(isinstance(v, XPoly) for v in (*outer, *row)):
+            return sum(map(mul, outer, row))
+        return _scalar_sum(zip(outer, row))
 
 
 class Column:
@@ -255,8 +248,8 @@ class Column:
 def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     """Substitute ``inner`` into the ordinary power series sum c_m z^m.
 
-    ``outer_coeffs`` lists the ordinary (not EGF) coefficients c_0, c_1, ...
-    and must reach at least index inner.order; later entries cannot affect
+    ``outer_coeffs`` lists the ordinary (not EGF) coefficients c_0, c_1, ...,
+    each an int, a Fraction or an XPoly, and must reach at least index inner.order; later entries cannot affect
     the truncation and are ignored.  The inner series must have zero
     constant term, otherwise the substitution would need infinitely many
     outer terms.  Coefficient j of the result is sum c_m R_j[m], read off

@@ -17,8 +17,9 @@ independent cross-checks of the extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
 power recurrence, through its one Appell expansion; the Euler polynomials
 are the Frobenius-Euler ones at s = 1, u = -1.
-The Li_k and Lif_k providers read [m]^(-k) from one cache per
-(m, k, params), which no other caller reads.
+The Li_k and Lif_k providers each read their coefficient m from a cache
+of their own per (m, k, params), which no other caller reads, so a check
+whose two sides read Li_k and Lif_k reads two caches.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -176,29 +177,31 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _pq_inverse_power(m: int, k: int, params: PQParams) -> Fraction:
-    """[m]^(-k), the ordinary coefficient m of Li_k and the deformed part of
-    coefficient m - 1 of Lif_k.  The two providers alone read it."""
+def _li_coeff(m: int, k: int, params: PQParams) -> Fraction:
+    """1/[m]^k, the ordinary coefficient m >= 1 of Li_k; only
+    ``li_pq_ordinary_coeffs`` reads it."""
     return pqcalc.pq_integer(m, params) ** (-k)
+
+
+@lru_cache(maxsize=None)
+def _lif_coeff(m: int, k: int, params: PQParams) -> Fraction:
+    """1/(m! [m+1]^k), the ordinary coefficient m of Lif_k; only
+    ``lif_pq_ordinary_coeffs`` reads it."""
+    return pqcalc.pq_integer(m + 1, params) ** (-k) / math.factorial(m)
 
 
 def li_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:
     """Ordinary coefficients of Li_k: zero, then 1/[m]^k for m >= 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return [Fraction(0)] + [
-        _pq_inverse_power(m, k, params) for m in range(1, order + 1)
-    ]
+    return [Fraction(0)] + [_li_coeff(m, k, params) for m in range(1, order + 1)]
 
 
 def lif_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:
     """Ordinary coefficients of Lif_k: 1/(m! [m+1]^k) for m >= 0."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return [
-        _pq_inverse_power(m + 1, k, params) / math.factorial(m)
-        for m in range(order + 1)
-    ]
+    return [_lif_coeff(m, k, params) for m in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -82,17 +82,21 @@ def mutate_cauchy2_integral_drops_sign() -> None:
 
 
 def mutate_polylog_coeff_exponent_sign() -> None:
-    """The cached polylogarithm coefficient [m]^(-k) is taken as [m]^k.
+    """The cached polylogarithm coefficients take [m]^k for [m]^(-k).
 
-    Only the Li_k and Lif_k providers read that cache, so the gf routes
-    carry the defect; the right sides of invrel1-invrel3 compute
-    [n+1]^(-k) on their own and must see it.
+    Only the Li_k and Lif_k providers read those caches, so the gf routes
+    carry the defect; the right sides of invrel1 (Li_k) and invrel2 and
+    invrel3 (Lif_k) compute [n+1]^(-k) on their own and must see it.
     """
 
-    def flipped(m: int, k: int, params) -> Fraction:
+    def li_flipped(m: int, k: int, params) -> Fraction:
         return pqcalc.pq_integer(m, params) ** k
 
-    sequences._pq_inverse_power = lru_cache(maxsize=None)(flipped)
+    def lif_flipped(m: int, k: int, params) -> Fraction:
+        return pqcalc.pq_integer(m + 1, params) ** k / math.factorial(m)
+
+    sequences._li_coeff = lru_cache(maxsize=None)(li_flipped)
+    sequences._lif_coeff = lru_cache(maxsize=None)(lif_flipped)
 
 
 def mutate_li_forgets_deformation() -> None:
