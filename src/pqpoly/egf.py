@@ -235,6 +235,8 @@ class Column:
 
     def coeff(self, n: int):
         """Coefficient n of the column, without copying the ones before it."""
+        if n < 0:
+            raise IndexError(f"coefficient {n} is negative")
         if len(self._coeffs) <= n:
             self._grow(self._coeffs, n)
         return self._coeffs[n]

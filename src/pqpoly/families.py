@@ -176,6 +176,7 @@ def _euler_column(k: int, params: PQParams) -> Column:
 
 def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     """EGF of 2 Li_k(1 - e^(-t)) / (1 + e^t), the x = 0 column."""
+    _check_n(order)
     return _euler_column(k, params).series(order)
 
 
@@ -203,6 +204,7 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     of Li_k by its argument is an index shift of the coefficients, so the
     shifted composition is already the full quotient.
     """
+    _check_n(order)
     li = sequences.li_pq_ordinary_coeffs
     return _polylog_column(li, k, params, _one_minus_exp_neg, 1).series(order)
 

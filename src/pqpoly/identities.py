@@ -24,12 +24,14 @@ the cross relations, one polynomial per (m, k, params), and the right
 side of each cross relation as a polynomial in y, whose coefficients
 R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per (check, n, k, params);
 a cell computes sum_j y^j R_j at its y, exactly the sum of the Q_m(y)
-terms, so a Q_m that did depend on y would still fail cells.  Each cached
-value is read by one side of a check only, never by both sides of the
-same check, so the two sides stay independent.  No cache key here holds
-a bare Fraction, since ``Fraction.__hash__`` computes a modular inverse on
-every lookup: tid1 and tid4 pass their points as ints, tid4 keys u by its
-numerator and denominator, and ``PQParams`` hashes once.
+terms, so a Q_m that did depend on y would still fail cells.  The cached
+Q_n is also the left side of invrel1-3, whose right sides compute their
+own [n+1]^(-k).  A cached value may serve one side of several checks,
+never both sides of one check, so the two sides stay independent.  No
+cache key here holds a bare Fraction, since ``Fraction.__hash__`` computes
+a modular inverse on every lookup: tid1 and tid4 pass their points as
+ints, tid4 keys u by its numerator and denominator, and ``PQParams``
+hashes once.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _ws2_neg_x(n: int, m: int) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W2(m, l) C_l, evaluated at y by cross_b_from_c."""
+    """sum_l W2(m, l) C_l, invrel2's left side, read at y by cross_b_from_c."""
     # terms above l = m vanish with the weighted Stirling factor
     return XPoly.sum_products(
         (sequences.weighted_stirling2(m, l), families.poly_cauchy_1(l, k, params))
@@ -213,7 +215,7 @@ def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _inner_cauchy2(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W2(m, l)(-x) Chat_l, evaluated at y by cross_b_from_chat."""
+    """sum_l W2(m, l)(-x) Chat_l, invrel3's left side, read by cross_b_from_chat."""
     return XPoly.sum_products(
         (_ws2_neg_x(m, l), families.poly_cauchy_2(l, k, params))
         for l in range(m + 1)
@@ -222,7 +224,7 @@ def _inner_cauchy2(m: int, k: int, params: PQParams) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W1(m, l) B_l, evaluated at y by the two cross relations from B."""
+    """sum_l W1(m, l) B_l, invrel1's left side, read by the cross relations from B."""
     return XPoly.sum_products(
         (sequences.weighted_stirling1(m, l), families.poly_bernoulli(l, k, params))
         for l in range(m + 1)
@@ -465,34 +467,10 @@ def _eval_orthogonality(n, m, direction):
     return lhs, XPoly.one() if n == m else XPoly.zero()
 
 
-def _eval_invrel1(n, k, params):
-    lhs = XPoly.sum_products(
-        (sequences.weighted_stirling1(n, m), families.poly_bernoulli(m, k, params))
-        for m in range(n + 1)
-    )
-    rhs = XPoly.const(
-        math.factorial(n) * pqcalc.pq_integer(n + 1, params) ** (-k)
-    )
-    return lhs, rhs
-
-
-def _eval_invrel2(n, k, params):
-    lhs = XPoly.sum_products(
-        (sequences.weighted_stirling2(n, m), families.poly_cauchy_1(m, k, params))
-        for m in range(n + 1)
-    )
-    rhs = XPoly.const(pqcalc.pq_integer(n + 1, params) ** (-k))
-    return lhs, rhs
-
-
-def _eval_invrel3(n, k, params):
-    lhs = XPoly.sum_products(
-        (_ws2_neg_x(n, m), families.poly_cauchy_2(m, k, params)) for m in range(n + 1)
-    )
-    rhs = XPoly.const(
-        Fraction((-1) ** n) * pqcalc.pq_integer(n + 1, params) ** (-k)
-    )
-    return lhs, rhs
+def _eval_invrel(n, k, params, inner, scale):
+    """One inversion relation: the inner sum Q_n against scale(n) [n+1]^(-k)."""
+    rhs = scale(n) * pqcalc.pq_integer(n + 1, params) ** (-k)
+    return inner(n, k, params), XPoly.const(rhs)
 
 
 @lru_cache(maxsize=None)
@@ -583,9 +561,15 @@ CHECKS: tuple[IdentityCheck, ...] = (
         partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_2),
     ),
     IdentityCheck("orthogonality", _orthogonality_cells, _eval_orthogonality),
-    IdentityCheck("invrel1", _nkp_cells, _eval_invrel1),
-    IdentityCheck("invrel2", _nkp_cells, _eval_invrel2),
-    IdentityCheck("invrel3", _nkp_cells, _eval_invrel3),
+    # the inversion relations: (id, inner sum Q_n, scale of [n+1]^(-k))
+    *(
+        IdentityCheck(i, _nkp_cells, partial(_eval_invrel, inner=inner, scale=scale))
+        for i, inner, scale in (
+            ("invrel1", _inner_bernoulli, math.factorial),
+            ("invrel2", _inner_cauchy1, lambda n: 1),
+            ("invrel3", _inner_cauchy2, lambda n: (-1) ** n),
+        )
+    ),
     # the cross relations: (id, family, inner sum, outer weighted Stirling
     # polynomial, alternating sign, times m! rather than over m!); the outer
     # triangles are read off ``sequences`` at each call

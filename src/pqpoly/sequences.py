@@ -9,11 +9,12 @@ Every Stirling-type value is extracted from its generating function,
 [t^n/n!] w(t) base^m / m! with base = e^t - 1 or -ln(1 - t) and weight w = 1
 for the plain triangles.  Each triangle reads its entries off its own
 ``PowerRows`` table of base^m, which builds row n once, from the rows before
-it, on the first read that needs it; a weighted entry is one EGF product
-coefficient of w against column m of that table.  No triangle shares its
-table with another, so the plain and weighted triangles of one kind stay
-independent routes.  The triangular recurrences stay test-only oracles,
-independent cross-checks of the extractions.
+it, on the first read that needs it; a weighted entry is one kernel sum
+over column m of that table, weighted by the coefficients of w.  No
+triangle shares its table with another, so the plain and weighted
+triangles of one kind stay independent routes.  The triangular
+recurrences stay test-only oracles, independent cross-checks of the
+extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
 power recurrence, through its one Appell expansion; the Euler polynomials
 are the Frobenius-Euler ones at s = 1, u = -1.
@@ -67,13 +68,6 @@ def _power_table(triangle: str, base) -> PowerRows:
     return PowerRows(base)
 
 
-@lru_cache(maxsize=None)
-def _weight_series(weight, order: int) -> EgfSeries:
-    """The EGF sum weight(j) t^j/j! to the given order, built once for all
-    the entries of a row."""
-    return EgfSeries([weight(j) for j in range(order + 1)])
-
-
 def _check_indices(n: int, m: int) -> None:
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
@@ -91,12 +85,11 @@ def _weighted_entry(triangle: str, base, weight, n: int, m: int) -> XPoly:
     """[t^n/n!] w(t) base^m / m!, where weight(j) is EGF coefficient j of w,
     from column m of the triangle's table."""
     _check_indices(n, m)
-    if m > n:
-        return XPoly.zero()
-    table = _power_table(triangle, base)
-    column = EgfSeries([0] * m + [table.row(j)[m] for j in range(m, n + 1)])
-    weights = _weight_series(weight, n)
-    return weights.mul_coeff(column, n) * Fraction(1, math.factorial(m))
+    table, scale = _power_table(triangle, base), Fraction(1, math.factorial(m))
+    return XPoly.sum_products(
+        (math.comb(n, j), weight(n - j), table.row(j)[m], scale)
+        for j in range(m, n + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -156,16 +149,14 @@ def euler_poly(n: int) -> XPoly:
 @lru_cache(maxsize=None)
 def bernoulli_order(n: int, s: int) -> XPoly:
     """Order-s Bernoulli polynomial from the EGF (t/(e^t - 1))^s e^(xt)."""
-    if n < 0 or s < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_indices(n, s)
     return egf.appell(_bernoulli_column(s).series(n).coeffs, n)
 
 
 @lru_cache(maxsize=None)
 def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
     """Frobenius-Euler polynomial from the EGF ((1-u)/(e^t - u))^s e^(xt)."""
-    if n < 0 or s < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_indices(n, s)
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")

@@ -6,8 +6,9 @@ generating functions, so a defect in the library's series engine cannot
 hide inside its own oracle.  The exceptions reuse library types on
 purpose, so that the library can be held to them coefficient type for
 coefficient type: ``horner_compose`` reuses the EGF product, to pin
-``egf.compose``, and ``binomial_conv`` is the EGF product's coefficient
-with no term skipped.  ``derivative`` differentiates an ``XPoly``, and the
+``egf.compose`` and, at p = q, the poly-Bernoulli and poly-Euler families,
+and ``binomial_conv`` is the EGF product's coefficient with no term
+skipped.  ``derivative`` differentiates an ``XPoly``, and the
 weighted Stirling recurrences run over ``XPoly``, whose product is not the
 EGF engine.
 """
@@ -278,6 +279,45 @@ def horner_compose(outer_coeffs, inner):
         constant = EgfSeries.constant(outer_coeffs[m], n)
         result = EgfSeries(map(add, result.mul(inner).coeffs, constant.coeffs))
     return result
+
+
+def li_equal_params_coeffs(k: int, p: Fraction, order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order of Li_k at p = q, which is
+    p^k Li_k(z / p^k) since [m]_(p,p) = m p^(m-1): coefficient m >= 1 is
+    b^e / (m^k a^e) with e = k(m - 1) and p = a/b, from int powers."""
+    a, b = p.numerator, p.denominator
+    coeffs = [Fraction(0)]
+    for m in range(1, order + 1):
+        e = k * (m - 1)
+        if k >= 0:
+            coeffs.append(Fraction(b**e, m**k * a**e))
+        else:
+            coeffs.append(Fraction(m**-k * a**-e, b**-e))
+    return coeffs
+
+
+def _one_minus_exp_neg(order: int) -> EgfSeries:
+    """EGF of 1 - e^(-t) to the given order."""
+    return EgfSeries([0] + [-((-1) ** j) for j in range(1, order + 1)])
+
+
+def poly_bernoulli_equal_params(n: int, k: int, p: Fraction) -> XPoly:
+    """B_n^(k)(x) at p = q: coefficient n of Li_k(1 - e^(-t)) / (1 - e^(-t))
+    times e^(-xt), the quotient as the index-shifted Li_k coefficients."""
+    li = li_equal_params_coeffs(k, p, n + 1)
+    base = horner_compose(li[1:], _one_minus_exp_neg(n))
+    return XPoly(
+        [(-1) ** j * math.comb(n, j) * base.coeff(n - j) for j in range(n + 1)]
+    )
+
+
+def poly_euler_equal_params(n: int, k: int, p: Fraction) -> XPoly:
+    """E_n^(k)(x) at p = q: coefficient n of 2 Li_k(1 - e^(-t)) / (1 + e^t)
+    times e^(xt), with 2/(e^t + 1) read off the Euler polynomials at 0."""
+    li = horner_compose(li_equal_params_coeffs(k, p, n), _one_minus_exp_neg(n))
+    halves = EgfSeries([e[0] for e in euler_polys_rec(n)])
+    base = li.mul(halves)
+    return XPoly([math.comb(n, j) * base.coeff(n - j) for j in range(n + 1)])
 
 
 def binomial_conv(a, b, n: int):

@@ -40,8 +40,11 @@ def test_constant_series():
 
 def test_coeff_out_of_range_raises():
     s = EgfSeries([1, 2, 3])
-    with pytest.raises(IndexError):
-        s.coeff(3)
+    column = Column(lambda coeffs, n: coeffs.extend(range(len(coeffs), n + 1)))
+    assert column.coeff(2) == 2
+    for read, n in ((s.coeff, 3), (s.coeff, -1), (column.coeff, -1)):
+        with pytest.raises(IndexError):
+            read(n)
 
 
 def test_mul_is_binomial_convolution():

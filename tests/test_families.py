@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches, families, sequences
+from pqpoly import clear_caches, families, pqcalc, sequences
 from pqpoly.exact import XPoly
 from pqpoly.families import (
     FAMILY_POLY_BERNOULLI,
@@ -230,6 +230,45 @@ def test_integral_routes_match_the_double_loop_oracle(params):
             assert got2.coeffs == tuple(want2), (n, k)
 
 
+def _equal_params_anchor_misses() -> list[tuple]:
+    """Cells (family, n, k, p) at p = q where poly_bernoulli or poly_euler
+    differs from its oracle over the rescaled classical polylogarithm."""
+    cases = (
+        (FAMILY_POLY_BERNOULLI, poly_bernoulli, oracles.poly_bernoulli_equal_params),
+        (FAMILY_POLY_EULER, poly_euler, oracles.poly_euler_equal_params),
+    )
+    return [
+        (family, n, k, p)
+        for p in (Fraction(2, 3), Fraction(1, 5))
+        for k in (-2, 1, 3)
+        for n in range(9)
+        for family, value, oracle in cases
+        if value(n, k, PQParams(p, p)) != oracle(n, k, p)
+    ]
+
+
+def test_equal_parameters_anchor_against_rescaled_polylog():
+    # Li_k^(p,p)(z) = p^k Li_k(z / p^k); the oracle never reads pqcalc
+    assert _equal_params_anchor_misses() == []
+
+
+def test_equal_parameters_anchor_sees_a_wrong_deformed_integer(monkeypatch):
+    # [3] + 1 at p = q fails no identity check, since the identities hold
+    # for any weight sequence; the anchor must fail
+    integer = pqcalc.pq_integer
+
+    def skewed(n: int, params: PQParams) -> Fraction:
+        value = integer(n, params)
+        return value + 1 if n == 3 and params.is_equal_limit else value
+
+    clear_caches()
+    monkeypatch.setattr(pqcalc, "pq_integer", skewed)
+    try:
+        assert _equal_params_anchor_misses()
+    finally:
+        clear_caches()
+
+
 # ---------------------------------------------------------------------------
 # route table
 
@@ -243,6 +282,9 @@ def test_compute_validation():
         compute(FAMILY_POLY_CAUCHY_1, 1, 0, BASE, ROUTE_INTEGRAL)
     with pytest.raises(ValueError):
         compute(FAMILY_POLY_EULER, -1, 1, BASE)
+    for base_series in (families.bernoulli_base_series, families.euler_base_series):
+        with pytest.raises(ValueError):
+            base_series(1, BASE, -1)
 
 
 def test_routes_by_family_covers_all_families():

@@ -372,6 +372,25 @@ def test_cross_checks_build_each_inner_sum_once(monkeypatch):
     pqpoly.clear_caches()
 
 
+def test_invrel_left_sides_are_the_cross_inner_sums():
+    # invrel1-3 fill the three inner-sum caches, one entry per cell; the
+    # cross relations then read every Q_m they need from them
+    pqpoly.clear_caches()
+    inners = ("_inner_bernoulli", "_inner_cauchy1", "_inner_cauchy2")
+    reports = run_all(SMALL, only=["invrel1", "invrel2", "invrel3"])
+    assert all(report.passed for report in reports)
+    cells = reports[0].cells_total
+    before = {name: getattr(identities, name).cache_info() for name in inners}
+    for info in before.values():
+        assert (info.misses, info.currsize) == (cells, cells)
+    assert all(report.passed for report in run_all(SMALL, only=CROSS_IDS))
+    for name in inners:
+        info = getattr(identities, name).cache_info()
+        assert info.misses == before[name].misses, name
+        assert info.hits > before[name].hits, name
+    pqpoly.clear_caches()
+
+
 @pytest.mark.parametrize("check_id", CROSS_IDS)
 def test_cross_rhs_in_y_equals_the_sum_over_inner_values(check_id):
     # sum_j y^j R_j equals sum_m c_m Q_m(y) W(n, m) even for an inner sum

@@ -1,6 +1,7 @@
 """Generated files stay out of version control; no import goes unused;
-clear_caches leaves no cache in the package filled; no private module-level
-name in the package goes unread."""
+the package's caches are exactly the listed ones, and clear_caches leaves
+none of them filled; no private module-level name in the package goes
+unread."""
 
 import ast
 import importlib
@@ -85,6 +86,50 @@ def _package_caches():
             if hasattr(value, "cache_info"):
                 caches[f"{value.__module__}.{value.__qualname__}"] = value
     return caches
+
+
+# every lru_cache in the package; adding or removing one edits this list
+PACKAGE_CACHES = {
+    "pqpoly.exact.falling_factorial",
+    "pqpoly.exact.rising_factorial",
+    "pqpoly.pqcalc.pq_integer",
+    "pqpoly.sequences._power_table",
+    "pqpoly.sequences.stirling2",
+    "pqpoly.sequences.stirling1_unsigned",
+    "pqpoly.sequences.weighted_stirling2",
+    "pqpoly.sequences.weighted_stirling1",
+    "pqpoly.sequences._bernoulli_column",
+    "pqpoly.sequences._frobenius_column",
+    "pqpoly.sequences.bernoulli_order",
+    "pqpoly.sequences.frobenius_euler",
+    "pqpoly.sequences._li_coeff",
+    "pqpoly.sequences._lif_coeff",
+    "pqpoly.families._inner_rows",
+    "pqpoly.families._polylog_column",
+    "pqpoly.families._two_over_exp_plus_one",
+    "pqpoly.families._euler_column",
+    "pqpoly.families.poly_euler",
+    "pqpoly.families.bernoulli_via_gf",
+    "pqpoly.families._integral_appell",
+    "pqpoly.families.cauchy1_via_gf",
+    "pqpoly.families.cauchy2_via_gf",
+    "pqpoly.identities._euler_poly_at",
+    "pqpoly.identities._classical_euler_shifted",
+    "pqpoly.identities._ws1_neg_x",
+    "pqpoly.identities._ws2_neg_x",
+    "pqpoly.identities._inner_cauchy1",
+    "pqpoly.identities._inner_cauchy2",
+    "pqpoly.identities._inner_bernoulli",
+    "pqpoly.identities._tid3_inner",
+    "pqpoly.identities._tid4_coeffs",
+    "pqpoly.identities._tid4_weight",
+    "pqpoly.identities._tid4_frobenius_euler",
+    "pqpoly.identities._cross_rhs_coeffs",
+}
+
+
+def test_package_caches_are_the_listed_ones():
+    assert set(_package_caches()) == PACKAGE_CACHES
 
 
 def test_clear_caches_empties_every_cache():

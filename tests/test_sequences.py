@@ -170,6 +170,21 @@ def test_weighted_stirling1_matches_r_stirling_recurrence():
         assert [weighted_stirling1(n, m) for m in range(n + 1)] == row
 
 
+def test_weighted_rows_build_no_series(monkeypatch):
+    # each weighted entry is one kernel sum over the triangle's table
+    def refuse(self, coeffs):
+        raise AssertionError("a weighted Stirling entry built an EgfSeries")
+
+    rows1 = oracles.weighted_stirling1_rec(12)
+    rows2 = oracles.weighted_stirling2_rec(12)
+    clear_caches()
+    monkeypatch.setattr(EgfSeries, "__init__", refuse)
+    for n in range(13):
+        assert [weighted_stirling1(n, m) for m in range(n + 1)] == rows1[n]
+        assert [weighted_stirling2(n, m) for m in range(n + 1)] == rows2[n]
+    clear_caches()
+
+
 def test_weighted_stirling2_at_zero_reduces_to_plain():
     for n in range(10):
         for m in range(n + 1):
