@@ -9,16 +9,19 @@ indeterminate x with rational coefficients, stored the way FLINT's
 zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
 the zero polynomial, so equality is structural.  All XPoly arithmetic is
 one kernel, ``XPoly.sum_products``, which builds a whole sum of products as
-one XPoly: each term's factors fold into one int vector, one integer
-convolution per further non-constant factor, and the terms add over one
-common denominator with a single canonicalisation; no arithmetic builds a
-Fraction per coefficient.  Each term costs a few int operations: a factor
-is dispatched on its exact type (``int``, ``Fraction``, ``XPoly``), while
-``bool``, XPoly subclasses and any other type take the ``isinstance`` and
-``check_scalar`` path; a term over denominator 1 takes no gcd, the common
-denominator is raised by ``math.lcm`` only when a term's denominator does
-not divide it, a scale of 1 multiplies nothing, and a scalar term adds one
-int.  The operators ``+``, ``-`` and ``*`` are one call of it each.
+one XPoly in a single pass over the terms: each term's factors fold into
+one int vector, one integer convolution per further non-constant factor,
+and the term is added as soon as it is read into one int accumulator over
+the running lcm of the term denominators, the way ``fmpq_poly`` adds
+polynomials that share a denominator; the sum is canonicalised once, at
+the end, and no arithmetic builds a Fraction per coefficient.  Each term
+costs a few int operations: a factor is dispatched on its exact type
+(``int``, ``Fraction``, ``XPoly``), while ``bool``, XPoly subclasses and
+any other type take the ``isinstance`` and ``check_scalar`` path; a term
+over denominator 1 takes no gcd, the accumulator is rescaled by
+``math.lcm`` only when a term's denominator does not divide the running
+one, a scale of 1 multiplies nothing, and a scalar term adds one int.  The
+operators ``+``, ``-`` and ``*`` are one call of it each.
 Calling an XPoly evaluates it at a scalar, by integer Horner;
 ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
 scale, and is the only substitution of a polynomial into a polynomial.
@@ -44,7 +47,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -219,10 +221,13 @@ class XPoly:
     @staticmethod
     def sum_products(terms: Iterable[tuple]) -> "XPoly":
         """The sum over terms of the product of each term's factors, each an
-        int, a Fraction or an XPoly: one int numerator and denominator per
-        term, one convolution per further XPoly factor, one int list over
-        the lcm of the term denominators, and one canonicalisation."""
-        parts, lcm, width = [], 1, 0
+        int, a Fraction or an XPoly, in one pass: each term becomes one int
+        numerator and denominator, times one convolution per further XPoly
+        factor, and is added as it is read into one int accumulator over
+        the running lcm of the term denominators, which is rescaled only
+        when a term's denominator does not divide it; one canonicalisation
+        at the end.  The first nonzero term starts the accumulator."""
+        acc, lcm = None, 1
         for term in terms:
             num, den, vec = 1, 1, (1,)
             for f in term:
@@ -235,7 +240,11 @@ class XPoly:
                     num *= f.numerator
                     den *= f.denominator
                 elif t is XPoly or isinstance(f, XPoly):
-                    a, da = f._ints()
+                    a = f._num
+                    if a is None:
+                        a, da = f._ints()
+                    else:
+                        da = f._den
                     den *= da
                     if len(a) <= 1:
                         num *= a[0] if a else 0
@@ -245,27 +254,34 @@ class XPoly:
                     check_scalar(f, "sum_products factor")
                     num *= f.numerator
                     den *= f.denominator
-            if num:
-                if den != 1:
-                    g = math.gcd(num, den)
-                    if g != 1:
-                        num //= g
-                        den //= g
-                    if lcm % den:
-                        lcm = math.lcm(lcm, den)
-                parts.append((num, den, vec))
-                if len(vec) > width:
-                    width = len(vec)
-        acc = [0] * width
-        for num, den, vec in parts:
-            scale = num * (lcm // den) if den != lcm else num
-            if len(vec) == 1:  # a scalar term: vec is (1,)
-                acc[0] += scale
+            if not num:
                 continue
-            if scale != 1:
-                vec = [c * scale for c in vec]
-            acc[: len(vec)] = map(add, acc, vec)
-        return _from_ints(acc, lcm)
+            if den != 1:
+                g = math.gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+            if acc is None:
+                acc = list(vec) if num == 1 else [v * num for v in vec]
+                lcm = den
+                continue
+            if den != lcm:
+                if lcm % den:
+                    grown = math.lcm(lcm, den)
+                    up = grown // lcm
+                    acc = [c * up for c in acc]
+                    lcm = grown
+                num *= lcm // den
+            if len(vec) == 1:  # a scalar term: vec is (1,)
+                acc[0] += num
+                continue
+            if len(vec) > len(acc):
+                acc += [0] * (len(vec) - len(acc))
+            if num == 1:
+                acc[: len(vec)] = [c + v for c, v in zip(acc, vec)]
+            else:
+                acc[: len(vec)] = [c + v * num for c, v in zip(acc, vec)]
+        return _from_ints([] if acc is None else acc, lcm)
 
     def affine(self, a: Scalar, b: Scalar) -> "XPoly":
         """The polynomial p(a x + b), by an integer Taylor shift.

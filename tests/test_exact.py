@@ -290,6 +290,7 @@ class _SubPoly(XPoly):
 
 _X = XPoly.x()
 _SQUARE = XPoly([Fraction(1, 2), 0, 1])
+_WIDE = XPoly([Fraction(1, 2), -3, 0, Fraction(5, 4), 7])
 
 
 @pytest.mark.parametrize(
@@ -314,6 +315,16 @@ _SQUARE = XPoly([Fraction(1, 2), 0, 1])
             [(Fraction(1, 4), _X), (Fraction(1, 3), _SQUARE), (Fraction(2, 5),),
              (XPoly([Fraction(1, 7)]), _X)],
             id="denominators-raise-the-running-lcm",
+        ),
+        pytest.param(
+            [(_WIDE,), (Fraction(2, 3), _X), (XPoly([Fraction(1, 5)]), _SQUARE),
+             (Fraction(3, 7),)],
+            id="lcm-grows-after-a-wide-term",
+        ),
+        pytest.param(
+            [(Fraction(1, 2),), (Fraction(1, 3), _X), (_SQUARE, _X, Fraction(1, 5)),
+             (Fraction(2, 9), _WIDE, _X)],
+            id="later-terms-wider-than-the-accumulator",
         ),
         pytest.param(
             [(0, _SQUARE), (_X, Fraction(0)), (XPoly.zero(), 5),

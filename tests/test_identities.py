@@ -450,7 +450,9 @@ def test_cross_inner_sums_match_the_scalar_sums(k, params):
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_each_sum_is_canonicalised_once(monkeypatch, n):
-    # one XPoly per side: the kernel canonicalises its sum once, whatever n
+    # one XPoly per side: the kernel canonicalises its sum once, whatever n;
+    # the cross_b_from_c side is its one cached coefficient R_0, which the
+    # cell returns as it is, so it canonicalises nothing
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
     sides = {
         "tid4": lambda: identities._eval_tid4(n, 2, params, 2, Fraction(2)),
@@ -474,4 +476,47 @@ def test_each_sum_is_canonicalised_once(monkeypatch, n):
 
         monkeypatch.setattr(exact, "_from_ints", counting)
         side()
-    assert canonicalised == Counter(dict.fromkeys(sides, 1))
+    assert canonicalised == Counter(tid4=1, cauchy1_stirling=1)
+    assert canonicalised["cross_b_from_c"] == 0
+
+
+@pytest.mark.parametrize("check_id", CROSS_IDS)
+def test_one_coefficient_cross_cell_makes_no_kernel_call(monkeypatch, check_id):
+    # the inner sums are constants, so each right side has the one
+    # coefficient R_0; once it is cached, a cell at any y returns it as it
+    # is, without a kernel call
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    evaluate = _CHECKS_BY_ID[check_id].evaluate
+    keywords = evaluate.keywords
+    for n in (0, 3, identities.CROSS_N_CAP):
+        evaluate(n=n, k=2, params=params, y=Fraction(0))  # warm the caches
+        coeffs = identities._cross_rhs_coeffs(
+            keywords["inner"], keywords["outer"], keywords["alternating"],
+            keywords["by_factorial"], n, 2, params,
+        )
+        assert len(coeffs) == 1
+        calls = []
+        monkeypatch.setattr(
+            XPoly, "sum_products", staticmethod(lambda terms: calls.append(terms))
+        )
+        for y in y_samples(n):
+            lhs, rhs = evaluate(n=n, k=2, params=params, y=y)
+            assert rhs is coeffs[0] and lhs == rhs
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_cold_pass_kernel_call_count(monkeypatch):
+    # a guard on the number of kernel calls in one cold pass over SMALL: a
+    # change that adds or removes kernel calls updates this figure
+    pqpoly.clear_caches()
+    kernel, calls = XPoly.sum_products, [0]
+
+    def counting(terms):
+        calls[0] += 1
+        return kernel(terms)
+
+    monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
+    assert all(report.passed for report in run_all(SMALL))
+    assert calls[0] == 1686
+    pqpoly.clear_caches()
