@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exact import XPoly
@@ -215,7 +214,7 @@ class PowerRows:
         row = self.row(j)
         outer = outer[: j + 1]
         if any(isinstance(v, XPoly) for v in (*outer, *row)):
-            return sum(map(mul, outer, row))
+            return XPoly.sum_products(zip(outer, row))
         return _scalar_sum(zip(outer, row))
 
 

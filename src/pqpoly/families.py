@@ -21,8 +21,10 @@ the rows [t^j/j!] inner^m of the three parameter-free inners 1 - e^(-t),
 ln(1+t) and -ln(1+t) are built once per process, and the coefficients of
 2/(e^t + 1) are a parameter-free column too, grown by ``egf``'s one power
 recurrence.  None is shared with a Stirling triangle or a classical family.
-The Li_k and Lif_k coefficient providers are passed to the columns by
-reference, read off ``sequences`` at each call.  The columns, the rows and
+Each Li_k or Lif_k column keeps the ordinary coefficients it has read,
+one call per index to the coefficient function it was passed by
+reference, read off ``sequences`` at each call; the Li_k columns of
+poly-Euler and poly-Bernoulli read their own.  The columns, the rows and
 each gf route's values are cached; the weighted-Stirling and integral
 routes are recomputed on each call from their cached ingredients.  Each
 of those routes is one ``XPoly.sum_products`` call.  An integral route
@@ -127,20 +129,18 @@ def _inner_rows(inner) -> PowerRows:
 
 
 @lru_cache(maxsize=None)
-def _polylog_column(
-    provider, k: int, params: PQParams, inner, shift: int
-) -> Column:
+def _polylog_column(coeff, k: int, params: PQParams, inner, shift: int) -> Column:
     """EGF coefficients of sum_m c_(m + shift) inner^m, with c_m the ordinary
-    coefficients ``provider(k, params, order)`` gives.
+    coefficient ``coeff(m, k, params)``.
 
-    Callers pass the provider by reference, read off ``sequences`` at the
-    call, so a rebound provider keys a column of its own.  It is called
-    once per growth.
+    Callers pass ``coeff`` by reference, read off ``sequences`` at the
+    call, so a rebound one keys a column of its own.  The column keeps the
+    c_(m + shift) it has read and reads each once.
     """
-    rows = _inner_rows(inner)
+    rows, c = _inner_rows(inner), []
 
     def grow(coeffs: list, n: int) -> None:
-        c = provider(k, params, n + shift)[shift:]
+        c.extend(coeff(m + shift, k, params) for m in range(len(c), n + 1))
         for j in range(len(coeffs), n + 1):
             coeffs.append(rows.compose_coeff(c, j))
 
@@ -158,8 +158,7 @@ def _two_over_exp_plus_one() -> Column:
 @lru_cache(maxsize=None)
 def _euler_column(k: int, params: PQParams) -> Column:
     """EGF coefficients of 2 Li_k(1 - e^(-t)) / (1 + e^t)."""
-    provider = sequences.li_pq_ordinary_coeffs
-    li = _polylog_column(provider, k, params, _one_minus_exp_neg, 0)
+    li = _polylog_column(sequences._li_coeff, k, params, _one_minus_exp_neg, 0)
 
     def grow(coeffs: list, n: int) -> None:
         li_part = li.series(n)
@@ -205,7 +204,7 @@ def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     shifted composition is already the full quotient.
     """
     _check_n(order)
-    li = sequences.li_pq_ordinary_coeffs
+    li = sequences._li_coeff
     return _polylog_column(li, k, params, _one_minus_exp_neg, 1).series(order)
 
 
@@ -256,7 +255,7 @@ def _integral_appell(m: int, k: int, params: PQParams, integral, appell) -> XPol
 def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of Lif_k(ln(1+t)) (1+t)^(-x)."""
     _check_n(n)
-    lif = sequences.lif_pq_ordinary_coeffs
+    lif = sequences._lif_coeff
     lif_part = _polylog_column(lif, k, params, _log1p, 0).series(n)
     # (1+t)^(-x) is (1+t)^x at -x: the product is taken at x and
     # substituted once
@@ -303,7 +302,7 @@ def poly_cauchy_1(
 def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of (1+t)^x Lif_k(-ln(1+t))."""
     _check_n(n)
-    lif = sequences.lif_pq_ordinary_coeffs
+    lif = sequences._lif_coeff
     lif_part = _polylog_column(lif, k, params, _neg_log1p, 0).series(n)
     binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
     return lif_part.mul_coeff(binom_part, n)

@@ -23,10 +23,10 @@ polynomials at -x, the shifted Euler polynomials, the inner sums Q_m of
 the cross relations, one polynomial per (m, k, params), and the right
 side of each cross relation as a polynomial in y, whose coefficients
 R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per (check, n, k, params);
-a cell computes sum_j y^j R_j at its y, exactly the sum of the Q_m(y)
-terms, so a Q_m that did depend on y would still fail cells.  With one
-coefficient, as for the paper's constant inner sums, the sum is R_0 and a
-cell returns the cached R_0 with no kernel call.  The cached
+a cell folds sum_j y^j R_j at its y by Horner, exactly the sum of the
+Q_m(y) terms, so a Q_m that did depend on y would still fail cells.  With
+one coefficient, as for the paper's constant inner sums, the fold is R_0
+and a cell returns the cached R_0 with no kernel call.  The cached
 Q_n is also the left side of invrel1-3, whose right sides compute their
 own [n+1]^(-k).  A cached value may serve one side of several checks,
 never both sides of one check, so the two sides stay independent.  No
@@ -504,15 +504,14 @@ def _cross_rhs_coeffs(
 
 
 def _eval_cross(n, k, params, y, family, inner, outer, alternating, by_factorial):
-    """One cross relation: the family value against sum_j y^j R_j, which is
-    R_0 itself when it is the only coefficient."""
+    """One cross relation: the family value against sum_j y^j R_j, folded
+    by Horner in y, so it is R_0 itself when it is the only coefficient."""
     lhs = families.compute(family, n, k, params)
-    coeffs = _cross_rhs_coeffs(
+    *coeffs, rhs = _cross_rhs_coeffs(
         inner, outer, alternating, by_factorial, n, k, params
     )
-    if len(coeffs) == 1:
-        return lhs, coeffs[0]
-    rhs = XPoly.sum_products((y**j, r) for j, r in enumerate(coeffs))
+    for r in reversed(coeffs):
+        rhs = XPoly.sum_products(((rhs, y), (r,)))
     return lhs, rhs
 
 

@@ -2,7 +2,7 @@
 
 Stirling numbers of both kinds, their polynomial-weighted extensions, the
 classical Euler polynomials, higher-order Bernoulli polynomials and
-Frobenius-Euler polynomials, plus the ordinary coefficient providers for the
+Frobenius-Euler polynomials, plus the ordinary coefficients of the
 two-parameter polylogarithm Li_k and its factorial variant Lif_k.
 
 Every Stirling-type value is extracted from its generating function,
@@ -18,9 +18,9 @@ extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
 power recurrence, through its one Appell expansion; the Euler polynomials
 are the Frobenius-Euler ones at s = 1, u = -1.
-The Li_k and Lif_k providers each read their coefficient m from a cache
-of their own per (m, k, params), which no other caller reads, so a check
-whose two sides read Li_k and Lif_k reads two caches.
+The Li_k and Lif_k coefficients are plain functions of (m, k, params);
+each generating-function column in ``families`` keeps the ones it has
+read, so no coefficient is cached where two columns could share it.
 For nonpositive k the polylogarithm collapses to a rational function of the
 series variable, exposed here as RationalFunction with exact cross
 multiplication equality.
@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 from . import egf, pqcalc
 from .egf import Column, EgfSeries, PowerRows
-from .exact import XPoly, rising_factorial
+from .exact import XPoly, check_scalar, rising_factorial
 from .pqcalc import PQParams
 
 # ---------------------------------------------------------------------------
@@ -153,10 +153,10 @@ def bernoulli_order(n: int, s: int) -> XPoly:
     return egf.appell(_bernoulli_column(s).series(n).coeffs, n)
 
 
-@lru_cache(maxsize=None)
 def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
     """Frobenius-Euler polynomial from the EGF ((1-u)/(e^t - u))^s e^(xt)."""
     _check_indices(n, s)
+    check_scalar(u, "u")
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")
@@ -164,20 +164,16 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# polylogarithm coefficient providers
+# polylogarithm coefficients
 
 
-@lru_cache(maxsize=None)
 def _li_coeff(m: int, k: int, params: PQParams) -> Fraction:
-    """1/[m]^k, the ordinary coefficient m >= 1 of Li_k; only
-    ``li_pq_ordinary_coeffs`` reads it."""
-    return pqcalc.pq_integer(m, params) ** (-k)
+    """The ordinary coefficient m of Li_k: zero at m = 0, else 1/[m]^k."""
+    return pqcalc.pq_integer(m, params) ** (-k) if m else Fraction(0)
 
 
-@lru_cache(maxsize=None)
 def _lif_coeff(m: int, k: int, params: PQParams) -> Fraction:
-    """1/(m! [m+1]^k), the ordinary coefficient m of Lif_k; only
-    ``lif_pq_ordinary_coeffs`` reads it."""
+    """The ordinary coefficient m of Lif_k, 1/(m! [m+1]^k)."""
     return pqcalc.pq_integer(m + 1, params) ** (-k) / math.factorial(m)
 
 
@@ -185,7 +181,7 @@ def li_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction
     """Ordinary coefficients of Li_k: zero, then 1/[m]^k for m >= 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return [Fraction(0)] + [_li_coeff(m, k, params) for m in range(1, order + 1)]
+    return [_li_coeff(m, k, params) for m in range(order + 1)]
 
 
 def lif_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:

@@ -82,21 +82,21 @@ def mutate_cauchy2_integral_drops_sign() -> None:
 
 
 def mutate_polylog_coeff_exponent_sign() -> None:
-    """The cached polylogarithm coefficients take [m]^k for [m]^(-k).
+    """The polylogarithm coefficients take [m]^k for [m]^(-k).
 
-    Only the Li_k and Lif_k providers read those caches, so the gf routes
-    carry the defect; the right sides of invrel1 (Li_k) and invrel2 and
-    invrel3 (Lif_k) compute [n+1]^(-k) on their own and must see it.
+    Only the gf routes' Li_k and Lif_k columns read those coefficients, so
+    they carry the defect; the right sides of invrel1 (Li_k) and invrel2
+    and invrel3 (Lif_k) compute [n+1]^(-k) on their own and must see it.
     """
 
     def li_flipped(m: int, k: int, params) -> Fraction:
-        return pqcalc.pq_integer(m, params) ** k
+        return pqcalc.pq_integer(m, params) ** k if m else Fraction(0)
 
     def lif_flipped(m: int, k: int, params) -> Fraction:
         return pqcalc.pq_integer(m + 1, params) ** k / math.factorial(m)
 
-    sequences._li_coeff = lru_cache(maxsize=None)(li_flipped)
-    sequences._lif_coeff = lru_cache(maxsize=None)(lif_flipped)
+    sequences._li_coeff = li_flipped
+    sequences._lif_coeff = lif_flipped
 
 
 def mutate_li_forgets_deformation() -> None:
@@ -104,19 +104,15 @@ def mutate_li_forgets_deformation() -> None:
 
     The identities treat the coefficient weights as opaque, so a wholesale
     parameter-blind rewrite of every [m] in the package would slip through
-    any identity suite; seeding the defect at the one coefficient provider
-    is the realistic single-site version, and the checks that pin those
-    weights against the deformed integers directly must catch it.
+    any identity suite; seeding the defect at the one per-index Li_k
+    coefficient is the realistic single-site version, and the checks that
+    pin those weights against the deformed integers directly must catch it.
     """
 
-    def classical(k: int, params, order: int) -> list[Fraction]:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return [Fraction(0)] + [
-            Fraction(m) ** (-k) for m in range(1, order + 1)
-        ]
+    def classical(m: int, k: int, params) -> Fraction:
+        return Fraction(m) ** (-k) if m else Fraction(0)
 
-    sequences.li_pq_ordinary_coeffs = classical
+    sequences._li_coeff = classical
 
 
 def mutate_egf_pow_extra_factor() -> None:

@@ -206,7 +206,8 @@ def test_criterion_5_mutation_sensitivity(capsys):
         if name == "cauchy2-integral-drops-sign":
             assert "cauchy_routes_2" in payload["failing"], payload
         if name == "polylog-coeff-exponent-sign":
-            # the invrel right sides read [n+1]^(-k) without the caches:
+            # the invrel right sides read [n+1]^(-k) without the
+            # coefficient functions:
             # invrel1 sums poly-Bernoulli values (Li_k), invrel2 and
             # invrel3 poly-Cauchy ones (Lif_k)
             assert "invrel1" in payload["failing"], payload

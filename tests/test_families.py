@@ -322,11 +322,12 @@ def test_equal_limit_point_is_supported_everywhere():
 # ---------------------------------------------------------------------------
 # generating-function columns
 
-GF_PROVIDERS = {
-    FAMILY_POLY_EULER: "li_pq_ordinary_coeffs",
-    FAMILY_POLY_BERNOULLI: "li_pq_ordinary_coeffs",
-    FAMILY_POLY_CAUCHY_1: "lif_pq_ordinary_coeffs",
-    FAMILY_POLY_CAUCHY_2: "lif_pq_ordinary_coeffs",
+# family -> (per-index ordinary coefficient function, first index read)
+GF_COEFFS = {
+    FAMILY_POLY_EULER: ("_li_coeff", 0),
+    FAMILY_POLY_BERNOULLI: ("_li_coeff", 1),
+    FAMILY_POLY_CAUCHY_1: ("_lif_coeff", 0),
+    FAMILY_POLY_CAUCHY_2: ("_lif_coeff", 0),
 }
 
 
@@ -351,28 +352,31 @@ def test_two_over_exp_plus_one_column_is_extended_not_rebuilt():
     [BASE, PQParams(Fraction(2, 3), Fraction(2, 3))],
     ids=["generic", "p=q"],
 )
-@pytest.mark.parametrize("family", list(GF_PROVIDERS))
+@pytest.mark.parametrize("family", list(GF_COEFFS))
 def test_gf_column_grows_one_coefficient_per_n(family, params, k, monkeypatch):
-    # the column asks its provider once per growth; a fresh order-n series
-    # per n would ask again for every n, in any order
+    # the column reads each ordinary coefficient index once, whether n is
+    # asked in order or the top n first; a fresh order-n series per n
+    # would read every index again for every n
     n_max = 12
-    calls = []
-    provider = getattr(sequences, GF_PROVIDERS[family])
+    name, first = GF_COEFFS[family]
+    once = list(range(first, first + n_max + 1))
+    reads = []
+    coeff = getattr(sequences, name)
 
-    def counted(k, params, order):
-        calls.append(order)
-        return provider(k, params, order)
+    def counted(m, k, params):
+        reads.append(m)
+        return coeff(m, k, params)
 
-    monkeypatch.setattr(sequences, GF_PROVIDERS[family], counted)
+    monkeypatch.setattr(sequences, name, counted)
     try:
         clear_caches()
         in_order = [compute(family, n, k, params) for n in range(n_max + 1)]
-        assert len(calls) == n_max + 1
+        assert reads == once
         clear_caches()
-        calls.clear()
+        reads.clear()
         alone = compute(family, n_max, k, params)
         below = [compute(family, n, k, params) for n in range(n_max)]
-        assert len(calls) == 1
+        assert reads == once
         assert below + [alone] == in_order
     finally:
         monkeypatch.undo()
@@ -384,11 +388,9 @@ def test_clear_caches_lets_a_rebound_ingredient_reach_poly_euler(monkeypatch):
     classical = poly_euler(n, k, CLASSICAL)
     deformed = poly_euler(n, k, BASE)
     assert deformed != classical
-    provider = sequences.li_pq_ordinary_coeffs
+    coeff = sequences._li_coeff
     monkeypatch.setattr(
-        sequences,
-        "li_pq_ordinary_coeffs",
-        lambda k, params, order: provider(k, CLASSICAL, order),
+        sequences, "_li_coeff", lambda m, k, params: coeff(m, k, CLASSICAL)
     )
     try:
         clear_caches()

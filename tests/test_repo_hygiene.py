@@ -101,9 +101,6 @@ PACKAGE_CACHES = {
     "pqpoly.sequences._bernoulli_column",
     "pqpoly.sequences._frobenius_column",
     "pqpoly.sequences.bernoulli_order",
-    "pqpoly.sequences.frobenius_euler",
-    "pqpoly.sequences._li_coeff",
-    "pqpoly.sequences._lif_coeff",
     "pqpoly.families._inner_rows",
     "pqpoly.families._polylog_column",
     "pqpoly.families._two_over_exp_plus_one",

@@ -334,6 +334,12 @@ def test_frobenius_euler_rejects_u_one():
         frobenius_euler(2, 1, Fraction(1))
 
 
+def test_frobenius_euler_rejects_float_u():
+    # a float u would expand to a polynomial in its binary value
+    with pytest.raises(TypeError, match="u must be int or Fraction"):
+        frobenius_euler(2, 1, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # polylogarithm coefficients
 
