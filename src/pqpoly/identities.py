@@ -39,10 +39,9 @@ hashes once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import families, pqcalc, sequences
 from .exact import (
@@ -67,10 +66,8 @@ CROSS_N_CAP = 8
 APPELL_N_CAP = 12
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Grid the suite runs over.  Defaults match the acceptance runs."""
-
+# a NamedTuple may not override __new__, so SuiteConfig validates in a subclass
+class _SuiteGrid(NamedTuple):
     n_max: int = 10
     k_values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
     s_values: tuple[int, ...] = (1, 2, 3)
@@ -78,8 +75,17 @@ class SuiteConfig:
     scale_values: tuple[int, ...] = (1, 2, 3)
     param_points: tuple[PQParams, ...] = DEFAULT_PARAM_POINTS
 
-    def __post_init__(self):
-        """Reject a grid no check could run over, naming the field."""
+
+class SuiteConfig(_SuiteGrid):
+    """Immutable grid the suite runs over.  Defaults match the acceptance runs."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        """Reject a grid no check could run over, naming the field; ``_make``
+        and ``_replace`` build through here too."""
+        self = super().__new__(cls, *args, **kwargs)
         _check_ints("n_max", (self.n_max,), 0)
         _check_ints("k_values entry", self.k_values, None)
         _check_ints("s_values entry", self.s_values, 0)
@@ -95,6 +101,7 @@ class SuiteConfig:
                 raise TypeError(
                     f"param_points entry must be PQParams, not {type(params).__name__}"
                 )
+        return self
 
 
 def _check_ints(what: str, values: tuple, low: Optional[int]) -> None:
@@ -105,12 +112,22 @@ def _check_ints(what: str, values: tuple, low: Optional[int]) -> None:
             raise ValueError(f"{what} must be at least {low}, got {value}")
 
 
-@dataclass
 class IdentityReport:
-    id: str
-    cells_total: int
-    cells_passed: int
-    first_failure: Optional[dict] = None
+    """One check's cell counts and its first failing cell, if any."""
+
+    __slots__ = ("id", "cells_total", "cells_passed", "first_failure")
+
+    def __init__(
+        self,
+        id: str,
+        cells_total: int,
+        cells_passed: int,
+        first_failure: Optional[dict] = None,
+    ):
+        self.id = id
+        self.cells_total = cells_total
+        self.cells_passed = cells_passed
+        self.first_failure = first_failure
 
     @property
     def passed(self) -> bool:
@@ -131,8 +148,7 @@ class IdentityReport:
         return obj
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One identity: `build_cells` lists its cells for a SuiteConfig, and
     `evaluate` receives a cell's fields as keyword arguments and returns
     the two sides (lhs, rhs), which must be exactly equal."""
@@ -575,8 +591,8 @@ CHECKS: tuple[IdentityCheck, ...] = (
         )
     ),
     # the cross relations: (id, family, inner sum, outer weighted Stirling
-    # polynomial, alternating sign, times m! rather than over m!); the outer
-    # triangles are read off ``sequences`` at each call
+    # polynomial, alternating sign, times m! rather than over m!); each outer
+    # triangle is looked up at the call, so rebinding it reaches the check
     *(
         IdentityCheck(
             check_id,
@@ -594,7 +610,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
             ("cross_c_from_b", families.FAMILY_POLY_CAUCHY_1, _inner_bernoulli,
              lambda n, m: sequences.weighted_stirling1(n, m), True, False),
             ("cross_chat_from_b", families.FAMILY_POLY_CAUCHY_2, _inner_bernoulli,
-             _ws1_neg_x, False, False),
+             lambda n, m: _ws1_neg_x(n, m), False, False),
         )
     ),
     IdentityCheck(

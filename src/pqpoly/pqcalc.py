@@ -12,38 +12,52 @@ value of [n], no formula divides by p - q directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import check_scalar, rational_from_str, rational_to_str
 
 
-@dataclass(frozen=True)
 class PQParams:
-    """Validated parameter pair with 0 < q <= p <= 1.
+    """Validated parameter pair with 0 < q <= p <= 1, immutable.
 
     Every cached function takes one as a key, so the hash of the pair is
-    computed once, at construction; it is the value the dataclass would
-    generate, hash((p, q)).
+    computed once, at construction, as hash((p, q)).
     """
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("p", "q", "_hash")
+    __match_args__ = ("p", "q")
 
-    def __post_init__(self):
-        check_scalar(self.p, "p")
-        check_scalar(self.q, "q")
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if not 0 < self.q <= self.p <= 1:
+    def __init__(self, p: Fraction, q: Fraction):
+        check_scalar(p, "p")
+        check_scalar(q, "q")
+        p, q = Fraction(p), Fraction(q)
+        if not 0 < q <= p <= 1:
             raise ValueError(
-                f"parameters must satisfy 0 < q <= p <= 1, got p={self.p}, q={self.q}"
+                f"parameters must satisfy 0 < q <= p <= 1, got p={p}, q={q}"
             )
-        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+        for name, value in (("p", p), ("q", q), ("_hash", hash((p, q)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"PQParams(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return PQParams, (self.p, self.q)
 
     @property
     def is_equal_limit(self) -> bool:

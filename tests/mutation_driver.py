@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from pqpoly import egf, families, pqcalc, sequences
+from pqpoly import egf, families, identities, pqcalc, sequences
 from pqpoly.egf import PowerRows
 from pqpoly.exact import XPoly
 from pqpoly.identities import SuiteConfig, run_all
@@ -230,9 +230,9 @@ def mutate_poly_euler_number() -> None:
     families.poly_euler_number = skewed
 
 
-def _weighted_stirling_extra_term(name: str) -> None:
+def _weighted_stirling_extra_term(module, name: str) -> None:
     """W(3, 1) of one weighted Stirling triangle gains x/7."""
-    plain = getattr(sequences, name).__wrapped__
+    plain = getattr(module, name).__wrapped__
 
     def skewed(n: int, m: int) -> XPoly:
         value = plain(n, m)
@@ -240,7 +240,7 @@ def _weighted_stirling_extra_term(name: str) -> None:
             value += XPoly.monomial(1, Fraction(1, 7))
         return value
 
-    setattr(sequences, name, lru_cache(maxsize=None)(skewed))
+    setattr(module, name, lru_cache(maxsize=None)(skewed))
 
 
 def mutate_weighted_stirling2_extra_term() -> None:
@@ -248,7 +248,7 @@ def mutate_weighted_stirling2_extra_term() -> None:
 
     The cross relations from the Cauchy polynomials read it in their
     polynomial inner sums and in their outer sums."""
-    _weighted_stirling_extra_term("weighted_stirling2")
+    _weighted_stirling_extra_term(sequences, "weighted_stirling2")
 
 
 def mutate_weighted_stirling1_extra_term() -> None:
@@ -256,7 +256,15 @@ def mutate_weighted_stirling1_extra_term() -> None:
 
     The cross relations to the Cauchy polynomials read it in their Bernoulli
     inner sum and in their outer sums."""
-    _weighted_stirling_extra_term("weighted_stirling1")
+    _weighted_stirling_extra_term(sequences, "weighted_stirling1")
+
+
+def mutate_ws1_neg_x_extra_term() -> None:
+    """One wrong entry of the first-kind weighted triangle taken at -x.
+
+    Only the outer sum of cross_chat_from_b reads that triangle, so the
+    defect reaches no other check."""
+    _weighted_stirling_extra_term(identities, "_ws1_neg_x")
 
 
 MUTATIONS = {
@@ -274,6 +282,7 @@ MUTATIONS = {
     "poly-euler-number": mutate_poly_euler_number,
     "weighted-stirling2-extra-term": mutate_weighted_stirling2_extra_term,
     "weighted-stirling1-extra-term": mutate_weighted_stirling1_extra_term,
+    "ws1-neg-x-extra-term": mutate_ws1_neg_x_extra_term,
 }
 
 

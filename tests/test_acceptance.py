@@ -177,6 +177,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "poly-euler-number",
         "weighted-stirling2-extra-term",
         "weighted-stirling1-extra-term",
+        "ws1-neg-x-extra-term",
     ):
         proc = subprocess.run(
             [sys.executable, str(script), name],
@@ -239,6 +240,10 @@ def test_criterion_5_mutation_sensitivity(capsys):
             assert {"cross_c_from_b", "cross_chat_from_b"} <= set(
                 payload["failing"]
             ), payload
+        if name == "ws1-neg-x-extra-term":
+            # a kill of the cross relations' own: no invrel check reads the
+            # outer triangle of cross_chat_from_b
+            assert payload["failing"] == ["cross_chat_from_b"], payload
         killed.update(payload["failing"])
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     # every check fails under at least one seeded defect

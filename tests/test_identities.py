@@ -198,6 +198,8 @@ def test_truncation_tails_can_fail(monkeypatch):
 def test_suite_config_rejects_an_invalid_grid(field, value, error, match):
     with pytest.raises(error, match=match):
         SuiteConfig(**{field: value})
+    with pytest.raises(error, match=match):
+        SuiteConfig()._replace(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -63,7 +62,7 @@ def test_params_hash_is_the_pair_hash_and_survives_copies():
         ):
             assert same == params and hash(same) == hash(params)
         assert repr(params) == f"PQParams(p={params.p!r}, q={params.q!r})"
-        assert [f.name for f in dataclasses.fields(params)] == ["p", "q"]
+        assert PQParams.__match_args__ == ("p", "q")
     ints, fractions = PQParams(1, 1), PQParams(Fraction(1), Fraction(1))
     assert ints == fractions and hash(ints) == hash(fractions)
 

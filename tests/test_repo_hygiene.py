@@ -1,13 +1,15 @@
 """Generated files stay out of version control; no import goes unused;
-the package's caches are exactly the listed ones, and clear_caches leaves
-none of them filled; no private module-level name in the package goes
-unread."""
+importing the CLI loads no introspection module; the package's caches are
+exactly the listed ones, and clear_caches leaves none of them filled; no
+private module-level name in the package goes unread."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +75,27 @@ def test_no_unused_imports():
     assert paths
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+# every CLI run pays for its imports; dataclasses alone pulls in inspect,
+# ast, dis and tokenize, which none of pqpoly needs
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_introspection_module():
+    probe = (
+        "import sys, pqpoly.cli; "
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _package_caches():
