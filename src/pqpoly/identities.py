@@ -14,26 +14,25 @@ Reports are deterministic: cells are generated in a fixed order, the check
 list has a fixed order, and the first failing cell (if any) is captured
 with both sides serialized.
 
-Each side that is a sum is built by one ``XPoly.sum_products`` call, with
-the scalar weights passed as separate factors.  Work that does not depend
-on the cell is cached: the inner sums of tid3 and tid4 (``_tid3_inner``,
-``_tid4_weight``, the latter over tid4's parameter-free coefficients per
-(s, u)), the Frobenius-Euler polynomials tid4 reads, the weighted Stirling
-polynomials at -x, the shifted Euler polynomials, the inner sums Q_m of
-the cross relations, one polynomial per (m, k, params), and the right
-side of each cross relation as a polynomial in y, whose coefficients
-R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per (check, n, k, params);
-a cell folds sum_j y^j R_j at its y by Horner, exactly the sum of the
-Q_m(y) terms, so a Q_m that did depend on y would still fail cells.  With
-one coefficient, as for the paper's constant inner sums, the fold is R_0
-and a cell returns the cached R_0 with no kernel call.  The cached
-Q_n is also the left side of invrel1-3, whose right sides compute their
-own [n+1]^(-k).  A cached value may serve one side of several checks,
-never both sides of one check, so the two sides stay independent.  No
-cache key here holds a bare Fraction, since ``Fraction.__hash__`` computes
-a modular inverse on every lookup: tid1 and tid4 pass their points as
-ints, tid4 keys u by its numerator and denominator, and ``PQParams``
-hashes once.
+Each side that is a sum is built by one ``XPoly.sum_products`` call; eucls,
+tid1 and tid2 first sum each basis polynomial's weight as a scalar.  Work
+that does not depend on the cell is cached: the inner sums of tid3 and tid4
+(``_tid3_inner``, and the scalar ``_tid4_weight`` over tid4's parameter-free
+coefficients per (s, u)), the Frobenius-Euler polynomials tid4 reads, the
+weighted Stirling polynomials at -x, the shifted Euler polynomials, the
+inner sums Q_m of the cross relations, one polynomial per (m, k, params),
+and the right side of each cross relation as a polynomial in y, whose
+coefficients R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per
+(check, n, k, params); a cell folds sum_j y^j R_j at its y by Horner,
+exactly the sum of the Q_m(y) terms, so a Q_m that did depend on y would
+still fail cells.  With one coefficient, as for the paper's constant inner
+sums, the fold is R_0 and a cell returns the cached R_0 with no kernel call.
+The cached Q_n is also the left side of invrel1-3, whose right sides compute
+their own [n+1]^(-k).  A cached value may serve one side of several checks,
+never both sides of one check, so the two sides stay independent.  No cache
+key here holds a bare Fraction, since ``Fraction.__hash__`` computes a
+modular inverse on every lookup: tid1 and tid4 pass their points as ints,
+tid4 keys u by its numerator and denominator, and ``PQParams`` hashes once.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from . import families, pqcalc, sequences
+from . import egf, families, pqcalc, sequences
 from .exact import (
     XPoly,
     check_scalar,
@@ -342,62 +341,63 @@ def _eval_appell_iv(n, k, params):
     return lhs, rhs
 
 
-def _eucls_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
-    weights = {l: pqcalc.pq_integer(l + 1, params) ** (-k) for l in ls}
+def _eucls_sum(n: int, k: int, params: PQParams, ls: range) -> XPoly:
+    powers = [pqcalc.pq_integer(l + 1, params) ** (-k) for l in ls]
+    den = math.lcm(*(w.denominator for w in powers))
+    nums = [w.numerator * (den // w.denominator) for w in powers]
     return XPoly.sum_products(
-        ((-1) ** j * math.comb(l + 1, j), weight, _classical_euler_shifted(n, j))
-        for l, weight in weights.items()
-        for j in range(l + 2)
+        (sum(math.comb(l + 1, j) * a for l, a in zip(ls, nums)),
+         Fraction((-1) ** j, den), _classical_euler_shifted(n, j))
+        for j in range(ls.stop + 1)
     )
 
 
 def _eval_eucls(n, k, params):
-    # terms with l >= n vanish: the inner alternating sum is an (l+1)-fold
-    # finite difference of a degree-n polynomial
     return families.poly_euler(n, k, params), _eucls_sum(n, k, params, range(n))
 
 
 def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
-    """First term beyond the truncation used by the eucls check."""
-    return _eucls_sum(n, k, params, (n,))
+    """Term l = n, the first the eucls check leaves out: from there on the
+    sum over j is an (l+1)-fold finite difference of E_n, so zero."""
+    return _eucls_sum(n, k, params, range(n, n + 1))
 
 
-def _tid1_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
+def _stirling_sum(n: int, k: int, params: PQParams, ls, value, basis) -> XPoly:
     return XPoly.sum_products(
-        (math.comb(n, i) * sequences.stirling2(i, l),
-         _euler_poly_at(n - i, -l, k, params), rising_factorial(l))
+        (egf._scalar_sum(
+            (math.comb(n, i) * sequences.stirling2(i, l), value(n - i, l, k, params))
+            for i in range(n + 1) if sequences.stirling2(i, l)
+        ), basis(l))
         for l in ls
-        for i in range(n + 1)
-        if sequences.stirling2(i, l)
     )
 
 
+def _tid1_value(m: int, l: int, k: int, params: PQParams) -> Fraction:
+    return _euler_poly_at(m, -l, k, params)
+
+
 def _eval_tid1(n, k, params):
-    return families.poly_euler(n, k, params), _tid1_sum(n, k, params, range(n + 1))
+    rhs = _stirling_sum(n, k, params, range(n + 1), _tid1_value, rising_factorial)
+    return families.poly_euler(n, k, params), rhs
 
 
 def tid1_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """Term l = n + 1; every Stirling factor in it lies above the diagonal."""
-    return _tid1_sum(n, k, params, (n + 1,))
+    return _stirling_sum(n, k, params, (n + 1,), _tid1_value, rising_factorial)
 
 
-def _tid2_sum(n: int, k: int, params: PQParams, ls: Iterable[int]) -> XPoly:
-    return XPoly.sum_products(
-        (math.comb(n, i) * sequences.stirling2(i, l),
-         families.poly_euler_number(n - i, k, params), falling_factorial(l))
-        for l in ls
-        for i in range(n + 1)
-        if sequences.stirling2(i, l)
-    )
+def _tid2_value(m: int, l: int, k: int, params: PQParams) -> Fraction:
+    return families.poly_euler_number(m, k, params)
 
 
 def _eval_tid2(n, k, params):
-    return families.poly_euler(n, k, params), _tid2_sum(n, k, params, range(n + 1))
+    rhs = _stirling_sum(n, k, params, range(n + 1), _tid2_value, falling_factorial)
+    return families.poly_euler(n, k, params), rhs
 
 
 def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """First term beyond the truncation used by the tid2 check."""
-    return _tid2_sum(n, k, params, (n + 1,))
+    return _stirling_sum(n, k, params, (n + 1,), _tid2_value, falling_factorial)
 
 
 @lru_cache(maxsize=None)
@@ -431,9 +431,9 @@ def _tid4_coeffs(s: int, u_num: int, u_den: int) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=None)
 def _tid4_weight(
     m: int, k: int, params: PQParams, s: int, u_num: int, u_den: int
-) -> XPoly:
-    """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's weight of H_l^(s)."""
-    return XPoly.sum_products(
+) -> Fraction:
+    """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's scalar weight of H_l^(s)."""
+    return egf._scalar_sum(
         (c, _euler_poly_at(m, i, k, params))
         for i, c in enumerate(_tid4_coeffs(s, u_num, u_den))
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import pqpoly
-from pqpoly import exact, families, identities, sequences
+from pqpoly import exact, families, identities, pqcalc, sequences
 from pqpoly.exact import XPoly
 from pqpoly.identities import (
     _CHECKS_BY_ID,
@@ -181,6 +181,14 @@ def test_truncation_tails_can_fail(monkeypatch):
     for tail in (tid1_tail_term, tid2_tail_term):
         value = tail(2, 1, params)
         assert value != 0 * value, tail.__name__
+    # the eucls tail is an (n+1)-fold finite difference, zero for any
+    # degree-n basis; a basis of degree n + 1 must show up in it
+    monkeypatch.setattr(
+        identities,
+        "_classical_euler_shifted",
+        lambda n, j: sequences.euler_poly(n + 1).affine(1, -j),
+    )
+    assert eucls_tail_term(2, 1, params) == XPoly.const(Fraction(216, 19))
 
 
 @pytest.mark.parametrize(
@@ -203,8 +211,45 @@ def test_suite_config_rejects_an_invalid_grid(field, value, error, match):
 
 
 # ---------------------------------------------------------------------------
-# tid3 and tid4 regroup their right sides around cached inner sums; the
-# double sums below are the right sides as written in the paper
+# eucls, tid1 and tid2 sum a scalar weight per basis polynomial, and tid3
+# and tid4 regroup their right sides around cached inner sums; the double
+# sums below are the right sides as written in the paper, term by term
+
+
+def _eucls_double_sum(n, k, params):
+    rhs = XPoly.zero()
+    for l in range(n):
+        for j in range(l + 2):
+            rhs = rhs + (
+                (-1) ** j
+                * math.comb(l + 1, j)
+                * pqcalc.pq_integer(l + 1, params) ** (-k)
+            ) * sequences.euler_poly(n).affine(1, -j)
+    return rhs
+
+
+def _tid1_double_sum(n, k, params):
+    rhs = XPoly.zero()
+    for l in range(n + 1):
+        for i in range(n + 1):
+            rhs = rhs + (
+                math.comb(n, i)
+                * sequences.stirling2(i, l)
+                * families.poly_euler(n - i, k, params)(-l)
+            ) * exact.rising_factorial(l)
+    return rhs
+
+
+def _tid2_double_sum(n, k, params):
+    rhs = XPoly.zero()
+    for l in range(n + 1):
+        for i in range(n + 1):
+            rhs = rhs + (
+                math.comb(n, i)
+                * sequences.stirling2(i, l)
+                * families.poly_euler_number(n - i, k, params)
+            ) * exact.falling_factorial(l)
+    return rhs
 
 
 def _tid3_double_sum(n, k, params, s):
@@ -240,10 +285,18 @@ REGROUP_POINTS = (
 )
 
 
-@pytest.mark.parametrize("params", REGROUP_POINTS)
-def test_tid3_and_tid4_right_sides_match_the_double_sums(params):
+@pytest.mark.parametrize("params", REGROUP_POINTS)  # p != q and p = q
+def test_regrouped_right_sides_match_the_double_sums(params):
+    # n = 0 stays in: there eucls sums over no l, and its right side is zero
     for n in range(9):
         for k in (-1, 2):
+            for evaluate, double_sum in (
+                (identities._eval_eucls, _eucls_double_sum),
+                (identities._eval_tid1, _tid1_double_sum),
+                (identities._eval_tid2, _tid2_double_sum),
+            ):
+                _, rhs = evaluate(n, k, params)
+                assert rhs == double_sum(n, k, params), (evaluate.__name__, n, k)
             for s in range(4):
                 _, rhs = identities._eval_tid3(n, k, params, s)
                 assert rhs == _tid3_double_sum(n, k, params, s), (n, k, s)
@@ -520,5 +573,5 @@ def test_cold_pass_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
     assert all(report.passed for report in run_all(SMALL))
-    assert calls[0] == 1686
+    assert calls[0] == 1542
     pqpoly.clear_caches()
