@@ -22,7 +22,9 @@ over denominator 1 takes no gcd, the accumulator is rescaled by
 ``math.lcm`` only when a term's denominator does not divide the running
 one, a scale of 1 multiplies nothing, and a scalar term adds one int.  The
 operators ``+``, ``-`` and ``*`` are one call of it each.
-Calling an XPoly evaluates it at a scalar, by integer Horner;
+Calling an XPoly evaluates it at a scalar, by integer Horner, and
+``weighted_values`` sums int-weighted values at the points 0, 1, ... the
+same way, into one Fraction;
 ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
 scale, and is the only substitution of a polynomial into a polynomial.
 
@@ -330,6 +332,20 @@ class XPoly:
             acc = acc * u + c * vpow
             vpow *= v
         return Fraction(acc, vpow // v * den) if num else Fraction(0)
+
+    def weighted_values(self, weights: Iterable[int], den: int) -> Fraction:
+        """sum_i weights[i] p(i) / den over the points i = 0, 1, ..., for int
+        weights and a nonzero int den: each p(i) by integer Horner on the
+        numerators, and one Fraction over den times p's denominator."""
+        num, pden = self._ints()
+        total = 0
+        for i, w in enumerate(weights):
+            if w:
+                acc = 0
+                for c in reversed(num):
+                    acc = acc * i + c
+                total += w * acc
+        return Fraction(total, pden * den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, XPoly):

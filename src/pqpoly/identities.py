@@ -15,14 +15,16 @@ list has a fixed order, and the first failing cell (if any) is captured
 with both sides serialized.
 
 Each side that is a sum is built by one ``XPoly.sum_products`` call; eucls,
-tid1 and tid2 first sum each basis polynomial's weight as a scalar.  Work
-that does not depend on the cell is cached: the inner sums of tid3 and tid4
-(``_tid3_inner``, and the scalar ``_tid4_weight`` over tid4's parameter-free
-coefficients per (s, u)), the Frobenius-Euler polynomials tid4 reads, the
-weighted Stirling polynomials at -x, the shifted Euler polynomials, the
-inner sums Q_m of the cross relations, one polynomial per (m, k, params),
-and the right side of each cross relation as a polynomial in y, whose
-coefficients R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per
+tid1 and tid2 first sum each basis polynomial's weight as a scalar, and tid2
+reads each of its n + 1 poly-Euler numbers once per cell.  Work that does
+not depend on the cell is cached: the inner sums of tid3 and tid4
+(``_tid3_inner``, and the scalar ``_tid4_weight``, E_m at the points 0..s
+under int weights over one denominator, ``XPoly.weighted_values``), the
+Frobenius-Euler polynomials tid4 reads, the weighted Stirling polynomials
+at -x, the shifted Euler polynomials, the inner sums Q_m of the cross
+relations, one polynomial per (m, k, params), and the right side of each
+cross relation as a polynomial in y, whose coefficients
+R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per
 (check, n, k, params); a cell folds sum_j y^j R_j at its y by Horner,
 exactly the sum of the Q_m(y) terms, so a Q_m that did depend on y would
 still fail cells.  With one coefficient, as for the paper's constant inner
@@ -31,8 +33,10 @@ The cached Q_n is also the left side of invrel1-3, whose right sides compute
 their own [n+1]^(-k).  A cached value may serve one side of several checks,
 never both sides of one check, so the two sides stay independent.  No cache
 key here holds a bare Fraction, since ``Fraction.__hash__`` computes a
-modular inverse on every lookup: tid1 and tid4 pass their points as ints,
-tid4 keys u by its numerator and denominator, and ``PQParams`` hashes once.
+modular inverse on every lookup: tid1 passes its points as ints, tid4 keys
+u by its numerator and denominator, and ``PQParams`` hashes once and
+compares as ints.  appell_ii takes each power of y = a/b as the int
+a^(n-i) b^i over one shared 1/b^n.
 """
 
 from __future__ import annotations
@@ -268,8 +272,12 @@ def _nkp_cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None)
 
 
 def _nkpy_cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None):
+    n, ys = None, ()
     for cell in _nkp_cells(config, n_min, n_cap):
-        for y in y_samples(cell["n"]):
+        if cell["n"] != n:
+            n = cell["n"]
+            ys = y_samples(n)
+        for y in ys:
             yield dict(cell, y=y)
 
 
@@ -315,8 +323,12 @@ def _eval_appell_i(n, k, params):
 
 def _eval_appell_ii(n, k, params, y):
     lhs = families.poly_euler(n, k, params).affine(1, y)
+    # C(n, i) y^(n-i) with y = a/b is C(n, i) a^(n-i) b^i over the shared b^n
+    a, b = y.numerator, y.denominator
+    scale = Fraction(1, b**n)
     rhs = XPoly.sum_products(
-        (math.comb(n, i), y ** (n - i), families.poly_euler(i, k, params))
+        (math.comb(n, i) * a ** (n - i) * b**i, scale,
+         families.poly_euler(i, k, params))
         for i in range(n + 1)
     )
     return lhs, rhs
@@ -362,42 +374,46 @@ def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     return _eucls_sum(n, k, params, range(n, n + 1))
 
 
-def _stirling_sum(n: int, k: int, params: PQParams, ls, value, basis) -> XPoly:
+def _stirling_sum(n: int, k: int, params: PQParams, ls, values, basis) -> XPoly:
+    value = values(n, k, params)
     return XPoly.sum_products(
         (egf._scalar_sum(
-            (math.comb(n, i) * sequences.stirling2(i, l), value(n - i, l, k, params))
+            (math.comb(n, i) * sequences.stirling2(i, l), value(n - i, l))
             for i in range(n + 1) if sequences.stirling2(i, l)
         ), basis(l))
         for l in ls
     )
 
 
-def _tid1_value(m: int, l: int, k: int, params: PQParams) -> Fraction:
-    return _euler_poly_at(m, -l, k, params)
+def _tid1_values(n: int, k: int, params: PQParams) -> Callable[[int, int], Fraction]:
+    """E_m(-l), the value tid1 weighs the rising factorial of l by."""
+    return lambda m, l: _euler_poly_at(m, -l, k, params)
 
 
 def _eval_tid1(n, k, params):
-    rhs = _stirling_sum(n, k, params, range(n + 1), _tid1_value, rising_factorial)
+    rhs = _stirling_sum(n, k, params, range(n + 1), _tid1_values, rising_factorial)
     return families.poly_euler(n, k, params), rhs
 
 
 def tid1_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """Term l = n + 1; every Stirling factor in it lies above the diagonal."""
-    return _stirling_sum(n, k, params, (n + 1,), _tid1_value, rising_factorial)
+    return _stirling_sum(n, k, params, (n + 1,), _tid1_values, rising_factorial)
 
 
-def _tid2_value(m: int, l: int, k: int, params: PQParams) -> Fraction:
-    return families.poly_euler_number(m, k, params)
+def _tid2_values(n: int, k: int, params: PQParams) -> Callable[[int, int], Fraction]:
+    """E_m(0) for any l, each of the n + 1 numbers read once per call."""
+    numbers = [families.poly_euler_number(m, k, params) for m in range(n + 1)]
+    return lambda m, l: numbers[m]
 
 
 def _eval_tid2(n, k, params):
-    rhs = _stirling_sum(n, k, params, range(n + 1), _tid2_value, falling_factorial)
+    rhs = _stirling_sum(n, k, params, range(n + 1), _tid2_values, falling_factorial)
     return families.poly_euler(n, k, params), rhs
 
 
 def tid2_tail_term(n: int, k: int, params: PQParams) -> XPoly:
     """First term beyond the truncation used by the tid2 check."""
-    return _stirling_sum(n, k, params, (n + 1,), _tid2_value, falling_factorial)
+    return _stirling_sum(n, k, params, (n + 1,), _tid2_values, falling_factorial)
 
 
 @lru_cache(maxsize=None)
@@ -421,21 +437,16 @@ def _eval_tid3(n, k, params, s):
 
 
 @lru_cache(maxsize=None)
-def _tid4_coeffs(s: int, u_num: int, u_den: int) -> tuple[Fraction, ...]:
-    """C(s, i) (-u)^(s-i) / (1 - u)^s for i = 0..s, free of k and params."""
-    u = Fraction(u_num, u_den)
-    scale = (1 - u) ** s
-    return tuple(math.comb(s, i) * (-u) ** (s - i) / scale for i in range(s + 1))
-
-
-@lru_cache(maxsize=None)
 def _tid4_weight(
     m: int, k: int, params: PQParams, s: int, u_num: int, u_den: int
 ) -> Fraction:
-    """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's scalar weight of H_l^(s)."""
-    return egf._scalar_sum(
-        (c, _euler_poly_at(m, i, k, params))
-        for i, c in enumerate(_tid4_coeffs(s, u_num, u_den))
+    """sum_i C(s, i) (-u)^(s-i) E_m(i) / (1 - u)^s, tid4's scalar weight of
+    H_l^(s): with u = a/b, the int weights C(s, i) (-a)^(s-i) b^i over
+    (b - a)^s, applied to E_m at the points 0..s."""
+    a, b = u_num, u_den
+    return families.poly_euler(m, k, params).weighted_values(
+        [math.comb(s, i) * (-a) ** (s - i) * b**i for i in range(s + 1)],
+        (b - a) ** s,
     )
 
 
@@ -460,7 +471,7 @@ def _eval_euler_bernoulli(n, k, params):
     e_n = families.poly_euler(n, k, params)
     lhs = e_n + e_n.affine(1, 1)
     b_n = families.poly_bernoulli(n, k, params)
-    rhs = 2 * b_n.affine(-1, 0) - 2 * b_n.affine(-1, 1)
+    rhs = XPoly.sum_products(((2, b_n.affine(-1, 0)), (-2, b_n.affine(-1, 1))))
     return lhs, rhs
 
 

@@ -46,9 +46,20 @@ class PQParams:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
+        # a Fraction is always in lowest terms, so equal values have equal
+        # numerators and denominators; comparing those ints skips the ABC
+        # checks of Fraction.__eq__ on every cache hit with a distinct key
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.p == other.p and self.q == other.q
+        p, q, op, oq = self.p, self.q, other.p, other.q
+        return (
+            p.numerator == op.numerator
+            and p.denominator == op.denominator
+            and q.numerator == oq.numerator
+            and q.denominator == oq.denominator
+        )
 
     def __hash__(self) -> int:
         return self._hash

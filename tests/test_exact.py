@@ -403,6 +403,29 @@ def test_xpoly_affine_matches_substitution_oracle(p, a, b):
     _assert_matches(result, expected)
 
 
+@given(
+    polys_either_form,
+    st.lists(st.integers(-50, 50), max_size=5),
+    st.integers(-30, 30).filter(bool),
+)
+def test_xpoly_weighted_values_match_the_fraction_sum(p, weights, den):
+    # zero weights, no weights, a negative den and both storage forms of p
+    want = sum(
+        (w * p(i) for i, w in enumerate(weights)), Fraction(0)
+    ) / den
+    got = p.weighted_values(weights, den)
+    assert type(got) is Fraction and got == want
+
+
+def test_xpoly_weighted_values_reject_a_float():
+    with pytest.raises(TypeError):
+        XPoly([1, 2]).weighted_values([1, 2], 0.5)
+    with pytest.raises(TypeError):
+        XPoly([1, 2]).weighted_values([0.5], 1)
+    with pytest.raises(ZeroDivisionError):
+        XPoly([1, 2]).weighted_values([1, 2], 0)
+
+
 @given(small_polys, small_polys)
 def test_xpoly_mul_commutative(a, b):
     assert a * b == b * a

@@ -305,13 +305,91 @@ def test_regrouped_right_sides_match_the_double_sums(params):
                     assert rhs == _tid4_double_sum(n, k, params, s, u), (n, k, s, u)
 
 
+WEIGHT_POINTS = (
+    PQParams(Fraction(1, 2), Fraction(1, 3)),
+    PQParams(Fraction(2, 3), Fraction(2, 3)),
+    PQParams(Fraction(1), Fraction(1)),
+)
+
+
+@pytest.mark.parametrize("params", WEIGHT_POINTS)  # p != q, p = q and (1, 1)
+def test_tid4_weight_matches_the_fraction_sum(params):
+    # for u > 1 the denominator (1 - u)^s is negative at odd s
+    for u in (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3, 2)):
+        for s in range(4):
+            for k in (-2, 0, 3):
+                for m in range(7):
+                    want = sum(
+                        math.comb(s, i)
+                        * (-u) ** (s - i)
+                        * families.poly_euler(m, k, params)(i)
+                        for i in range(s + 1)
+                    ) / (1 - u) ** s
+                    got = identities._tid4_weight(
+                        m, k, params, s, u.numerator, u.denominator
+                    )
+                    assert type(got) is Fraction and got == want, (m, k, s, u)
+
+
+def test_a_skewed_tid4_weight_fails_tid4(monkeypatch):
+    params = SMALL.param_points[0]
+    weight = identities._tid4_weight
+    skewed_key = (2, 1, params, 2, -1, 1)
+
+    def skewed(*key):
+        return weight(*key) + Fraction(1, 7) if key == skewed_key else weight(*key)
+
+    monkeypatch.setattr(identities, "_tid4_weight", skewed)
+    (report,) = run_all(SMALL, only=["tid4"])
+    # the weight of m = 2 enters every cell with n >= 2 at (k, params, s, u)
+    assert report.cells_total - report.cells_passed == SMALL.n_max - 1
+    assert report.first_failure["cell"] == {
+        "n": 2, "k": 1, "p": "1/2", "q": "1/3", "s": 2, "u": "-1/1"
+    }
+
+
+@pytest.mark.parametrize("params", WEIGHT_POINTS)
+def test_appell_ii_matches_the_fraction_power_sum(params):
+    for n in range(9):
+        for k in (-1, 2):
+            for y in (*y_samples(n), Fraction(-5, 2)):
+                lhs, rhs = identities._eval_appell_ii(n, k, params, y)
+                want = sum(
+                    (
+                        math.comb(n, i) * y ** (n - i)
+                        * families.poly_euler(i, k, params)
+                        for i in range(n + 1)
+                    ),
+                    XPoly.zero(),
+                )
+                assert rhs == want and lhs == want, (n, k, y)
+
+
+def test_tid2_reads_each_poly_euler_number_once_per_cell(monkeypatch):
+    params = SMALL.param_points[0]
+    calls = Counter()
+    number = families.poly_euler_number
+
+    def counting(*key):
+        calls[key] += 1
+        return number(*key)
+
+    monkeypatch.setattr(families, "poly_euler_number", counting)
+    for n in (0, 1, 6, 12):
+        calls.clear()
+        identities._eval_tid2(n, 2, params)
+        assert calls == Counter((m, 2, params) for m in range(n + 1)), n
+
+
 def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
     # count the uncached work under each cached inner sum: a key computed
-    # twice would count its work twice
+    # twice would count its work twice; a tid4 weight reads E_m at its
+    # points through one weighted_values call, not through _euler_poly_at
     pqpoly.clear_caches()
-    at_calls, number_calls = Counter(), Counter()
+    at_calls, number_calls, weight_sums = Counter(), Counter(), [0]
     euler_at = identities._euler_poly_at.__wrapped__
     euler_number = families.poly_euler_number
+    weighted_values = XPoly.weighted_values
 
     def counting_at(*key):
         at_calls[key] += 1
@@ -321,8 +399,13 @@ def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
         number_calls[key] += 1
         return euler_number(*key)
 
+    def counting_sum(self, weights, den):
+        weight_sums[0] += 1
+        return weighted_values(self, weights, den)
+
     monkeypatch.setattr(identities, "_euler_poly_at", counting_at)
     monkeypatch.setattr(families, "poly_euler_number", counting_number)
+    monkeypatch.setattr(XPoly, "weighted_values", counting_sum)
     reports = run_all(SMALL, only=["tid3", "tid4"])
     assert all(report.passed for report in reports)
 
@@ -333,20 +416,15 @@ def test_tid3_and_tid4_inner_sums_are_computed_once_per_key(monkeypatch):
         for params in SMALL.param_points
         for s in SMALL.s_values
     ]
-    want_at = Counter(
-        (m, i, k, params)
-        for m, k, params, s in grid
-        for _ in SMALL.u_values
-        for i in range(s + 1)
-    )
     want_numbers = Counter(
         (m - i, k, params) for m, k, params, _ in grid for i in range(m + 1)
     )
     assert identities._tid3_inner.cache_info().currsize == len(grid)
-    assert identities._tid4_weight.cache_info().currsize == len(grid) * len(
-        SMALL.u_values
-    )
-    assert at_calls == want_at
+    weights = len(grid) * len(SMALL.u_values)
+    info = identities._tid4_weight.cache_info()
+    assert (info.misses, info.currsize) == (weights, weights)
+    assert weight_sums == [weights]
+    assert at_calls == Counter()
     assert number_calls == want_numbers
     pqpoly.clear_caches()
 
@@ -573,5 +651,5 @@ def test_cold_pass_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
     assert all(report.passed for report in run_all(SMALL))
-    assert calls[0] == 1542
+    assert calls[0] == 1482
     pqpoly.clear_caches()

@@ -67,6 +67,35 @@ def test_params_hash_is_the_pair_hash_and_survives_copies():
     assert ints == fractions and hash(ints) == hash(fractions)
 
 
+def test_params_equality_compares_numerators_and_denominators():
+    a = PQParams(Fraction(1, 2), Fraction(1, 3))
+    assert a == a
+    assert a == PQParams(Fraction(2, 4), Fraction(1, 3))
+    assert a != PQParams(Fraction(1, 2), Fraction(1, 4))
+    assert a != PQParams(Fraction(2, 3), Fraction(1, 3))
+    assert a != PQParams(Fraction(1), Fraction(1, 3))
+    assert a != (a.p, a.q) and (a.p, a.q) != a
+    assert a.__eq__((a.p, a.q)) is NotImplemented
+
+
+def test_equal_but_distinct_cache_hit_calls_no_fraction_eq(monkeypatch):
+    # a second SuiteConfig or a library caller builds an equal PQParams,
+    # and every cache lookup with it compares the keys
+    params = PQParams(Fraction(3, 4), Fraction(1, 5))
+    value = pq_integer(7, params)
+    calls = []
+    fraction_eq = Fraction.__eq__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return fraction_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting)
+    assert pq_integer(7, PQParams(Fraction(3, 4), Fraction(1, 5))) is value
+    monkeypatch.undo()
+    assert calls == []
+
+
 def test_params_mode():
     assert not PQParams(Fraction(1, 2), Fraction(1, 3)).is_equal_limit
     assert PQParams(Fraction(2, 3), Fraction(2, 3)).is_equal_limit
