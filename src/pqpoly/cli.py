@@ -13,6 +13,7 @@ contract visible end to end.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -21,9 +22,6 @@ from typing import Callable
 from . import families, identities, sequences
 from .exact import rational_from_str, rational_to_str
 from .pqcalc import PQParams
-
-DEFAULT_P = "1/2"
-DEFAULT_Q = "1/3"
 
 POLY_FAMILIES = {
     "poly-euler": families.FAMILY_POLY_EULER,
@@ -39,9 +37,10 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 
 
 # Largest run sizes accepted.  The slowest run measured at these bounds,
-# gen --family poly-cauchy-1 --k 30 --nmax 100, took 137 s at 494 MB peak
-# RSS and wrote 82 MB of JSON (2 cores, CPython 3.11); time and memory keep
-# growing past them, so a larger value is refused when the flag is parsed.
+# gen --family poly-cauchy-1 --k 30 --nmax 100, took 71 s at 189 MB peak
+# RSS writing 82 MB of JSON, and 70 s at 116 MB writing it as CSV (2 cores,
+# CPython 3.11); time and memory keep growing past them, so a larger value
+# is refused when the flag is parsed.
 GEN_NMAX_LIMIT = 100
 VERIFY_NMAX_LIMIT = 24
 K_LIMIT = 30
@@ -101,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=_at_most(K_LIMIT, int), default=1)
     gen.add_argument("--s", type=_at_most(S_LIMIT, _nonneg_int), default=1)
     gen.add_argument("--u", type=_rational_arg, default=Fraction(-1))
-    gen.add_argument("--p", type=_rational_arg, default=None)
-    gen.add_argument("--q", type=_rational_arg, default=None)
+    gen.add_argument("--p", type=_rational_arg, default=Fraction(1, 2))
+    gen.add_argument("--q", type=_rational_arg, default=Fraction(1, 3))
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     gen.add_argument("--output", default=None)
 
@@ -119,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-form", help="rational closed form of the polylogarithm, k <= 0"
     )
     closed.add_argument("--k", type=_at_most(K_LIMIT, int), required=True)
-    closed.add_argument("--p", type=_rational_arg, default=None)
-    closed.add_argument("--q", type=_rational_arg, default=None)
+    closed.add_argument("--p", type=_rational_arg, default=Fraction(1, 2))
+    closed.add_argument("--q", type=_rational_arg, default=Fraction(1, 3))
     closed.add_argument("--format", choices=("json", "csv"), default="json")
     closed.add_argument("--output", default=None)
 
@@ -128,52 +127,66 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args) -> PQParams:
-    p = args.p if args.p is not None else rational_from_str(DEFAULT_P)
-    q = args.q if args.q is not None else rational_from_str(DEFAULT_Q)
     try:
-        return PQParams(p, q)
+        return PQParams(args.p, args.q)
     except ValueError as exc:
         raise CliError(f"--p/--q: {exc}") from None
 
 
-def _emit(text: str, path) -> None:
+def _emit(data, path, csv: bool = False) -> None:
+    """Write ``data`` to standard output, or to the file ``path``, as it is
+    encoded: an object as ``json.dumps(data, indent=2)`` renders it, or,
+    with ``csv``, an iterable of lines.  The output ends in a newline."""
+    if csv:
+        chunks = (line + "\n" for line in data)
+    else:
+        # a write per chunk costs more than encoding the chunk, so chunks go
+        # out 64 at a time; none is empty, so an empty join ends the text
+        encoded = json.JSONEncoder(indent=2).iterencode(data)
+        batches = iter(lambda: "".join(itertools.islice(encoded, 64)), "")
+        chunks = itertools.chain(batches, ["\n"])
     if path is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(f"--output: {exc}") from None
 
 
-def _gen_rows(args, params: PQParams):
-    """The metadata, the row key and the (n, list-of-strings) rows."""
+def cmd_gen(args) -> int:
     family = args.family
-    meta = {"family": family, "n_max": args.nmax}
+    obj = {"family": family, "n_max": args.nmax}
+    key = "coeffs"
     if family in POLY_FAMILIES:
-        meta["k"] = args.k
-        meta["p"], meta["q"] = params.as_strings()
+        params = _params_from_args(args)
+        obj["k"] = args.k
+        obj["p"], obj["q"] = params.as_strings()
 
-        def value(n):
-            return families.compute(POLY_FAMILIES[family], n, args.k, params)
+        def cells(n):
+            value = families.compute(POLY_FAMILIES[family], n, args.k, params)
+            return value.to_strings()
 
     elif family == "euler":
-        value = sequences.euler_poly
-    elif family == "bernoulli-order":
-        meta["s"] = args.s
 
-        def value(n):
-            return sequences.bernoulli_order(n, args.s)
+        def cells(n):
+            return sequences.euler_poly(n).to_strings()
+
+    elif family == "bernoulli-order":
+        obj["s"] = args.s
+
+        def cells(n):
+            return sequences.bernoulli_order(n, args.s).to_strings()
 
     elif family == "frobenius-euler":
-        meta["s"] = args.s
-        meta["u"] = rational_to_str(args.u)
+        obj["s"] = args.s
+        obj["u"] = rational_to_str(args.u)
         if args.u == 1:
             raise CliError("--u: u = 1 is outside the Frobenius-Euler domain")
 
-        def value(n):
-            return sequences.frobenius_euler(n, args.s, args.u)
+        def cells(n):
+            return sequences.frobenius_euler(n, args.s, args.u).to_strings()
 
     else:
         key = "values"
@@ -182,31 +195,17 @@ def _gen_rows(args, params: PQParams):
             if family == "stirling2"
             else sequences.stirling1_unsigned
         )
-        rows = [
-            (
-                n,
-                [rational_to_str(fn(n, m)) for m in range(n + 1)],
-            )
-            for n in range(args.nmax + 1)
-        ]
-        return meta, key, rows
-    rows = [(n, value(n).to_strings()) for n in range(args.nmax + 1)]
-    return meta, "coeffs", rows
 
+        def cells(n):
+            return [rational_to_str(fn(n, m)) for m in range(n + 1)]
 
-def cmd_gen(args) -> int:
-    needs_params = args.family in POLY_FAMILIES
-    params = _params_from_args(args) if needs_params else None
-    meta, key, rows = _gen_rows(args, params)
+    ns = range(args.nmax + 1)
     if args.format == "json":
-        obj = dict(meta)
-        obj["rows"] = [{"n": n, key: cells} for n, cells in rows]
-        text = json.dumps(obj, indent=2)
+        obj["rows"] = [{"n": n, key: cells(n)} for n in ns]
+        _emit(obj, args.output)
     else:
-        lines = [f"n,{key}"]
-        lines += [f"{n},{';'.join(cells)}" for n, cells in rows]
-        text = "\n".join(lines)
-    _emit(text, args.output)
+        rows = (f"{n},{';'.join(cells(n))}" for n in ns)
+        _emit(itertools.chain([f"n,{key}"], rows), args.output, csv=True)
     return 0
 
 
@@ -221,13 +220,13 @@ def cmd_verify(args) -> int:
             raise CliError("--only: no check ids given")
     config = identities.SuiteConfig(n_max=args.nmax)
     reports = identities.run_all(config, only=only)
+    all_good = all(r.passed for r in reports)
     obj = {
         "n_max": args.nmax,
         "reports": [r.to_json_obj() for r in reports],
+        "passed": all_good,
     }
-    all_good = all(r.passed for r in reports)
-    obj["passed"] = all_good
-    _emit(json.dumps(obj, indent=2), args.output)
+    _emit(obj, args.output)
     return 0 if all_good else 1
 
 
@@ -241,22 +240,12 @@ def cmd_closed_form(args) -> int:
     num = rf.numerator.to_strings()
     den = rf.denominator.to_strings()
     if args.format == "json":
-        p_str, q_str = params.as_strings()
-        text = json.dumps(
-            {
-                "k": args.k,
-                "p": p_str,
-                "q": q_str,
-                "numerator": num,
-                "denominator": den,
-            },
-            indent=2,
-        )
+        p, q = params.as_strings()
+        obj = dict(k=args.k, p=p, q=q, numerator=num, denominator=den)
+        _emit(obj, args.output)
     else:
-        text = "\n".join(
-            [f"numerator,{';'.join(num)}", f"denominator,{';'.join(den)}"]
-        )
-    _emit(text, args.output)
+        lines = [f"numerator,{';'.join(num)}", f"denominator,{';'.join(den)}"]
+        _emit(lines, args.output, csv=True)
     return 0
 
 

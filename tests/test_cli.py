@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -375,6 +377,20 @@ def test_unwritable_output_is_a_configuration_error(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_error_partway_through_is_a_configuration_error(capsys):
+    # the output spans several write buffers, so the disk fills mid-stream
+    argv = ["gen", "--family", "stirling2", "--nmax", "30"]
+    assert len(run_cli(capsys, *argv)[1]) > io.DEFAULT_BUFFER_SIZE
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqpoly", *argv, "--output", "/dev/full"],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: --output: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag, limit, low",
     [
@@ -473,3 +489,39 @@ def test_cli_output_matches_golden(golden, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (
+            "gen_poly-cauchy-1_k3_nmax20.json",
+            ["gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "20"],
+        ),
+        ("verify_nmax6.txt", ["verify", "--nmax", "6"]),
+        ("closed-form_k-8.txt", ["closed-form", "--k", "-8"]),
+    ],
+    ids=["gen", "verify", "closed-form"],
+)
+def test_no_command_builds_the_whole_document(
+    capsys, monkeypatch, tmp_path, golden, argv, to_file
+):
+    # JSON goes out as the encoder yields it: the same text, never built
+    # whole by json.dumps or JSONEncoder.encode
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole JSON document was built as one string")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    target = tmp_path / "out.json"
+    code, out, _ = run_cli(
+        capsys, *argv, *(["--output", str(target)] if to_file else [])
+    )
+    assert code == 0
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    if to_file:
+        assert out == ""
+        assert target.read_text(encoding="utf-8") == expected
+    else:
+        assert out == expected
