@@ -27,6 +27,9 @@ Calling an XPoly evaluates it at a scalar, by integer Horner, and
 same way, into one Fraction;
 ``affine(a, b)`` substitutes a x + b, by an integer Taylor shift and one
 scale, and is the only substitution of a polynomial into a polynomial.
+The falling and rising factorials are kept in one growing list per step,
+each index built from the one before it by one kernel call with one
+linear factor.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
@@ -396,16 +399,27 @@ class XPoly:
 
 
 @lru_cache(maxsize=None)
+def _factorials(step: int) -> list:
+    """The store [x(x + step)...(x + (n-1) step) for n = 0, 1, ...] of one
+    step, +1 or -1, which ``_factorial`` extends."""
+    return [_from_ints([1], 1)]
+
+
+def _factorial(n: int, step: int) -> XPoly:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    store = _factorials(step)
+    for j in range(len(store), n + 1):
+        linear = _from_ints([(j - 1) * step, 1], 1)
+        store.append(XPoly.sum_products(((store[-1], linear),)))
+    return store[n]
+
+
 def falling_factorial(n: int) -> XPoly:
     """x(x-1)...(x-n+1) as an XPoly; the empty product for n=0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return XPoly.sum_products(([XPoly((-j, 1)) for j in range(n)],))
+    return _factorial(n, -1)
 
 
-@lru_cache(maxsize=None)
 def rising_factorial(n: int) -> XPoly:
     """x(x+1)...(x+n-1) as an XPoly; the empty product for n=0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return XPoly.sum_products(([XPoly((j, 1)) for j in range(n)],))
+    return _factorial(n, 1)

@@ -27,12 +27,15 @@ reference, read off ``sequences`` at each call; the Li_k columns of
 poly-Euler and poly-Bernoulli read their own.  The columns, the rows and
 each gf route's values are cached; the weighted-Stirling and integral
 routes are recomputed on each call from their cached ingredients.  Each
-of those routes is one ``XPoly.sum_products`` call.  An integral route
-sums s(n, m) times the Appell polynomial A_m = ``egf.appell(a, m,
+of those routes is one ``XPoly.sum_products`` call.  A weighted-Stirling
+route weights term m by [m+1]^(-k), cached per (m, k, params) in
+``_stirling_weight``, which only these three routes read.  An integral
+route sums s(n, m) times the Appell polynomial A_m = ``egf.appell(a, m,
 sign=-1)`` over m, with a_j = I(j)^k the integral of the j-th power of
-t_1...t_k.  A_m does not depend on n or on the kind, so it is built once
-per (m, k, params) and read by both kinds' values n >= m; no other Cauchy
-route reads ``egf.appell``.
+t_1...t_k.  A_m does not depend on n or on the kind, so both kinds read
+it off one ``Column`` per (k, params), which keeps the moments a_j it has
+computed and appends each A_m once; no other Cauchy route reads
+``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
 """
 
@@ -215,11 +218,18 @@ def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     return egf.appell(bernoulli_base_series(k, params, n).coeffs, n, sign=-1)
 
 
+@lru_cache(maxsize=None)
+def _stirling_weight(m: int, k: int, params: PQParams) -> Fraction:
+    """[m+1]^(-k), the weight of term m of the three weighted-Stirling
+    routes; the gf columns and the identities compute their own powers."""
+    return pqcalc.pq_integer(m + 1, params) ** (-k)
+
+
 def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     return XPoly.sum_products(
-        ((-1) ** (n + m) * math.factorial(m),
-         pqcalc.pq_integer(m + 1, params) ** (-k), sequences.weighted_stirling2(n, m))
+        ((-1) ** (n + m) * math.factorial(m), _stirling_weight(m, k, params),
+         sequences.weighted_stirling2(n, m))
         for m in range(n + 1)
     )
 
@@ -240,15 +250,23 @@ def _check_integral_weight(k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _integral_appell(m: int, k: int, params: PQParams, integral, appell) -> XPoly:
-    """The Appell polynomial sum_l C(m, l) a_(m-l) (-x)^l, the deformed
-    integral of (t_1...t_k - x)^m, with a_j = I(j)^k the k-fold integral
-    of (t_1...t_k)^j over the unit cube.
+def _integral_appell_column(k: int, params: PQParams, integral, appell) -> Column:
+    """Coefficient m is the Appell polynomial sum_l C(m, l) a_(m-l) (-x)^l,
+    the deformed integral of (t_1...t_k - x)^m, with a_j = I(j)^k the k-fold
+    integral of (t_1...t_k)^j over the unit cube.
 
     Callers pass ``integral`` and ``appell`` read off ``families`` and
-    ``egf`` at the call, so a rebound one keys a polynomial of its own.
+    ``egf`` at the call, so a rebound one keys a column of its own.  The
+    column keeps the moments a_j it has computed and computes each once.
     """
-    return appell([integral(j, params) ** k for j in range(m + 1)], m, sign=-1)
+    moments = []
+
+    def grow(coeffs: list, n: int) -> None:
+        moments.extend(integral(j, params) ** k for j in range(len(moments), n + 1))
+        for m in range(len(coeffs), n + 1):
+            coeffs.append(appell(moments, m, sign=-1))
+
+    return Column(grow)
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +284,7 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     return XPoly.sum_products(
-        ((-1) ** (n - m), pqcalc.pq_integer(m + 1, params) ** (-k),
+        ((-1) ** (n - m), _stirling_weight(m, k, params),
          sequences.weighted_stirling1(n, m))
         for m in range(n + 1)
     )
@@ -281,9 +299,10 @@ def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     """
     _check_n(n)
     _check_integral_weight(k)
+    appells = _integral_appell_column(k, params, pq_integral_01_monomial, egf.appell)
     return XPoly.sum_products(
         ((-1) ** (n - m), sequences.stirling1_unsigned(n, m),
-         _integral_appell(m, k, params, pq_integral_01_monomial, egf.appell))
+         appells.coeff(m))
         for m in range(n + 1)
     )
 
@@ -312,7 +331,7 @@ def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     # the sum is taken at x and substituted x -> -x once
     return XPoly.sum_products(
-        ((-1) ** n, pqcalc.pq_integer(m + 1, params) ** (-k),
+        ((-1) ** n, _stirling_weight(m, k, params),
          sequences.weighted_stirling1(n, m))
         for m in range(n + 1)
     ).affine(-1, 0)
@@ -326,9 +345,10 @@ def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     """
     _check_n(n)
     _check_integral_weight(k)
+    appells = _integral_appell_column(k, params, pq_integral_01_monomial, egf.appell)
     return XPoly.sum_products(
         ((-1) ** n, sequences.stirling1_unsigned(n, m),
-         _integral_appell(m, k, params, pq_integral_01_monomial, egf.appell))
+         appells.coeff(m))
         for m in range(n + 1)
     )
 

@@ -10,11 +10,11 @@ Every Stirling-type value is extracted from its generating function,
 for the plain triangles.  Each triangle reads its entries off its own
 ``PowerRows`` table of base^m, which builds row n once, from the rows before
 it, on the first read that needs it; a weighted entry is one kernel sum
-over column m of that table, weighted by the coefficients of w.  No
-triangle shares its table with another, so the plain and weighted
-triangles of one kind stay independent routes.  The triangular
-recurrences stay test-only oracles, independent cross-checks of the
-extractions.
+over column m of that table, each entry divided by m! as an int, weighted
+by the coefficients of w.  No triangle shares its table with another, so
+the plain and weighted triangles of one kind stay independent routes.
+The triangular recurrences stay test-only oracles, independent
+cross-checks of the extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
 power recurrence, through its one Appell expansion; the Euler polynomials
 are the Frobenius-Euler ones at s = 1, u = -1.
@@ -83,11 +83,12 @@ def _plain_entry(triangle: str, base, n: int, m: int) -> int:
 
 def _weighted_entry(triangle: str, base, weight, n: int, m: int) -> XPoly:
     """[t^n/n!] w(t) base^m / m!, where weight(j) is EGF coefficient j of w,
-    from column m of the triangle's table."""
+    from column m of the triangle's table; each entry of the column is an
+    int multiple of m!, so every term's scalar is an int."""
     _check_indices(n, m)
-    table, scale = _power_table(triangle, base), Fraction(1, math.factorial(m))
+    table, fact = _power_table(triangle, base), math.factorial(m)
     return XPoly.sum_products(
-        (math.comb(n, j), weight(n - j), table.row(j)[m], scale)
+        (math.comb(n, j), weight(n - j), table.row(j)[m] // fact)
         for j in range(m, n + 1)
     )
 

@@ -99,6 +99,20 @@ def mutate_polylog_coeff_exponent_sign() -> None:
     sequences._lif_coeff = lif_flipped
 
 
+def mutate_stirling_weight_exponent_sign() -> None:
+    """The weighted-Stirling routes weight term m by [m+1]^k for [m+1]^(-k).
+
+    Only those three routes read families._stirling_weight, looked up on the
+    module at each call; the gf routes and the invrel right sides compute
+    their own powers, so only the route comparisons must see it.
+    """
+
+    def flipped(m: int, k: int, params) -> Fraction:
+        return pqcalc.pq_integer(m + 1, params) ** k
+
+    families._stirling_weight = flipped
+
+
 def mutate_li_forgets_deformation() -> None:
     """Polylogarithm coefficients built from plain integers, as if p = q = 1.
 
@@ -273,6 +287,7 @@ MUTATIONS = {
     "cauchy1-integral-at-neg-x": mutate_cauchy1_integral_at_neg_x,
     "cauchy2-integral-drops-sign": mutate_cauchy2_integral_drops_sign,
     "polylog-coeff-exponent-sign": mutate_polylog_coeff_exponent_sign,
+    "stirling-weight-exponent-sign": mutate_stirling_weight_exponent_sign,
     "li-classical": mutate_li_forgets_deformation,
     "egf-pow-extra-factor": mutate_egf_pow_extra_factor,
     "power-rows-drop-cube": mutate_power_rows_drop_cube,

@@ -168,6 +168,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         "cauchy1-integral-at-neg-x",
         "cauchy2-integral-drops-sign",
         "polylog-coeff-exponent-sign",
+        "stirling-weight-exponent-sign",
         "li-classical",
         "egf-pow-extra-factor",
         "power-rows-drop-cube",
@@ -213,6 +214,12 @@ def test_criterion_5_mutation_sensitivity(capsys):
             # invrel3 poly-Cauchy ones (Lif_k)
             assert "invrel1" in payload["failing"], payload
             assert set(payload["failing"]) & {"invrel2", "invrel3"}, payload
+        if name == "stirling-weight-exponent-sign":
+            # only the weighted-Stirling routes read the cached weight, so
+            # only the route comparisons see it
+            assert payload["failing"] == [
+                "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
+            ], payload
         if name == "appell-high-term":
             # each Appell check reads E_n at a shifted or scaled argument,
             # and the integral routes read their cached Appell polynomials

@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pqpoly import clear_caches, exact
 from pqpoly.exact import (
     XPoly,
     falling_factorial,
@@ -454,6 +456,47 @@ def test_rising_factorial_small():
     x = XPoly.x()
     assert rising_factorial(2) == x * (x + 1)
     assert rising_factorial(4)(1) == math.factorial(4)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("factorial", [falling_factorial, rising_factorial])
+def test_a_cold_factorial_is_built_in_a_loop(factorial):
+    # a build that recursed on n - 1 would take a frame per index: with room
+    # for 100 more frames, a cold read of index 500 must still return
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        value = factorial(500)
+    finally:
+        sys.setrecursionlimit(limit)
+    point = 500 if factorial is falling_factorial else 1
+    assert value(point) == math.factorial(500)
+    clear_caches()
+
+
+@pytest.mark.parametrize("factorial, step", [(falling_factorial, -1), (rising_factorial, 1)])
+def test_a_factorial_is_one_convolution_from_the_one_before(factorial, step, monkeypatch):
+    clear_caches()
+    before = factorial(29)
+    convolve, calls = exact._convolve, [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return convolve(a, b)
+
+    monkeypatch.setattr(exact, "_convolve", counting)
+    value = factorial(30)
+    assert calls[0] == 1
+    monkeypatch.undo()
+    assert value == before * XPoly((29 * step, 1))
+    clear_caches()
 
 
 @pytest.mark.parametrize("n", range(21))

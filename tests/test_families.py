@@ -398,3 +398,30 @@ def test_clear_caches_lets_a_rebound_ingredient_reach_poly_euler(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def test_integral_routes_compute_each_moment_once(monkeypatch):
+    # both kinds read the Appell polynomials off one column per (k, params),
+    # which computes the moment I(j)^k of each j once
+    clear_caches()
+    integral, calls = families.pq_integral_01_monomial, [0]
+
+    def counting(power, params):
+        calls[0] += 1
+        return integral(power, params)
+
+    monkeypatch.setattr(families, "pq_integral_01_monomial", counting)
+    for n in range(13):
+        for family in (FAMILY_POLY_CAUCHY_1, FAMILY_POLY_CAUCHY_2):
+            compute(family, n, 2, BASE, ROUTE_INTEGRAL)
+    assert calls[0] == 13
+    clear_caches()
+
+
+def test_stirling_routes_compute_each_weight_once():
+    clear_caches()
+    for n in range(13):
+        for family in (FAMILY_POLY_BERNOULLI, FAMILY_POLY_CAUCHY_1, FAMILY_POLY_CAUCHY_2):
+            compute(family, n, 2, BASE, ROUTE_STIRLING)
+    assert families._stirling_weight.cache_info().misses == 13
+    clear_caches()

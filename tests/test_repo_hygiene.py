@@ -114,8 +114,7 @@ def _package_caches():
 
 # every lru_cache in the package; adding or removing one edits this list
 PACKAGE_CACHES = {
-    "pqpoly.exact.falling_factorial",
-    "pqpoly.exact.rising_factorial",
+    "pqpoly.exact._factorials",
     "pqpoly.pqcalc.pq_integer",
     "pqpoly.sequences._power_table",
     "pqpoly.sequences.stirling2",
@@ -131,7 +130,8 @@ PACKAGE_CACHES = {
     "pqpoly.families._euler_column",
     "pqpoly.families.poly_euler",
     "pqpoly.families.bernoulli_via_gf",
-    "pqpoly.families._integral_appell",
+    "pqpoly.families._stirling_weight",
+    "pqpoly.families._integral_appell_column",
     "pqpoly.families.cauchy1_via_gf",
     "pqpoly.families.cauchy2_via_gf",
     "pqpoly.identities._euler_poly_at",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches, egf
+from pqpoly import clear_caches, egf, sequences
 from pqpoly.egf import EgfSeries, PowerRows
 from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
@@ -411,3 +411,18 @@ def test_closed_form_rejects_equal_parameters():
     params = PQParams(Fraction(2, 3), Fraction(2, 3))
     with pytest.raises(ValueError):
         li_pq_closed_form(0, params)
+
+
+@pytest.mark.parametrize(
+    "triangle, base",
+    [
+        ("weighted_stirling2", sequences._exp_minus_one),
+        ("weighted_stirling1", sequences._neg_log1m),
+    ],
+)
+def test_weighted_table_entries_are_multiples_of_m_factorial(triangle, base):
+    # a weighted entry divides column m of its table by m! as an int
+    table = sequences._power_table(triangle, base)
+    for j in range(41):
+        for m, entry in enumerate(table.row(j)):
+            assert entry % math.factorial(m) == 0, (triangle, j, m)
