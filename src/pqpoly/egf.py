@@ -15,7 +15,8 @@ summed as int numerators over one common denominator, as is each scalar
 coefficient ``PowerRows.compose_coeff`` reads.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
-One power recurrence, ``grow_power``, extends the coefficients of a^alpha:
+One power recurrence, ``grow_power``, extends the coefficients of a^alpha,
+each step one scalar sum over a common denominator, like ``mul_coeff``'s:
 ``reciprocal``, the 2/(e^t + 1) column and the classical families' column
 per (s, u) grow by it.  One Appell expansion, ``appell``, reads coefficient
 n of base(t) e^(+-xt) off the coefficients of base.
@@ -81,15 +82,17 @@ def grow_power(coeff: Callable[[int], object], alpha: int, r: list, n: int):
     """Extend r, the coefficients of a^alpha, through index n, where the EGF a
     has coefficient i ``coeff(i)`` and a nonzero rational constant term, by
     J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): r_0 = a_0^alpha,
-    r_j = sum_(i=1..j) C(j, i) ((alpha+1) i - j) a_i r_(j-i) / (j a_0)."""
+    r_j = sum_(i=1..j) C(j, i) ((alpha+1) i - j) a_i r_(j-i) / (j a_0).
+    Each sum is one ``_scalar_sum``, int numerators over one common
+    denominator, then one Fraction division."""
     a0 = Fraction(coeff(0))
     if a0 == 0:
         raise ValueError("constant term is zero, no power recurrence")
     if not r:
         r.append(a0**alpha)
     for j in range(len(r), n + 1):
-        acc = sum(
-            math.comb(j, i) * ((alpha + 1) * i - j) * (coeff(i) * r[j - i])
+        acc = _scalar_sum(
+            (math.comb(j, i) * ((alpha + 1) * i - j), coeff(i), r[j - i])
             for i in range(1, j + 1)
         )
         r.append(acc / (j * a0))

@@ -36,9 +36,10 @@ coefficients that ``coeffs`` returns.  Each form is built on first use:
 ``XPoly(iterable)`` keeps the Fractions it was given and forms the
 numerators (over the lcm of their denominators) only when arithmetic needs
 them, and an arithmetic result forms its Fractions only when read through
-``coeffs``, ``coeff``, ``to_strings``, ``as_str`` or ``hash``.  A value
-that is built and printed never pays for the numerators, and one that is
-only computed with never pays for the Fractions.
+``coeffs``, ``coeff``, ``as_str`` or ``hash``; ``to_strings`` renders them
+one at a time without keeping them.  A value that is built and printed
+never pays for the numerators, one that is only computed with never pays
+for the Fractions, and one computed and then printed does not hold both.
 
 Serialized form of a scalar is the string ``"num/den"`` with the denominator
 always written out, e.g. ``"5/1"`` or ``"-3/4"``.  A polynomial serializes as
@@ -182,7 +183,12 @@ class XPoly:
         return self._num, self._den
 
     def to_strings(self) -> list[str]:
-        return [rational_to_str(c) for c in self.coeffs]
+        """The coefficients as ``num/den`` strings; a value whose Fractions
+        are not formed yet renders each one without keeping it."""
+        if self._fracs is None:
+            den = self._den
+            return [rational_to_str(Fraction(c, den)) for c in self._num]
+        return [rational_to_str(c) for c in self._fracs]
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -428,9 +428,13 @@ def _tid3_inner(m: int, k: int, params: PQParams, s: int) -> XPoly:
 
 def _eval_tid3(n, k, params, s):
     lhs = families.poly_euler(n, k, params)
+    # int weights over one denominator D, the lcm of the C(l + s, s)
+    binoms = [math.comb(l + s, s) for l in range(n + 1)]
+    d = math.lcm(*binoms)
+    scale = Fraction(1, d)
     rhs = XPoly.sum_products(
-        (math.comb(n, l) * sequences.stirling2(l + s, s),
-         Fraction(1, math.comb(l + s, s)), _tid3_inner(n - l, k, params, s))
+        (math.comb(n, l) * sequences.stirling2(l + s, s) * (d // binoms[l]),
+         scale, _tid3_inner(n - l, k, params, s))
         for l in range(n + 1)
     )
     return lhs, rhs

@@ -9,9 +9,11 @@ Every Stirling-type value is extracted from its generating function,
 [t^n/n!] w(t) base^m / m! with base = e^t - 1 or -ln(1 - t) and weight w = 1
 for the plain triangles.  Each triangle reads its entries off its own
 ``PowerRows`` table of base^m, which builds row n once, from the rows before
-it, on the first read that needs it; a weighted entry is one kernel sum
-over column m of that table, each entry divided by m! as an int, weighted
-by the coefficients of w.  No triangle shares its table with another, so
+it, on the first read that needs it.  A weighted entry is one int
+coefficient list read off that table, with no kernel call: coefficient i
+of the second kind is C(n, i) times entry m of row n - i, over m!, and of
+the first kind, where w = (1 - t)^(-x) = e^(x base), entry i + m of row n,
+over i! m!.  No triangle shares its table with another, so
 the plain and weighted triangles of one kind stay independent routes.
 The triangular recurrences stay test-only oracles, independent
 cross-checks of the extractions.
@@ -34,7 +36,7 @@ from functools import lru_cache, partial
 
 from . import egf, pqcalc
 from .egf import Column, EgfSeries, PowerRows
-from .exact import XPoly, check_scalar, rising_factorial
+from .exact import XPoly, _from_ints, check_scalar
 from .pqcalc import PQParams
 
 # ---------------------------------------------------------------------------
@@ -81,18 +83,6 @@ def _plain_entry(triangle: str, base, n: int, m: int) -> int:
     return _power_table(triangle, base).row(n)[m] // math.factorial(m)
 
 
-def _weighted_entry(triangle: str, base, weight, n: int, m: int) -> XPoly:
-    """[t^n/n!] w(t) base^m / m!, where weight(j) is EGF coefficient j of w,
-    from column m of the triangle's table; each entry of the column is an
-    int multiple of m!, so every term's scalar is an int."""
-    _check_indices(n, m)
-    table, fact = _power_table(triangle, base), math.factorial(m)
-    return XPoly.sum_products(
-        (math.comb(n, j), weight(n - j), table.row(j)[m] // fact)
-        for j in range(m, n + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
     """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!."""
@@ -109,9 +99,15 @@ def stirling1_unsigned(n: int, m: int) -> int:
 def weighted_stirling2(n: int, m: int) -> XPoly:
     """Shifted second-kind triangle from the EGF e^(xt) (e^t - 1)^m / m!.
 
-    It reads its own table, never the plain triangle's."""
-    return _weighted_entry(
-        "weighted_stirling2", _exp_minus_one, XPoly.monomial, n, m
+    Its x^i coefficient is C(n, i) S2(n - i, m), an int read off row n - i
+    of its own table, never the plain triangle's."""
+    _check_indices(n, m)
+    table = _power_table("weighted_stirling2", _exp_minus_one)
+    fact = math.factorial(m)
+    return _from_ints(
+        [math.comb(n, i) * (table.row(n - i)[m] // fact)
+         for i in range(n - m + 1)],
+        1,
     )
 
 
@@ -119,9 +115,16 @@ def weighted_stirling2(n: int, m: int) -> XPoly:
 def weighted_stirling1(n: int, m: int) -> XPoly:
     """Shifted first-kind triangle from the EGF (1-t)^(-x) (-ln(1-t))^m / m!.
 
-    It reads its own table, never the plain triangle's."""
-    return _weighted_entry(
-        "weighted_stirling1", _neg_log1m, rising_factorial, n, m
+    With L = -ln(1-t), (1-t)^(-x) = e^(xL), so its x^i coefficient is
+    [t^n/n!] L^(i+m) / (i! m!) = C(i+m, i) c(n, i+m), an int read off row n
+    of its own table, never the plain triangle's (Carlitz, "Weighted
+    Stirling numbers of the first and second kind", Fibonacci Quart. 1980).
+    """
+    _check_indices(n, m)
+    row = _power_table("weighted_stirling1", _neg_log1m).row(n)
+    fact = math.factorial(m)
+    return _from_ints(
+        [row[i + m] // (math.factorial(i) * fact) for i in range(n - m + 1)], 1
     )
 
 

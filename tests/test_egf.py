@@ -218,6 +218,43 @@ def test_reciprocal_grown_in_steps_matches_one_shot(a, alpha, steps):
     assert all(type(c) is Fraction for c in r)
 
 
+def _miller_fractions(coeff, alpha: int, n: int) -> list:
+    """Miller's recurrence for a^alpha, every term a plain Fraction."""
+    a0 = Fraction(coeff(0))
+    r = [a0**alpha]
+    for j in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            acc += (
+                math.comb(j, i) * ((alpha + 1) * i - j)
+                * Fraction(coeff(i)) * r[j - i]
+            )
+        r.append(acc / (j * a0))
+    return r
+
+
+@pytest.mark.parametrize("alpha", [-3, -2, -1, 2])
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        # (e^t - 1)/t, the order-s Bernoulli base
+        lambda j: Fraction(1, j + 1),
+        # 1, 1/2, 1/2, ...: the Frobenius base at u = -1, and (e^t + 1)/2
+        lambda j: Fraction(1, 2) if j else 1,
+        # the Frobenius base at u = 1/2
+        lambda j: Fraction(2) if j else 1,
+    ],
+    ids=["bernoulli", "frobenius-u-neg1-halves", "frobenius-u-half"],
+)
+def test_grow_power_matches_plain_fraction_recurrence(coeff, alpha):
+    # the scalar sums over one common denominator give the Fractions that
+    # the recurrence computed term by term gives
+    r = []
+    grow_power(coeff, alpha, r, 30)
+    assert r == _miller_fractions(coeff, alpha, 30)
+    assert all(type(c) is Fraction for c in r)
+
+
 def test_column_coeff_grows_only_to_the_coefficient_read():
     asked = []
 

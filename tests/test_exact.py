@@ -120,6 +120,18 @@ def test_xpoly_serialization_round_trip():
     assert XPoly.zero().to_strings() == []
 
 
+def test_to_strings_of_a_kernel_result_keeps_no_fractions():
+    # a computed value is printed without storing its Fraction coefficients
+    p = XPoly.sum_products(
+        ((Fraction(1, 6), XPoly([1, 2, 3])), (Fraction(-3, 4), XPoly([0, 1])))
+    )
+    assert p._fracs is None
+    strings = p.to_strings()
+    assert p._fracs is None
+    assert strings == [rational_to_str(c) for c in p.coeffs]
+    assert strings == ["1/6", "-5/12", "1/2"]
+
+
 def test_monomial_matches_the_coefficient_list():
     for power, coeff in [(0, 1), (3, Fraction(-2, 3)), (2, 0), (1, 5)]:
         built = XPoly.monomial(power, coeff)

@@ -651,5 +651,5 @@ def test_cold_pass_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
     assert all(report.passed for report in run_all(SMALL))
-    assert calls[0] == 1480
+    assert calls[0] == 1438
     pqpoly.clear_caches()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches, egf, sequences
+from pqpoly import clear_caches, egf, exact, sequences
 from pqpoly.egf import EgfSeries, PowerRows
 from pqpoly.exact import XPoly, rising_factorial
 from pqpoly.pqcalc import PQParams
@@ -171,7 +171,8 @@ def test_weighted_stirling1_matches_r_stirling_recurrence():
 
 
 def test_weighted_rows_build_no_series(monkeypatch):
-    # each weighted entry is one kernel sum over the triangle's table
+    # each weighted entry is one int coefficient list read off the
+    # triangle's table
     def refuse(self, coeffs):
         raise AssertionError("a weighted Stirling entry built an EgfSeries")
 
@@ -183,6 +184,40 @@ def test_weighted_rows_build_no_series(monkeypatch):
         assert [weighted_stirling1(n, m) for m in range(n + 1)] == rows1[n]
         assert [weighted_stirling2(n, m) for m in range(n + 1)] == rows2[n]
     clear_caches()
+
+
+def test_weighted_triangles_match_recurrences_to_40():
+    rows1 = oracles.weighted_stirling1_rec(40)
+    rows2 = oracles.weighted_stirling2_rec(40)
+    for n in range(41):
+        assert [weighted_stirling1(n, m) for m in range(n + 2)] == rows1[n] + [0]
+        assert [weighted_stirling2(n, m) for m in range(n + 2)] == rows2[n] + [0]
+
+
+def test_weighted_rows_make_no_kernel_call(monkeypatch):
+    # a cold weighted entry is read off its table as ints: no kernel sum,
+    # no rising factorial and no monomial weight
+    rows1 = oracles.weighted_stirling1_rec(12)
+    rows2 = oracles.weighted_stirling2_rec(12)
+    kernel, calls = XPoly.sum_products, [0]
+
+    def counting(terms):
+        calls[0] += 1
+        return kernel(terms)
+
+    def refuse(*args):
+        raise AssertionError("a weighted Stirling entry built a weight")
+
+    clear_caches()
+    monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
+    monkeypatch.setattr(exact, "_factorial", refuse)
+    monkeypatch.setattr(XPoly, "monomial", classmethod(refuse))
+    got1 = [[weighted_stirling1(n, m) for m in range(n + 1)] for n in range(13)]
+    got2 = [[weighted_stirling2(n, m) for m in range(n + 1)] for n in range(13)]
+    monkeypatch.undo()
+    clear_caches()
+    assert calls[0] == 0
+    assert got1 == rows1 and got2 == rows2
 
 
 def test_weighted_stirling2_at_zero_reduces_to_plain():
