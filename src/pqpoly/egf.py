@@ -243,6 +243,12 @@ class Column:
             self._grow(self._coeffs, n)
         return self._coeffs[n]
 
+    def through(self, n: int) -> list:
+        """The column's coefficient list, grown through index n; the list
+        itself, which readers read and do not change."""
+        self.coeff(n)
+        return self._coeffs
+
     def series(self, order: int) -> EgfSeries:
         """The column's coefficients 0..order as a series."""
         self.coeff(order)
@@ -252,12 +258,12 @@ class Column:
 def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     """Substitute ``inner`` into the ordinary power series sum c_m z^m.
 
-    ``outer_coeffs`` lists the ordinary (not EGF) coefficients c_0, c_1, ...,
-    each an int, a Fraction or an XPoly, and must reach at least index inner.order; later entries cannot affect
-    the truncation and are ignored.  The inner series must have zero
-    constant term, otherwise the substitution would need infinitely many
-    outer terms.  Coefficient j of the result is sum c_m R_j[m], read off
-    the ``PowerRows`` of ``inner``.
+    ``outer_coeffs`` lists the ordinary (not EGF) coefficients c_0, c_1,
+    ..., each an int, a Fraction or an XPoly, and must reach at least index
+    inner.order; later entries cannot affect the truncation and are
+    ignored.  The inner series must have zero constant term, otherwise the
+    substitution would need infinitely many outer terms.  Coefficient j of
+    the result is sum c_m R_j[m], read off the ``PowerRows`` of ``inner``.
     """
     n = inner.order
     a0 = inner.coeff(0)

@@ -9,19 +9,22 @@ indeterminate x with rational coefficients, stored the way FLINT's
 zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
 the zero polynomial, so equality is structural.  All XPoly arithmetic is
 one kernel, ``XPoly.sum_products``, which builds a whole sum of products as
-one XPoly in a single pass over the terms: each term's factors fold into
-one int vector, one integer convolution per further non-constant factor,
-and the term is added as soon as it is read into one int accumulator over
-the running lcm of the term denominators, the way ``fmpq_poly`` adds
-polynomials that share a denominator; the sum is canonicalised once, at
-the end, and no arithmetic builds a Fraction per coefficient.  Each term
-costs a few int operations: a factor is dispatched on its exact type
-(``int``, ``Fraction``, ``XPoly``), while ``bool``, XPoly subclasses and
-any other type take the ``isinstance`` and ``check_scalar`` path; a term
-over denominator 1 takes no gcd, the accumulator is rescaled by
-``math.lcm`` only when a term's denominator does not divide the running
-one, a scale of 1 multiplies nothing, and a scalar term adds one int.  The
-operators ``+``, ``-`` and ``*`` are one call of it each.
+one XPoly over one denominator in a single pass over the terms: each
+term's factors fold into one unreduced int numerator and denominator and
+one int vector, one integer convolution per further non-constant factor.
+The first nonzero term sets the denominator of one int accumulator; a
+later term over a denominator that divides it is added as soon as it is
+read, the way ``fmpq_poly`` adds polynomials that share a denominator, and
+any other term is held back while the lcm of its denominator and theirs
+is kept.  At the end the accumulator is rescaled once, to that lcm, the
+held terms are added over it, and the sum is reduced by one gcd
+(Henrici's rule: Knuth, TAOCP vol. 2, 4.5.1); no term takes a gcd of its
+own and no arithmetic builds a Fraction per coefficient.  Each term costs
+a few int operations: a factor is dispatched on its exact type (``int``,
+``Fraction``, ``XPoly``), while ``bool``, XPoly subclasses and any other
+type take the ``isinstance`` and ``check_scalar`` path; a scale of 1
+multiplies nothing, and a scalar term adds one int.  The operators ``+``,
+``-`` and ``*`` are one call of it each.
 Calling an XPoly evaluates it at a scalar, by integer Horner, and
 ``weighted_values`` sums int-weighted values at the points 0, 1, ... the
 same way, into one Fraction;
@@ -29,7 +32,7 @@ same way, into one Fraction;
 scale, and is the only substitution of a polynomial into a polynomial.
 The falling and rising factorials are kept in one growing list per step,
 each index built from the one before it by one kernel call with one
-linear factor.
+linear factor; ``falling_factorials`` hands out the falling one's list.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
@@ -119,6 +122,20 @@ def _from_ints(num: list, den: int) -> "XPoly":
     poly._den = den
     poly._fracs = None
     return poly
+
+
+def _add_scaled(acc: list, vec, num: int) -> None:
+    """acc += num * vec in place, acc growing to vec's length; a vec of
+    length 1 is the scalar term (1,)."""
+    if len(vec) == 1:
+        acc[0] += num
+        return
+    if len(vec) > len(acc):
+        acc += [0] * (len(vec) - len(acc))
+    if num == 1:
+        acc[: len(vec)] = [c + v for c, v in zip(acc, vec)]
+    else:
+        acc[: len(vec)] = [c + v * num for c, v in zip(acc, vec)]
 
 
 def _kernel(other, terms) -> "XPoly":
@@ -232,13 +249,18 @@ class XPoly:
     @staticmethod
     def sum_products(terms: Iterable[tuple]) -> "XPoly":
         """The sum over terms of the product of each term's factors, each an
-        int, a Fraction or an XPoly, in one pass: each term becomes one int
-        numerator and denominator, times one convolution per further XPoly
-        factor, and is added as it is read into one int accumulator over
-        the running lcm of the term denominators, which is rescaled only
-        when a term's denominator does not divide it; one canonicalisation
-        at the end.  The first nonzero term starts the accumulator."""
-        acc, lcm = None, 1
+        int, a Fraction or an XPoly, in one pass over one denominator.
+
+        Each term becomes one int numerator and denominator, not reduced,
+        times one convolution per further XPoly factor.  The first nonzero
+        term starts an int accumulator over its denominator; a later term
+        whose denominator divides that one is added as it is read, and any
+        other is held back while the lcm of that denominator and theirs
+        grows.  At the end the accumulator is rescaled once, to that lcm,
+        the held terms are added over it, and one canonicalisation reduces
+        the sum.
+        """
+        acc, acc_den, held = None, 1, []
         for term in terms:
             num, den, vec = 1, 1, (1,)
             for f in term:
@@ -267,22 +289,18 @@ class XPoly:
                     den *= f.denominator
             if not num:
                 continue
-            if den != 1:
-                g = math.gcd(num, den)
-                if g != 1:
-                    num //= g
-                    den //= g
             if acc is None:
                 acc = list(vec) if num == 1 else [v * num for v in vec]
-                lcm = den
+                acc_den = grown = den
                 continue
-            if den != lcm:
-                if lcm % den:
-                    grown = math.lcm(lcm, den)
-                    up = grown // lcm
-                    acc = [c * up for c in acc]
-                    lcm = grown
-                num *= lcm // den
+            if den != acc_den:
+                if acc_den % den:
+                    held.append((num, den, vec))
+                    if grown % den:
+                        grown = math.lcm(grown, den)
+                    continue
+                num *= acc_den // den
+            # _add_scaled(acc, vec, num), inline on the hot path
             if len(vec) == 1:  # a scalar term: vec is (1,)
                 acc[0] += num
                 continue
@@ -292,7 +310,13 @@ class XPoly:
                 acc[: len(vec)] = [c + v for c, v in zip(acc, vec)]
             else:
                 acc[: len(vec)] = [c + v * num for c, v in zip(acc, vec)]
-        return _from_ints([] if acc is None else acc, lcm)
+        if held:
+            up = grown // acc_den
+            acc = [c * up for c in acc]
+            for num, den, vec in held:
+                _add_scaled(acc, vec, num * (grown // den))
+            acc_den = grown
+        return _from_ints([] if acc is None else acc, acc_den)
 
     def affine(self, a: Scalar, b: Scalar) -> "XPoly":
         """The polynomial p(a x + b), by an integer Taylor shift.
@@ -424,6 +448,13 @@ def _factorial(n: int, step: int) -> XPoly:
 def falling_factorial(n: int) -> XPoly:
     """x(x-1)...(x-n+1) as an XPoly; the empty product for n=0."""
     return _factorial(n, -1)
+
+
+def falling_factorials(n: int) -> list:
+    """The store of x(x-1)...(x-j+1) for j = 0, 1, ..., grown through
+    index n; the list itself, which callers read and do not change."""
+    falling_factorial(n)
+    return _factorials(-1)
 
 
 def rising_factorial(n: int) -> XPoly:

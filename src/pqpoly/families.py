@@ -24,18 +24,23 @@ recurrence.  None is shared with a Stirling triangle or a classical family.
 Each Li_k or Lif_k column keeps the ordinary coefficients it has read,
 one call per index to the coefficient function it was passed by
 reference, read off ``sequences`` at each call; the Li_k columns of
-poly-Euler and poly-Bernoulli read their own.  The columns, the rows and
-each gf route's values are cached; the weighted-Stirling and integral
-routes are recomputed on each call from their cached ingredients.  Each
-of those routes is one ``XPoly.sum_products`` call.  A weighted-Stirling
-route weights term m by [m+1]^(-k), cached per (m, k, params) in
-``_stirling_weight``, which only these three routes read.  An integral
-route sums s(n, m) times the Appell polynomial A_m = ``egf.appell(a, m,
-sign=-1)`` over m, with a_j = I(j)^k the integral of the j-th power of
-t_1...t_k.  A_m does not depend on n or on the kind, so both kinds read
-it off one ``Column`` per (k, params), which keeps the moments a_j it has
-computed and appends each A_m once; no other Cauchy route reads
-``egf.appell``.
+poly-Euler and poly-Bernoulli read their own.  A gf route reads each
+column's coefficient list in place through index n (``Column.through``)
+and copies none into an ``EgfSeries``; a poly-Cauchy gf route takes
+coefficient n of its product with (1+t)^x by ``egf._binomial_conv``
+straight off the falling-factorial store, ``exact.falling_factorials``.
+``euler_base_series`` and ``bernoulli_base_series`` hand the same columns
+out as series.  The columns, the rows and each gf route's values are
+cached; the weighted-Stirling and integral routes are recomputed on each
+call from their cached ingredients.  Each of those routes is one
+``XPoly.sum_products`` call.  A weighted-Stirling route weights term m by
+[m+1]^(-k), cached per (m, k, params) in ``_stirling_weight``, which only
+these three routes read.  An integral route sums s(n, m) times the Appell
+polynomial A_m = ``egf.appell(a, m, sign=-1)`` over m, with a_j = I(j)^k
+the integral of the j-th power of t_1...t_k.  A_m does not depend on n or
+on the kind, so both kinds read it off one ``Column`` per (k, params),
+which keeps the moments a_j it has computed and appends each A_m once; no
+other Cauchy route reads ``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
 """
 
@@ -47,7 +52,7 @@ from functools import lru_cache, partial
 
 from . import egf, pqcalc, sequences
 from .egf import Column, EgfSeries, PowerRows
-from .exact import XPoly, falling_factorial
+from .exact import XPoly, falling_factorials
 from .pqcalc import PQParams, pq_integral_01_monomial
 
 ROUTE_GF = "gf"
@@ -164,10 +169,10 @@ def _euler_column(k: int, params: PQParams) -> Column:
     li = _polylog_column(sequences._li_coeff, k, params, _one_minus_exp_neg, 0)
 
     def grow(coeffs: list, n: int) -> None:
-        li_part = li.series(n)
-        halves = _two_over_exp_plus_one().series(n)
+        li_part = li.through(n)
+        halves = _two_over_exp_plus_one().through(n)
         for j in range(len(coeffs), n + 1):
-            coeffs.append(li_part.mul_coeff(halves, j))
+            coeffs.append(egf._binomial_conv(li_part, halves, j))
 
     return Column(grow)
 
@@ -186,7 +191,7 @@ def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
 def poly_euler(n: int, k: int, params: PQParams) -> XPoly:
     """Poly-Euler polynomial, Appell over the base series with e^(xt)."""
     _check_n(n)
-    return egf.appell(euler_base_series(k, params, n).coeffs, n)
+    return egf.appell(_euler_column(k, params).through(n), n)
 
 
 def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
@@ -199,23 +204,28 @@ def poly_euler_number(n: int, k: int, params: PQParams) -> Fraction:
 # poly-Bernoulli
 
 
-def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
-    """EGF of Li_k(1 - e^(-t)) / (1 - e^(-t)), the x = 0 column.
+def _bernoulli_base_column(k: int, params: PQParams) -> Column:
+    """EGF coefficients of Li_k(1 - e^(-t)) / (1 - e^(-t)).
 
     The quotient has a removable singularity; dividing the ordinary series
     of Li_k by its argument is an index shift of the coefficients, so the
     shifted composition is already the full quotient.
     """
-    _check_n(order)
     li = sequences._li_coeff
-    return _polylog_column(li, k, params, _one_minus_exp_neg, 1).series(order)
+    return _polylog_column(li, k, params, _one_minus_exp_neg, 1)
+
+
+def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
+    """EGF of Li_k(1 - e^(-t)) / (1 - e^(-t)), the x = 0 column."""
+    _check_n(order)
+    return _bernoulli_base_column(k, params).series(order)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     _check_n(n)
     # e^(-xt) factor: coefficient of x^j carries (-1)^j
-    return egf.appell(bernoulli_base_series(k, params, n).coeffs, n, sign=-1)
+    return egf.appell(_bernoulli_base_column(k, params).through(n), n, sign=-1)
 
 
 @lru_cache(maxsize=None)
@@ -274,11 +284,10 @@ def cauchy1_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of Lif_k(ln(1+t)) (1+t)^(-x)."""
     _check_n(n)
     lif = sequences._lif_coeff
-    lif_part = _polylog_column(lif, k, params, _log1p, 0).series(n)
+    lif_part = _polylog_column(lif, k, params, _log1p, 0).through(n)
     # (1+t)^(-x) is (1+t)^x at -x: the product is taken at x and
     # substituted once
-    binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
-    return lif_part.mul_coeff(binom_part, n).affine(-1, 0)
+    return egf._binomial_conv(lif_part, falling_factorials(n), n).affine(-1, 0)
 
 
 def cauchy1_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
@@ -322,9 +331,8 @@ def cauchy2_via_gf(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of (1+t)^x Lif_k(-ln(1+t))."""
     _check_n(n)
     lif = sequences._lif_coeff
-    lif_part = _polylog_column(lif, k, params, _neg_log1p, 0).series(n)
-    binom_part = EgfSeries([falling_factorial(j) for j in range(n + 1)])
-    return lif_part.mul_coeff(binom_part, n)
+    lif_part = _polylog_column(lif, k, params, _neg_log1p, 0).through(n)
+    return egf._binomial_conv(lif_part, falling_factorials(n), n)
 
 
 def cauchy2_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:

@@ -536,11 +536,12 @@ def _cross_rhs_coeffs(
 
 def _eval_cross(n, k, params, y, family, inner, outer, alternating, by_factorial):
     """One cross relation: the family value against sum_j y^j R_j, folded
-    by Horner in y, so it is R_0 itself when it is the only coefficient."""
+    by Horner in y, so it is R_0 itself when it is the only coefficient,
+    and zero when every inner sum is."""
     lhs = families.compute(family, n, k, params)
     *coeffs, rhs = _cross_rhs_coeffs(
         inner, outer, alternating, by_factorial, n, k, params
-    )
+    ) or (XPoly.zero(),)
     for r in reversed(coeffs):
         rhs = XPoly.sum_products(((rhs, y), (r,)))
     return lhs, rhs

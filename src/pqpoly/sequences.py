@@ -154,7 +154,7 @@ def euler_poly(n: int) -> XPoly:
 def bernoulli_order(n: int, s: int) -> XPoly:
     """Order-s Bernoulli polynomial from the EGF (t/(e^t - 1))^s e^(xt)."""
     _check_indices(n, s)
-    return egf.appell(_bernoulli_column(s).series(n).coeffs, n)
+    return egf.appell(_bernoulli_column(s).through(n), n)
 
 
 def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
@@ -164,7 +164,7 @@ def frobenius_euler(n: int, s: int, u: Fraction) -> XPoly:
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is outside the Frobenius-Euler domain")
-    return egf.appell(_frobenius_column(s, u).series(n).coeffs, n)
+    return egf.appell(_frobenius_column(s, u).through(n), n)
 
 
 # ---------------------------------------------------------------------------

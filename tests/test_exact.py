@@ -360,6 +360,63 @@ def test_xpoly_sum_products_fast_paths_match_the_oracle(terms):
         assert result._ints() == ((), 1)
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def denominator_sums(draw):
+    """Terms of an int, a Fraction and sometimes an XPoly factor, the term
+    denominators pairwise coprime prime powers or multiples of one shared
+    denominator; the XPoly's coefficients are over the term's own."""
+    size = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        primes = draw(st.permutations(_PRIMES))[:size]
+        dens = [p ** draw(st.integers(1, 3)) for p in primes]
+    else:
+        base = draw(st.sampled_from((2, 6, 12, 60)))
+        dens = [base * draw(st.integers(1, 6)) for _ in range(size)]
+    numerators = st.integers(-30, 30)
+    terms = []
+    for den in dens:
+        term = (draw(numerators), Fraction(draw(numerators), den))
+        if draw(st.booleans()):
+            cs = [Fraction(c, den) for c in draw(st.lists(numerators, max_size=4))]
+            term += (draw(_forms(cs)),)
+        terms.append(term)
+    return terms
+
+
+def _assert_canonical(result):
+    num, den = result._ints()
+    assert den > 0
+    if num:
+        assert num[-1] != 0 and math.gcd(den, *num) == 1
+    else:
+        assert den == 1
+
+
+@settings(max_examples=300)
+@given(denominator_sums())
+def test_sum_products_over_one_denominator_is_canonical(terms):
+    result = XPoly.sum_products(terms)
+    _assert_canonical(result)  # before anything forms result's Fractions
+    _assert_matches(result, _oracle_sum_products(terms))
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (-5, 6), (1, 4)])
+def test_sum_products_reduces_the_terms_only_at_the_end(a, b):
+    # term i is a^(n-i) b^i / b^n P, which reduces on its own to
+    # (a/b)^(n-i) P; the kernel adds it unreduced and reduces only the sum
+    n = 8
+    poly = XPoly([1, Fraction(1, 3), 5])
+    terms = [(a ** (n - i) * b**i, Fraction(1, b**n), poly) for i in range(n + 1)]
+    result = XPoly.sum_products(terms)
+    _assert_canonical(result)
+    ratio = sum(Fraction(a, b) ** j for j in range(n + 1))
+    assert result == XPoly([ratio * c for c in poly.coeffs])
+    _assert_matches(result, _oracle_sum_products(terms))
+
+
 def test_xpoly_sum_products_edge_cases():
     x = XPoly.x()
     assert XPoly.sum_products([]) == XPoly.zero()

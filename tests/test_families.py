@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqpoly import clear_caches, families, pqcalc, sequences
+from pqpoly import clear_caches, egf, families, pqcalc, sequences
 from pqpoly.exact import XPoly
 from pqpoly.families import (
     FAMILY_POLY_BERNOULLI,
@@ -378,6 +378,38 @@ def test_gf_column_grows_one_coefficient_per_n(family, params, k, monkeypatch):
         below = [compute(family, n, k, params) for n in range(n_max)]
         assert reads == once
         assert below + [alone] == in_order
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_gf_routes_read_their_columns_without_building_a_series(k, monkeypatch):
+    # each gf route and each classical Appell family reads its columns'
+    # coefficient lists in place; none copies them into an EgfSeries
+    n_max = 12
+    values = {
+        "gf": lambda n: [
+            compute(family, n, k, params, ROUTE_GF)
+            for family in ROUTES_BY_FAMILY
+            for params in (BASE, CLASSICAL)
+        ],
+        "classical": lambda n: [
+            sequences.bernoulli_order(n, 2),
+            sequences.frobenius_euler(n, 2, Fraction(1, 2)),
+            euler_poly(n),
+        ],
+    }
+    before = {name: [f(n) for n in range(n_max + 1)] for name, f in values.items()}
+
+    def refuse(self, coeffs):
+        raise AssertionError("a gf route built an EgfSeries")
+
+    clear_caches()
+    monkeypatch.setattr(egf.EgfSeries, "__init__", refuse)
+    try:
+        for name, f in values.items():
+            assert [f(n) for n in range(n_max + 1)] == before[name], name
     finally:
         monkeypatch.undo()
         clear_caches()

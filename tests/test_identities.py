@@ -639,6 +639,19 @@ def test_one_coefficient_cross_cell_makes_no_kernel_call(monkeypatch, check_id):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("check_id", CROSS_IDS)
+def test_zero_inner_sums_fail_the_cross_cells_without_raising(check_id):
+    # with every inner sum Q_m zero there is no coefficient R_j, and the
+    # right side is the zero polynomial: the cells fail, the run goes on
+    check = _CHECKS_BY_ID[check_id]
+    zero = partial(check.evaluate, inner=lambda m, k, params: XPoly.zero())
+    report = run_check(check._replace(evaluate=zero), SMALL)
+    assert report.cells_total > 0 and not report.passed
+    assert report.first_failure["rhs"] == []
+    assert report.first_failure["lhs"] != []
+    pqpoly.clear_caches()
+
+
 def test_cold_pass_kernel_call_count(monkeypatch):
     # a guard on the number of kernel calls in one cold pass over SMALL: a
     # change that adds or removes kernel calls updates this figure
