@@ -12,22 +12,27 @@ term with a zero factor is skipped, but the sum keeps the ring of its
 factors: it is an XPoly whenever any factor is one, skipped or not, and
 then it is one ``XPoly.sum_products`` call; a scalar one is a Fraction,
 summed as int numerators over one common denominator, as is each scalar
-coefficient ``PowerRows.compose_coeff`` reads.
+coefficient ``compose`` reads off ``PowerRows.compose_coeff``.  The
+generating-function columns in ``families`` do not sum term by term: each
+keeps its outer coefficients as int numerators over one denominator and
+takes coefficient j as one int dot product with row j.
 ``pow(m)`` multiplies a series by itself m - 1 times.
 
 One power recurrence, ``grow_power``, extends the coefficients of a^alpha,
 each step one scalar sum over a common denominator, like ``mul_coeff``'s:
 ``reciprocal``, the 2/(e^t + 1) column and the classical families' column
 per (s, u) grow by it.  One Appell expansion, ``appell``, reads coefficient
-n of base(t) e^(+-xt) off the coefficients of base.
+n of base(t) e^(+-xt) off the coefficients of base; a base of ints gives
+the numerators of an XPoly over 1, and one of Fractions its coefficients.
 
 Composition is computed one coefficient at a time from the ones before it,
 the way relaxed power-series arithmetic does (van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  ``PowerRows`` builds the rows
 [t^j/j!] inner^m, m <= j, of an inner series, row j from the rows before
-it.  ``compose`` reads them; so do the generating-function routes, each
-through a ``Column`` that grows by the coefficients asked for and is never
-rebuilt; and so do the four Stirling triangles, each from its own table.
+it.  ``compose`` reads them; so do the generating-function columns, each
+a ``Column`` that grows by the coefficients asked for and is never
+rebuilt, through ``PowerRows.row``; and so do the four Stirling triangles,
+each from its own table.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exact import XPoly
+from .exact import XPoly, _from_ints
 
 
 def _scalar_sum(terms) -> int | Fraction:
@@ -99,8 +104,14 @@ def grow_power(coeff: Callable[[int], object], alpha: int, r: list, n: int):
 
 
 def appell(base: Sequence, n: int, sign: int = 1) -> XPoly:
-    """Coefficient n of base(t) e^(sign x t): sign^j C(n, j) base[n-j] at x^j."""
-    return XPoly([sign**j * math.comb(n, j) * base[n - j] for j in range(n + 1)])
+    """Coefficient n of base(t) e^(sign x t): sign^j C(n, j) base[n-j] at x^j.
+
+    An expansion of ints is taken as the numerators of an XPoly over 1, with
+    no Fraction formed; any other keeps its coefficients as given."""
+    coeffs = [sign**j * math.comb(n, j) * base[n - j] for j in range(n + 1)]
+    if all(type(c) is int for c in coeffs):
+        return _from_ints(coeffs, 1)
+    return XPoly(coeffs)
 
 
 class EgfSeries:

@@ -24,23 +24,31 @@ recurrence.  None is shared with a Stirling triangle or a classical family.
 Each Li_k or Lif_k column keeps the ordinary coefficients it has read,
 one call per index to the coefficient function it was passed by
 reference, read off ``sequences`` at each call; the Li_k columns of
-poly-Euler and poly-Bernoulli read their own.  A gf route reads each
-column's coefficient list in place through index n (``Column.through``)
-and copies none into an ``EgfSeries``; a poly-Cauchy gf route takes
-coefficient n of its product with (1+t)^x by ``egf._binomial_conv``
-straight off the falling-factorial store, ``exact.falling_factorials``.
-``euler_base_series`` and ``bernoulli_base_series`` hand the same columns
-out as series.  The columns, the rows and each gf route's values are
-cached; the weighted-Stirling and integral routes are recomputed on each
-call from their cached ingredients.  Each of those routes is one
+poly-Euler and poly-Bernoulli read their own.  It keeps them the way
+FLINT's ``fmpq_poly`` keeps coefficients: int numerators over one running
+denominator D, all rescaled only when a new coefficient's denominator does
+not divide D.  Coefficient j is then one int dot product of row j with
+those numerators and one Fraction over D, reduced once (Henrici's rule:
+Knuth, TAOCP vol. 2, 4.5.1), with no per-term rational sum.  A gf route
+reads each column's coefficient list in place through index n
+(``Column.through``) and copies none into an ``EgfSeries``; a poly-Cauchy
+gf route takes coefficient n of its product with (1+t)^x by
+``egf._binomial_conv`` straight off the falling-factorial store,
+``exact.falling_factorials``.  ``euler_base_series`` and
+``bernoulli_base_series`` hand the same columns out as series.  The
+columns, the rows and each gf route's values are cached; the
+weighted-Stirling and integral routes are recomputed on each call from
+their cached ingredients.  Each of those routes is one
 ``XPoly.sum_products`` call.  A weighted-Stirling route weights term m by
 [m+1]^(-k), cached per (m, k, params) in ``_stirling_weight``, which only
 these three routes read.  An integral route sums s(n, m) times the Appell
 polynomial A_m = ``egf.appell(a, m, sign=-1)`` over m, with a_j = I(j)^k
 the integral of the j-th power of t_1...t_k.  A_m does not depend on n or
 on the kind, so both kinds read it off one ``Column`` per (k, params),
-which keeps the moments a_j it has computed and appends each A_m once; no
-other Cauchy route reads ``egf.appell``.
+which keeps the moments a_j it has computed as int numerators over one
+running denominator D, as a polylog column keeps its coefficients, and
+appends each A_m once: ``egf.appell`` of those ints, an XPoly over 1,
+times 1/D in one kernel call.  No other Cauchy route reads ``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
 """
 
@@ -49,6 +57,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 
 from . import egf, pqcalc, sequences
 from .egf import Column, EgfSeries, PowerRows
@@ -136,21 +145,39 @@ def _inner_rows(inner) -> PowerRows:
     return PowerRows(inner)
 
 
+def _push_over(nums: list, den: int, c) -> int:
+    """Append the rational c to nums, int numerators over den, first
+    rescaling every one of them to lcm(den, c's denominator) when that does
+    not divide den; returns the denominator nums are now over."""
+    d = c.denominator
+    if den % d:
+        lcm = math.lcm(den, d)
+        up = lcm // den
+        nums[:] = [a * up for a in nums]
+        den = lcm
+    nums.append(c.numerator * (den // d))
+    return den
+
+
 @lru_cache(maxsize=None)
 def _polylog_column(coeff, k: int, params: PQParams, inner, shift: int) -> Column:
     """EGF coefficients of sum_m c_(m + shift) inner^m, with c_m the ordinary
     coefficient ``coeff(m, k, params)``.
 
     Callers pass ``coeff`` by reference, read off ``sequences`` at the
-    call, so a rebound one keys a column of its own.  The column keeps the
-    c_(m + shift) it has read and reads each once.
+    call, so a rebound one keys a column of its own.  The column reads
+    each c_(m + shift) once and keeps it as an int numerator over one
+    running denominator D; coefficient j is one int dot product of those
+    numerators with row j of the inner's powers, made one reduced Fraction
+    over D.
     """
-    rows, c = _inner_rows(inner), []
+    rows, nums, den = _inner_rows(inner), [], 1
 
     def grow(coeffs: list, n: int) -> None:
-        c.extend(coeff(m + shift, k, params) for m in range(len(c), n + 1))
+        nonlocal den
         for j in range(len(coeffs), n + 1):
-            coeffs.append(rows.compose_coeff(c, j))
+            den = _push_over(nums, den, coeff(j + shift, k, params))
+            coeffs.append(Fraction(sum(map(mul, rows.row(j), nums)), den))
 
     return Column(grow)
 
@@ -267,14 +294,18 @@ def _integral_appell_column(k: int, params: PQParams, integral, appell) -> Colum
 
     Callers pass ``integral`` and ``appell`` read off ``families`` and
     ``egf`` at the call, so a rebound one keys a column of its own.  The
-    column keeps the moments a_j it has computed and computes each once.
+    column computes each moment a_j once and keeps it as an int numerator
+    over one running denominator D; A_m is ``appell`` of those numerators,
+    scaled by 1/D once.
     """
-    moments = []
+    nums, den = [], 1
 
     def grow(coeffs: list, n: int) -> None:
-        moments.extend(integral(j, params) ** k for j in range(len(moments), n + 1))
+        nonlocal den
         for m in range(len(coeffs), n + 1):
-            coeffs.append(appell(moments, m, sign=-1))
+            den = _push_over(nums, den, integral(m, params) ** k)
+            scaled = ((Fraction(1, den), appell(nums, m, sign=-1)),)
+            coeffs.append(XPoly.sum_products(scaled))
 
     return Column(grow)
 

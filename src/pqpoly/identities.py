@@ -255,8 +255,9 @@ def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
 def _euler_gf_over_poly_ring(n: int, k: int, params: PQParams) -> XPoly:
     """Coefficient n of the defining EGF with the e^(xt) factor kept
     polynomial, independent of the Appell expansion used by poly_euler."""
-    base = families.euler_base_series(k, params, n)
-    return base.mul_coeff(sequences.exp_x_series(n), n)
+    base = families._euler_column(k, params).through(n)
+    exp_x = [XPoly.monomial(j) for j in range(n + 1)]
+    return egf._binomial_conv(base, exp_x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +376,15 @@ def eucls_tail_term(n: int, k: int, params: PQParams) -> XPoly:
 
 
 def _stirling_sum(n: int, k: int, params: PQParams, ls, values, basis) -> XPoly:
+    # S2(i, l) is zero for i < l, so a term l <= n reads rows l..n; the
+    # tail term l = n + 1 lies wholly above the diagonal and reads rows
+    # 0..n, so a table that is nonzero there shows in it
     value = values(n, k, params)
     return XPoly.sum_products(
         (egf._scalar_sum(
-            (math.comb(n, i) * sequences.stirling2(i, l), value(n - i, l))
-            for i in range(n + 1) if sequences.stirling2(i, l)
+            (math.comb(n, i) * s2, value(n - i, l))
+            for i in range(l if l <= n else 0, n + 1)
+            if (s2 := sequences.stirling2(i, l))
         ), basis(l))
         for l in ls
     )

@@ -35,18 +35,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import egf, pqcalc
-from .egf import Column, EgfSeries, PowerRows
+from .egf import Column, PowerRows
 from .exact import XPoly, _from_ints, check_scalar
 from .pqcalc import PQParams
-
-# ---------------------------------------------------------------------------
-# generating function building blocks
-
-
-def exp_x_series(order: int) -> EgfSeries:
-    """EGF of e^(xt) over the polynomial ring, coefficient j is x^j."""
-    return EgfSeries([XPoly.monomial(j) for j in range(order + 1)])
-
 
 # ---------------------------------------------------------------------------
 # Stirling numbers, plain and weighted

@@ -257,6 +257,58 @@ def cauchy2_integral_oracle(n: int, k: int, p: Fraction, q: Fraction):
     return _integral_expansion(n, k, p, q, 2)
 
 
+def li_ordinary(k: int, p: Fraction, q: Fraction, order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order of Li_k: zero, then 1/[m]^k."""
+    return [Fraction(0)] + [
+        1 / pq_integer_homogeneous(m, p, q) ** k for m in range(1, order + 1)
+    ]
+
+
+def lif_ordinary(k: int, p: Fraction, q: Fraction, order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order of Lif_k, 1/(m! [m+1]^k)."""
+    return [
+        1 / (math.factorial(m) * pq_integer_homogeneous(m + 1, p, q) ** k)
+        for m in range(order + 1)
+    ]
+
+
+def one_minus_exp_neg_ordinary(order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order of 1 - e^(-t)."""
+    return [Fraction(0)] + [
+        Fraction(-((-1) ** j), math.factorial(j)) for j in range(1, order + 1)
+    ]
+
+
+def log1p_ordinary(order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order of ln(1 + t)."""
+    return [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, order + 1)]
+
+
+def composed_egf(outer: list[Fraction], inner: list[Fraction], order: int) -> list[Fraction]:
+    """EGF coefficients 0..order of sum_m outer[m] inner(t)^m, for an inner
+    given by its ordinary coefficients with inner[0] = 0: the ordinary
+    powers of inner by truncated list products, one Fraction per term, and
+    coefficient j of the sum times j!."""
+    total = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(order + 1):
+        total = [t + outer[m] * c for t, c in zip(total, power)]
+        power = [
+            sum((inner[i] * power[j - i] for i in range(1, j + 1)), Fraction(0))
+            for j in range(order + 1)
+        ]
+    return [math.factorial(j) * t for j, t in enumerate(total)]
+
+
+def integral_appell(m: int, k: int, p: Fraction, q: Fraction) -> list[Fraction]:
+    """Coefficients of sum_l C(m, l) I(m - l)^k (-x)^l, I(j) = 1/[j+1] in
+    its homogeneous form: the integral of (t_1...t_k - x)^m."""
+    return poly_trim([
+        (-1) ** l * math.comb(m, l) / pq_integer_homogeneous(m - l + 1, p, q) ** k
+        for l in range(m + 1)
+    ])
+
+
 def poly_bernoulli_negative_k(n: int, k: int) -> int:
     """B_n^(-k) at p = q = 1 by Arakawa and Kaneko's formula
     sum_j (j!)^2 S(n+1, j+1) S(k+1, j+1), S from the integer recurrence

@@ -457,3 +457,125 @@ def test_stirling_routes_compute_each_weight_once():
             compute(family, n, 2, BASE, ROUTE_STIRLING)
     assert families._stirling_weight.cache_info().misses == 13
     clear_caches()
+
+
+# each column of the gf and integral routes against its plain-Fraction
+# oracle: name -> (column at (k, params), oracle coefficient list through n)
+EQUAL = PQParams(Fraction(2, 3), Fraction(2, 3))
+COLUMN_K = [-30, -2, 0, 1, 2, 30]
+COLUMNS = {
+    "li": (
+        lambda k, params: families._polylog_column(
+            sequences._li_coeff, k, params, families._one_minus_exp_neg, 0
+        ),
+        lambda k, p, q, n: oracles.composed_egf(
+            oracles.li_ordinary(k, p, q, n), oracles.one_minus_exp_neg_ordinary(n), n
+        ),
+    ),
+    "li shifted": (
+        lambda k, params: families._bernoulli_base_column(k, params),
+        lambda k, p, q, n: oracles.composed_egf(
+            oracles.li_ordinary(k, p, q, n + 1)[1:],
+            oracles.one_minus_exp_neg_ordinary(n),
+            n,
+        ),
+    ),
+    "lif log1p": (
+        lambda k, params: families._polylog_column(
+            sequences._lif_coeff, k, params, families._log1p, 0
+        ),
+        lambda k, p, q, n: oracles.composed_egf(
+            oracles.lif_ordinary(k, p, q, n), oracles.log1p_ordinary(n), n
+        ),
+    ),
+    "lif neg log1p": (
+        lambda k, params: families._polylog_column(
+            sequences._lif_coeff, k, params, families._neg_log1p, 0
+        ),
+        lambda k, p, q, n: oracles.composed_egf(
+            oracles.lif_ordinary(k, p, q, n),
+            [-c for c in oracles.log1p_ordinary(n)],
+            n,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("params", [BASE, EQUAL], ids=["generic", "p=q"])
+@pytest.mark.parametrize("k", COLUMN_K)
+@pytest.mark.parametrize("name", list(COLUMNS))
+def test_polylog_columns_match_plain_fraction_compositions(name, k, params):
+    # the int numerators over one running denominator give the reduced
+    # Fractions a plain composition of the series gives
+    n_max = 12
+    column, oracle = COLUMNS[name]
+    clear_caches()
+    got = column(k, params).through(n_max)[: n_max + 1]
+    assert got == oracle(k, params.p, params.q, n_max)
+    assert all(type(c) is Fraction for c in got)
+    clear_caches()
+
+
+@pytest.mark.parametrize("params", [BASE, EQUAL], ids=["generic", "p=q"])
+@pytest.mark.parametrize("k", COLUMN_K)
+def test_integral_appell_column_matches_plain_fraction_sums(k, params):
+    n_max = 12
+    clear_caches()
+    column = families._integral_appell_column(
+        k, params, families.pq_integral_01_monomial, egf.appell
+    )
+    for m in range(n_max + 1):
+        expected = oracles.integral_appell(m, k, params.p, params.q)
+        assert list(column.coeff(m).coeffs) == expected, m
+    clear_caches()
+
+
+def test_cold_gf_columns_make_no_scalar_sum_call(monkeypatch):
+    # each coefficient of a polylog column is one int dot product over one
+    # denominator, and each Appell polynomial of the integral column one
+    # int expansion; neither sums term by term through egf._scalar_sum
+    n_max = 12
+    before = {
+        (name, k, params): column(k, params).through(n_max)[: n_max + 1]
+        for name, (column, _) in COLUMNS.items()
+        for k in (-2, 2)
+        for params in (BASE, EQUAL)
+    }
+
+    def refuse(terms):
+        raise AssertionError("a gf column called egf._scalar_sum")
+
+    clear_caches()
+    monkeypatch.setattr(egf, "_scalar_sum", refuse)
+    try:
+        for (name, k, params), values in before.items():
+            column = COLUMNS[name][0]
+            assert column(k, params).through(n_max)[: n_max + 1] == values
+            for family in (FAMILY_POLY_BERNOULLI, FAMILY_POLY_CAUCHY_1, FAMILY_POLY_CAUCHY_2):
+                compute(family, n_max, k, params, ROUTE_GF)
+            if k >= 1:
+                for family in (FAMILY_POLY_CAUCHY_1, FAMILY_POLY_CAUCHY_2):
+                    compute(family, n_max, k, params, ROUTE_INTEGRAL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+@pytest.mark.parametrize("params", [BASE, EQUAL], ids=["generic", "p=q"])
+def test_routes_agree_at_the_weight_bound(params):
+    # |k| = 30 is gen's weight bound, where the running denominator of a
+    # column is rescaled the most; every route of a family agrees there
+    n_max = 40
+    cases = (
+        (FAMILY_POLY_BERNOULLI, 30),
+        (FAMILY_POLY_BERNOULLI, -30),
+        (FAMILY_POLY_CAUCHY_2, 30),
+    )
+    for family, k in cases:
+        clear_caches()
+        for n in range(n_max + 1):
+            gf, *others = [
+                compute(family, n, k, params, route) for route in families.routes(family, k)
+            ]
+            assert others and all(value == gf for value in others), (family, n, k)
+    clear_caches()

@@ -652,6 +652,21 @@ def test_zero_inner_sums_fail_the_cross_cells_without_raising(check_id):
     pqpoly.clear_caches()
 
 
+def test_cold_pass_builds_no_series(monkeypatch):
+    # appell_i's left side reads the poly-Euler column in place and the
+    # monomials x^j as a list; no check copies a column into an EgfSeries
+    def refuse(self, coeffs):
+        raise AssertionError("a check built an EgfSeries")
+
+    pqpoly.clear_caches()
+    monkeypatch.setattr(pqpoly.egf.EgfSeries, "__init__", refuse)
+    try:
+        assert all(report.passed for report in run_all(SMALL))
+    finally:
+        monkeypatch.undo()
+        pqpoly.clear_caches()
+
+
 def test_cold_pass_kernel_call_count(monkeypatch):
     # a guard on the number of kernel calls in one cold pass over SMALL: a
     # change that adds or removes kernel calls updates this figure
@@ -664,5 +679,5 @@ def test_cold_pass_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
     assert all(report.passed for report in run_all(SMALL))
-    assert calls[0] == 1438
+    assert calls[0] == 1462
     pqpoly.clear_caches()
