@@ -37,11 +37,11 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 
 
 # Largest run sizes accepted.  The slowest run measured at these bounds,
-# gen --family poly-cauchy-1 --k 30 --nmax 100, took 71 s at 189 MB peak
-# RSS writing 82 MB of JSON, and 70 s at 116 MB writing it as CSV; verify
-# --nmax 32 took 2.9 s at 46 MB (2 cores, CPython 3.11).  Time and memory
-# keep growing past them, so a larger value is refused when the flag is
-# parsed.
+# gen --family poly-cauchy-1 --k 30 --nmax 100, took 56 s at 158 MB peak
+# RSS writing 82 MB of JSON, and 56 s at 97 MB writing it as CSV; verify
+# --nmax 32 took 3.5 s at 45 MB (one run each, 2 cores, CPython 3.11).
+# Time and memory keep growing past them, so a larger value is refused when
+# the flag is parsed.
 GEN_NMAX_LIMIT = 100
 VERIFY_NMAX_LIMIT = 32
 K_LIMIT = 30

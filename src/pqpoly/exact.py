@@ -300,16 +300,7 @@ class XPoly:
                         grown = math.lcm(grown, den)
                     continue
                 num *= acc_den // den
-            # _add_scaled(acc, vec, num), inline on the hot path
-            if len(vec) == 1:  # a scalar term: vec is (1,)
-                acc[0] += num
-                continue
-            if len(vec) > len(acc):
-                acc += [0] * (len(vec) - len(acc))
-            if num == 1:
-                acc[: len(vec)] = [c + v for c, v in zip(acc, vec)]
-            else:
-                acc[: len(vec)] = [c + v * num for c, v in zip(acc, vec)]
+            _add_scaled(acc, vec, num)
         if held:
             up = grown // acc_den
             acc = [c * up for c in acc]

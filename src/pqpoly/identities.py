@@ -10,9 +10,12 @@ the bivariate identity.  In the four cross relations the y dependence
 cancels: each inner sum is the left side of invrel1, invrel2 or invrel3,
 a constant, so the n + 1 y cells of a cross relation compute one value.
 
-Reports are deterministic: cells are generated in a fixed order, the check
-list has a fixed order, and the first failing cell (if any) is captured
-with both sides serialized.
+Reports are deterministic.  One generator, ``_cells``, lists the cells of
+every check but orthogonality in one fixed order: n, then k, then params,
+then the check's own axes (s and u for tid3 and tid4, the scale m for
+appell_iii, the n + 1 points ``y_samples(n)`` for appell_ii and the cross
+relations).  The check list has a fixed order, and the first failing cell
+(if any) is captured with both sides serialized.
 
 Each side that is a sum is built by one ``XPoly.sum_products`` call; eucls,
 tid1 and tid2 first sum each basis polynomial's weight as a scalar, and tid2
@@ -41,6 +44,7 @@ a^(n-i) b^i over one shared 1/b^n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -252,53 +256,26 @@ def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
     )
 
 
-def _euler_gf_over_poly_ring(n: int, k: int, params: PQParams) -> XPoly:
-    """Coefficient n of the defining EGF with the e^(xt) factor kept
-    polynomial, independent of the Appell expansion used by poly_euler."""
-    base = families._euler_column(k, params).through(n)
-    exp_x = [XPoly.monomial(j) for j in range(n + 1)]
-    return egf._binomial_conv(base, exp_x, n)
-
-
 # ---------------------------------------------------------------------------
 # cell builders
 
 
-def _nkp_cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None):
+def _cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None, **axes):
+    """Cells n -> k -> params -> each axis in the order given.  An axis is a
+    tuple of values or a function of n that returns them (``y=y_samples``);
+    each n's axis dicts are built once and shared by its (k, params)."""
     top = config.n_max if n_cap is None else min(config.n_max, n_cap)
     for n in range(n_min, top + 1):
+        rows = [
+            dict(zip(axes, values))
+            for values in itertools.product(
+                *(axis(n) if callable(axis) else axis for axis in axes.values())
+            )
+        ]
         for k in config.k_values:
             for params in config.param_points:
-                yield {"n": n, "k": k, "params": params}
-
-
-def _nkpy_cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None):
-    n, ys = None, ()
-    for cell in _nkp_cells(config, n_min, n_cap):
-        if cell["n"] != n:
-            n = cell["n"]
-            ys = y_samples(n)
-        for y in ys:
-            yield dict(cell, y=y)
-
-
-def _appell_iii_cells(config: SuiteConfig):
-    for cell in _nkp_cells(config, 0, APPELL_N_CAP):
-        for m in config.scale_values:
-            yield dict(cell, m=m)
-
-
-def _tid3_cells(config: SuiteConfig):
-    for cell in _nkp_cells(config):
-        for s in config.s_values:
-            yield dict(cell, s=s)
-
-
-def _tid4_cells(config: SuiteConfig):
-    for cell in _nkp_cells(config):
-        for s in config.s_values:
-            for u in config.u_values:
-                yield dict(cell, s=s, u=u)
+                for row in rows:
+                    yield {"n": n, "k": k, "params": params, **row}
 
 
 def _orthogonality_cells(config: SuiteConfig):
@@ -313,7 +290,7 @@ def _orthogonality_cells(config: SuiteConfig):
 
 
 def _eval_appell_i(n, k, params):
-    lhs = _euler_gf_over_poly_ring(n, k, params)
+    lhs = families.poly_euler(n, k, params)
     rhs = XPoly.sum_products(
         (math.comb(n, i), families.poly_euler_number(i, k, params),
          XPoly.monomial(n - i))
@@ -433,13 +410,9 @@ def _tid3_inner(m: int, k: int, params: PQParams, s: int) -> XPoly:
 
 def _eval_tid3(n, k, params, s):
     lhs = families.poly_euler(n, k, params)
-    # int weights over one denominator D, the lcm of the C(l + s, s)
-    binoms = [math.comb(l + s, s) for l in range(n + 1)]
-    d = math.lcm(*binoms)
-    scale = Fraction(1, d)
     rhs = XPoly.sum_products(
-        (math.comb(n, l) * sequences.stirling2(l + s, s) * (d // binoms[l]),
-         scale, _tid3_inner(n - l, k, params, s))
+        (math.comb(n, l) * sequences.stirling2(l + s, s),
+         Fraction(1, math.comb(l + s, s)), _tid3_inner(n - l, k, params, s))
         for l in range(n + 1)
     )
     return lhs, rhs
@@ -568,43 +541,41 @@ def _eval_vandermonde(n, k, params, family, other):
 # registry
 
 CHECKS: tuple[IdentityCheck, ...] = (
+    IdentityCheck("appell_i", lambda c: _cells(c, 0, APPELL_N_CAP), _eval_appell_i),
     IdentityCheck(
-        "appell_i", lambda c: _nkp_cells(c, 0, APPELL_N_CAP), _eval_appell_i
+        "appell_ii", lambda c: _cells(c, 0, APPELL_N_CAP, y=y_samples), _eval_appell_ii
     ),
     IdentityCheck(
-        "appell_ii", lambda c: _nkpy_cells(c, 0, APPELL_N_CAP), _eval_appell_ii
+        "appell_iii",
+        lambda c: _cells(c, 0, APPELL_N_CAP, m=c.scale_values),
+        _eval_appell_iii,
     ),
-    IdentityCheck("appell_iii", _appell_iii_cells, _eval_appell_iii),
-    IdentityCheck(
-        "appell_iv", lambda c: _nkp_cells(c, 0, APPELL_N_CAP), _eval_appell_iv
-    ),
-    IdentityCheck("eucls", lambda c: _nkp_cells(c, 1), _eval_eucls),
-    IdentityCheck("tid1", _nkp_cells, _eval_tid1),
-    IdentityCheck("tid2", _nkp_cells, _eval_tid2),
-    IdentityCheck("tid3", _tid3_cells, _eval_tid3),
-    IdentityCheck("tid4", _tid4_cells, _eval_tid4),
-    IdentityCheck(
-        "euler_bernoulli", lambda c: _nkp_cells(c, 1), _eval_euler_bernoulli
-    ),
+    IdentityCheck("appell_iv", lambda c: _cells(c, 0, APPELL_N_CAP), _eval_appell_iv),
+    IdentityCheck("eucls", lambda c: _cells(c, 1), _eval_eucls),
+    IdentityCheck("tid1", _cells, _eval_tid1),
+    IdentityCheck("tid2", _cells, _eval_tid2),
+    IdentityCheck("tid3", lambda c: _cells(c, s=c.s_values), _eval_tid3),
+    IdentityCheck("tid4", lambda c: _cells(c, s=c.s_values, u=c.u_values), _eval_tid4),
+    IdentityCheck("euler_bernoulli", lambda c: _cells(c, 1), _eval_euler_bernoulli),
     IdentityCheck(
         "polyberrel1",
-        lambda c: _nkp_cells(c, 1),
+        lambda c: _cells(c, 1),
         partial(_eval_routes, family=families.FAMILY_POLY_BERNOULLI),
     ),
     IdentityCheck(
         "cauchy_routes_1",
-        _nkp_cells,
+        _cells,
         partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_1),
     ),
     IdentityCheck(
         "cauchy_routes_2",
-        _nkp_cells,
+        _cells,
         partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_2),
     ),
     IdentityCheck("orthogonality", _orthogonality_cells, _eval_orthogonality),
     # the inversion relations: (id, inner sum Q_n, scale of [n+1]^(-k))
     *(
-        IdentityCheck(i, _nkp_cells, partial(_eval_invrel, inner=inner, scale=scale))
+        IdentityCheck(i, _cells, partial(_eval_invrel, inner=inner, scale=scale))
         for i, inner, scale in (
             ("invrel1", _inner_bernoulli, math.factorial),
             ("invrel2", _inner_cauchy1, lambda n: 1),
@@ -617,7 +588,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
     *(
         IdentityCheck(
             check_id,
-            lambda c: _nkpy_cells(c, 0, CROSS_N_CAP),
+            lambda c: _cells(c, 0, CROSS_N_CAP, y=y_samples),
             partial(
                 _eval_cross, family=family, inner=inner, outer=outer,
                 alternating=alternating, by_factorial=by_factorial,
@@ -636,7 +607,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
     ),
     IdentityCheck(
         "vandermonde_1",
-        lambda c: _nkp_cells(c, 1),
+        lambda c: _cells(c, 1),
         partial(
             _eval_vandermonde,
             family=families.FAMILY_POLY_CAUCHY_1,
@@ -645,7 +616,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
     ),
     IdentityCheck(
         "vandermonde_2",
-        lambda c: _nkp_cells(c, 1),
+        lambda c: _cells(c, 1),
         partial(
             _eval_vandermonde,
             family=families.FAMILY_POLY_CAUCHY_2,

@@ -149,10 +149,13 @@ def mutate_power_rows_drop_cube() -> None:
     """The row builder loses the inner^3 term.
 
     compose, every gf route and the four Stirling triangles read their
-    powers of a series from these rows, so the Stirling route loses its
-    m = 3 term too and poly-Bernoulli's two routes still agree.  The
-    integral routes read no rows, so the Cauchy route comparisons must see
-    it.
+    powers of a series from these rows.  Both poly-Bernoulli routes lose
+    the same term m = 3 (W2(n, 3) reads zero), so they still agree.  The
+    three routes of each Cauchy kind lose different terms: the gf route the
+    cube of its logarithm, the Stirling route each x^i coefficient of
+    W1(n, m) with i + m = 3, and the integral route its m = 3 term, since
+    s(n, 3) is read off the plain first-kind table's rows.  So the Cauchy
+    route comparisons must see it.
     """
     row = PowerRows.row
 
@@ -231,9 +234,8 @@ def mutate_poly_euler_number() -> None:
 
     The right sides of appell_i, tid2 and tid3 read E_n(0) through
     families.poly_euler_number, looked up on the module at each call; their
-    left sides read the poly-Euler column directly.  Both sides of appell_i
-    are kernel sums, which a kernel defect may spoil alike; this one reaches
-    the right side only.
+    left sides are poly_euler, the Appell expansion of the poly-Euler column
+    read directly, so this defect reaches the right sides only.
     """
     number = families.poly_euler_number
 

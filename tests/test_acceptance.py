@@ -152,10 +152,10 @@ def test_criterion_4_truncation_tails(capsys):
 
 
 APPELL_HIGH_TERM_KILLS = [
-    "appell_ii", "appell_iii", "appell_iv", "eucls", "tid1", "tid2", "tid3",
-    "tid4", "euler_bernoulli", "polyberrel1", "cauchy_routes_1",
-    "cauchy_routes_2", "invrel1", "cross_b_from_c", "cross_b_from_chat",
-    "cross_c_from_b", "cross_chat_from_b",
+    "appell_i", "appell_ii", "appell_iii", "appell_iv", "eucls", "tid1",
+    "tid2", "tid3", "tid4", "euler_bernoulli", "polyberrel1",
+    "cauchy_routes_1", "cauchy_routes_2", "invrel1", "cross_b_from_c",
+    "cross_b_from_chat", "cross_c_from_b", "cross_chat_from_b",
 ]
 
 
@@ -190,7 +190,8 @@ def test_criterion_5_mutation_sensitivity(capsys):
         assert payload["mutation"] == name
         assert payload["failing"], f"suite blind to mutation {name}"
         if name == "power-rows-drop-cube":
-            # the integral routes read no rows, so a route comparison sees it
+            # each Cauchy route loses a different term of the rows, so a
+            # route comparison sees it
             assert set(payload["failing"]) & {
                 "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
             }, payload
@@ -221,9 +222,10 @@ def test_criterion_5_mutation_sensitivity(capsys):
                 "polyberrel1", "cauchy_routes_1", "cauchy_routes_2"
             ], payload
         if name == "appell-high-term":
-            # each Appell check reads E_n at a shifted or scaled argument,
-            # and the integral routes read their cached Appell polynomials
-            # through the rebound egf.appell
+            # appell_i compares the Appell expansion E_n with its sum over
+            # the numbers E_i, each other Appell check reads E_n at a
+            # shifted or scaled argument, and the integral routes read
+            # their cached Appell polynomials through the rebound egf.appell
             assert payload["failing"] == APPELL_HIGH_TERM_KILLS, payload
         if name == "sum-products-drops-last-term":
             # every Cauchy route goes through the kernel, each over terms
@@ -233,8 +235,8 @@ def test_criterion_5_mutation_sensitivity(capsys):
             assert failing & {"cauchy_routes_1", "cauchy_routes_2"}, payload
             assert any(i.startswith("cross_") for i in failing), payload
         if name == "poly-euler-number":
-            # both sides of appell_i are kernel sums; its right side alone
-            # reads the poly-Euler numbers
+            # appell_i's left side is the Appell expansion read off the
+            # poly-Euler column; its right side alone reads the numbers
             assert "appell_i" in payload["failing"], payload
         if name == "weighted-stirling2-extra-term":
             # the inner sums of the cross relations from C and Chat read W2

@@ -86,6 +86,58 @@ def test_runs_are_deterministic():
     assert a == b
 
 
+def _grid_cells(check_id: str, config: SuiteConfig) -> list[dict]:
+    """A check's cells in order, from the grid definition alone: n, k,
+    params, then the check's own axes; orthogonality runs n, m, direction."""
+    if check_id == "orthogonality":
+        return [
+            {"n": n, "m": m, "direction": direction}
+            for n in range(config.n_max + 1)
+            for m in range(n + 1)
+            for direction in ("s2_then_s1", "s1_then_s2")
+        ]
+    shifted = (
+        "eucls", "euler_bernoulli", "polyberrel1", "vandermonde_1", "vandermonde_2"
+    )
+    top = config.n_max
+    if check_id.startswith("appell_"):
+        top = min(top, identities.APPELL_N_CAP)
+    if check_id.startswith("cross_"):
+        top = min(top, identities.CROSS_N_CAP)
+
+    def axes(n: int) -> list[dict]:
+        if check_id == "appell_ii" or check_id.startswith("cross_"):
+            return [{"y": y} for y in y_samples(n)]
+        if check_id == "appell_iii":
+            return [{"m": m} for m in config.scale_values]
+        if check_id == "tid3":
+            return [{"s": s} for s in config.s_values]
+        if check_id == "tid4":
+            return [
+                {"s": s, "u": u} for s in config.s_values for u in config.u_values
+            ]
+        return [{}]
+
+    return [
+        {"n": n, "k": k, "params": params, **extra}
+        for n in range(1 if check_id in shifted else 0, top + 1)
+        for k in config.k_values
+        for params in config.param_points
+        for extra in axes(n)
+    ]
+
+
+@pytest.mark.parametrize("config", [SMALL, SuiteConfig(n_max=3)])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_cells_come_in_grid_order(check_id, config):
+    # the first failure a report names is the first failing cell in this
+    # order; the key order is the order of the serialized cell's fields
+    cells = _CHECKS_BY_ID[check_id].build_cells(config)
+    assert [list(cell.items()) for cell in cells] == [
+        list(cell.items()) for cell in _grid_cells(check_id, config)
+    ]
+
+
 def test_only_filter_selects_in_registry_order():
     reports = run_all(SMALL, only=["invrel1", "appell_ii"])
     assert [r.id for r in reports] == ["appell_ii", "invrel1"]
@@ -653,8 +705,9 @@ def test_zero_inner_sums_fail_the_cross_cells_without_raising(check_id):
 
 
 def test_cold_pass_builds_no_series(monkeypatch):
-    # appell_i's left side reads the poly-Euler column in place and the
-    # monomials x^j as a list; no check copies a column into an EgfSeries
+    # appell_i's left side is poly_euler, the Appell expansion of the
+    # poly-Euler column read in place; no check copies a column into an
+    # EgfSeries
     def refuse(self, coeffs):
         raise AssertionError("a check built an EgfSeries")
 
@@ -679,5 +732,5 @@ def test_cold_pass_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(XPoly, "sum_products", staticmethod(counting))
     assert all(report.passed for report in run_all(SMALL))
-    assert calls[0] == 1462
+    assert calls[0] == 1426
     pqpoly.clear_caches()
