@@ -10,8 +10,9 @@ zero numerator, gcd(numerators, denominator) = 1, and denominator 1 for
 the zero polynomial, so equality is structural.  All XPoly arithmetic is
 one kernel, ``XPoly.sum_products``, which builds a whole sum of products as
 one XPoly over one denominator in a single pass over the terms: each
-term's factors fold into one unreduced int numerator and denominator and
-one int vector, one integer convolution per further non-constant factor.
+term's factors fold into one unreduced int numerator and denominator and,
+when a factor is not constant, one int vector, one integer convolution per
+further non-constant factor; a term of constants alone carries no vector.
 The first nonzero term sets the denominator of one int accumulator; a
 later term over a denominator that divides it is added as soon as it is
 read, the way ``fmpq_poly`` adds polynomials that share a denominator, and
@@ -23,8 +24,9 @@ own and no arithmetic builds a Fraction per coefficient.  Each term costs
 a few int operations: a factor is dispatched on its exact type (``int``,
 ``Fraction``, ``XPoly``), while ``bool``, XPoly subclasses and any other
 type take the ``isinstance`` and ``check_scalar`` path; a scale of 1
-multiplies nothing, and a scalar term adds one int.  The operators ``+``,
-``-`` and ``*`` are one call of it each.
+multiplies nothing, a scalar term adds one int, and every other term is
+added by one indexed loop over its vector (``_add_scaled``).  The operators
+``+``, ``-`` and ``*`` are one call of it each.
 Calling an XPoly evaluates it at a scalar, by integer Horner, and
 ``weighted_values`` sums int-weighted values at the points 0, 1, ... the
 same way, into one Fraction;
@@ -126,16 +128,20 @@ def _from_ints(num: list, den: int) -> "XPoly":
 
 def _add_scaled(acc: list, vec, num: int) -> None:
     """acc += num * vec in place, acc growing to vec's length; a vec of
-    length 1 is the scalar term (1,)."""
-    if len(vec) == 1:
+    None is a scalar term, which adds num to acc[0].  An indexed loop, not
+    a comprehension: on the few entries of most terms the comprehension's
+    own frame and the slice copy cost twice the adds."""
+    if vec is None:
         acc[0] += num
         return
     if len(vec) > len(acc):
         acc += [0] * (len(vec) - len(acc))
-    if num == 1:
-        acc[: len(vec)] = [c + v for c, v in zip(acc, vec)]
+    if num == 1:  # v * 1 copies a big int
+        for i, v in enumerate(vec):
+            acc[i] += v
     else:
-        acc[: len(vec)] = [c + v * num for c, v in zip(acc, vec)]
+        for i, v in enumerate(vec):
+            acc[i] += v * num
 
 
 def _kernel(other, terms) -> "XPoly":
@@ -252,7 +258,8 @@ class XPoly:
         int, a Fraction or an XPoly, in one pass over one denominator.
 
         Each term becomes one int numerator and denominator, not reduced,
-        times one convolution per further XPoly factor.  The first nonzero
+        and one int vector, the convolution of its non-constant XPoly
+        factors, or None when it has none.  The first nonzero
         term starts an int accumulator over its denominator; a later term
         whose denominator divides that one is added as it is read, and any
         other is held back while the lcm of that denominator and theirs
@@ -262,7 +269,7 @@ class XPoly:
         """
         acc, acc_den, held = None, 1, []
         for term in terms:
-            num, den, vec = 1, 1, (1,)
+            num, den, vec = 1, 1, None
             for f in term:
                 # exact int, Fraction and XPoly first; bool, subclasses and
                 # any other type take the isinstance and check_scalar path
@@ -282,7 +289,7 @@ class XPoly:
                     if len(a) <= 1:
                         num *= a[0] if a else 0
                     else:
-                        vec = a if len(vec) == 1 else _convolve(vec, a)
+                        vec = a if vec is None else _convolve(vec, a)
                 else:
                     check_scalar(f, "sum_products factor")
                     num *= f.numerator
@@ -290,7 +297,12 @@ class XPoly:
             if not num:
                 continue
             if acc is None:
-                acc = list(vec) if num == 1 else [v * num for v in vec]
+                if vec is None:
+                    acc = [num]
+                elif num == 1:
+                    acc = list(vec)
+                else:
+                    acc = [v * num for v in vec]
                 acc_den = grown = den
                 continue
             if den != acc_den:

@@ -37,9 +37,9 @@ their own [n+1]^(-k).  A cached value may serve one side of several checks,
 never both sides of one check, so the two sides stay independent.  No cache
 key here holds a bare Fraction, since ``Fraction.__hash__`` computes a
 modular inverse on every lookup: tid1 passes its points as ints, tid4 keys
-u by its numerator and denominator, and ``PQParams`` hashes once and
-compares as ints.  appell_ii takes each power of y = a/b as the int
-a^(n-i) b^i over one shared 1/b^n.
+u by its numerator and denominator, and ``PQParams`` is interned, one
+object per pair, so it hashes and compares by identity.  appell_ii takes
+each power of y = a/b as the int a^(n-i) b^i over one shared 1/b^n.
 """
 
 from __future__ import annotations

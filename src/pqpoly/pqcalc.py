@@ -12,23 +12,34 @@ value of [n], no formula divides by p - q directly.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import check_scalar, rational_from_str, rational_to_str
 
+# the live PQParams by class and reduced pair, and the lock that keeps two
+# threads from making two instances of one pair
+_interned = weakref.WeakValueDictionary()
+_interning = threading.Lock()
+
 
 class PQParams:
-    """Validated parameter pair with 0 < q <= p <= 1, immutable.
+    """Validated parameter pair with 0 < q <= p <= 1, immutable and interned.
 
-    Every cached function takes one as a key, so the hash of the pair is
-    computed once, at construction, as hash((p, q)).
+    Every cached function takes one as a key.  Construction returns the one
+    live instance of each reduced pair (p, q), so equal parameters are one
+    object, and a cache lookup hashes and compares it by identity, in C;
+    copies and pickles rebuild through the constructor and get that object
+    back.  The registry holds its instances weakly: a pair nothing else
+    references is freed.
     """
 
-    __slots__ = ("p", "q", "_hash")
+    __slots__ = ("p", "q", "__weakref__")
     __match_args__ = ("p", "q")
 
-    def __init__(self, p: Fraction, q: Fraction):
+    def __new__(cls, p: Fraction, q: Fraction):
         check_scalar(p, "p")
         check_scalar(q, "q")
         p, q = Fraction(p), Fraction(q)
@@ -36,33 +47,21 @@ class PQParams:
             raise ValueError(
                 f"parameters must satisfy 0 < q <= p <= 1, got p={p}, q={q}"
             )
-        for name, value in (("p", p), ("q", q), ("_hash", hash((p, q)))):
-            object.__setattr__(self, name, value)
+        key = (cls, p.numerator, p.denominator, q.numerator, q.denominator)
+        with _interning:
+            self = _interned.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "p", p)
+                object.__setattr__(self, "q", q)
+                _interned[key] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        # a Fraction is always in lowest terms, so equal values have equal
-        # numerators and denominators; comparing those ints skips the ABC
-        # checks of Fraction.__eq__ on every cache hit with a distinct key
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        p, q, op, oq = self.p, self.q, other.p, other.q
-        return (
-            p.numerator == op.numerator
-            and p.denominator == op.denominator
-            and q.numerator == oq.numerator
-            and q.denominator == oq.denominator
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"PQParams(p={self.p!r}, q={self.q!r})"

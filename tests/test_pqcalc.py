@@ -1,11 +1,16 @@
 import copy
+import gc
 import pickle
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqpoly import clear_caches
 from pqpoly.pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 
 from .oracles import pq_integer_homogeneous
@@ -52,19 +57,39 @@ def test_params_reject_inexact_types():
     assert PQParams(1, Fraction(1, 2)).p == 1
 
 
-def test_params_hash_is_the_pair_hash_and_survives_copies():
+def test_params_are_interned_and_survive_copies():
     for params in PARAM_POINTS:
-        assert hash(params) == hash((params.p, params.q))
         for same in (
             PQParams(params.p, params.q),
             copy.copy(params),
+            copy.deepcopy(params),
             pickle.loads(pickle.dumps(params)),
         ):
-            assert same == params and hash(same) == hash(params)
+            assert same is params
         assert repr(params) == f"PQParams(p={params.p!r}, q={params.q!r})"
-        assert PQParams.__match_args__ == ("p", "q")
-    ints, fractions = PQParams(1, 1), PQParams(Fraction(1), Fraction(1))
-    assert ints == fractions and hash(ints) == hash(fractions)
+    assert PQParams.__match_args__ == ("p", "q")
+    assert PQParams(1, 1) is PQParams(Fraction(1), Fraction(1))
+    q = Fraction(1, 3)
+    assert PQParams(Fraction(2, 4), q) is PQParams(Fraction(1, 2), q)
+
+
+def test_unreferenced_params_are_freed_and_refill_the_caches():
+    # the registry holds its instances weakly, so it cannot grow without
+    # bound; a pair rebuilt once the caches let go is a new key
+    p, q = Fraction(5, 7), Fraction(3, 11)
+    params = PQParams(p, q)
+    value = pq_integer(9, params)
+    ref = weakref.ref(params)
+    del params
+    clear_caches()
+    gc.collect()
+    assert ref() is None
+    misses = pq_integer.cache_info().misses
+    rebuilt = PQParams(p, q)
+    assert pq_integer(9, rebuilt) == value
+    assert pq_integer.cache_info().misses == misses + 1
+    assert pq_integer(9, rebuilt) == value
+    assert pq_integer.cache_info().misses == misses + 1
 
 
 def test_params_equality_compares_numerators_and_denominators():
@@ -78,10 +103,40 @@ def test_params_equality_compares_numerators_and_denominators():
     assert a.__eq__((a.p, a.q)) is NotImplemented
 
 
+def test_threads_building_one_pair_get_one_object():
+    # the registry's check-then-insert runs under a lock; without it two
+    # threads could each make an instance of one pair, unequal to each other
+    pairs = [(Fraction(1, d), Fraction(1, d + 1)) for d in range(101, 301)]
+    workers = 8
+    barrier = threading.Barrier(workers)
+    built = [[] for _ in range(workers)]
+
+    def build(out):
+        barrier.wait(timeout=10)
+        out.extend(PQParams(p, q) for p, q in pairs)
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in built:
+        assert len(out) == len(pairs)
+        assert all(a is b for a, b in zip(out, built[0]))
+
+
 def test_equal_but_distinct_cache_hit_calls_no_fraction_eq(monkeypatch):
-    # a second SuiteConfig or a library caller builds an equal PQParams,
-    # and every cache lookup with it compares the keys
-    params = PQParams(Fraction(3, 4), Fraction(1, 5))
+    # a second SuiteConfig or a library caller builds an equal PQParams;
+    # it is the cached key's own object, so the lookup runs no Python-level
+    # method of PQParams or Fraction
+    p, q = Fraction(3, 4), Fraction(1, 5)
+    params = PQParams(p, q)
     value = pq_integer(7, params)
     calls = []
     fraction_eq = Fraction.__eq__
@@ -91,9 +146,13 @@ def test_equal_but_distinct_cache_hit_calls_no_fraction_eq(monkeypatch):
         return fraction_eq(self, other)
 
     monkeypatch.setattr(Fraction, "__eq__", counting)
-    assert pq_integer(7, PQParams(Fraction(3, 4), Fraction(1, 5))) is value
+    rebuilt = PQParams(Fraction(p.numerator, p.denominator), Fraction(q))
+    assert pq_integer(7, rebuilt) is value
     monkeypatch.undo()
     assert calls == []
+    assert rebuilt is params
+    assert PQParams.__hash__ is object.__hash__
+    assert PQParams.__eq__ is object.__eq__
 
 
 def test_params_mode():
