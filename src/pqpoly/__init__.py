@@ -19,8 +19,6 @@ from .sequences import (
     euler_poly,
     frobenius_euler,
     li_pq_closed_form,
-    li_pq_ordinary_coeffs,
-    lif_pq_ordinary_coeffs,
     stirling1_unsigned,
     stirling2,
     weighted_stirling1,
@@ -81,8 +79,6 @@ __all__ = [
     "euler_poly",
     "bernoulli_order",
     "frobenius_euler",
-    "li_pq_ordinary_coeffs",
-    "lif_pq_ordinary_coeffs",
     "li_pq_closed_form",
     "ROUTE_GF",
     "ROUTE_STIRLING",

@@ -6,20 +6,19 @@ or XPoly values; mixed Fraction/XPoly series combine through the coercion
 XPoly already provides.
 
 Binary operations require equal orders; there is no implicit truncation.
-``mul_coeff`` returns one coefficient of a product in O(n) ring products,
-for callers that read a single coefficient of an EGF product.  A product
-term with a zero factor is skipped, but the sum keeps the ring of its
-factors: it is an XPoly whenever any factor is one, skipped or not, and
-then it is one ``XPoly.sum_products`` call; a scalar one is a Fraction,
-summed as int numerators over one common denominator, as is each scalar
-coefficient ``compose`` reads off ``PowerRows.compose_coeff``.  The
-generating-function columns in ``families`` do not sum term by term: each
-keeps its outer coefficients as int numerators over one denominator and
-takes coefficient j as one int dot product with row j.
-``pow(m)`` multiplies a series by itself m - 1 times.
+``_binomial_conv`` takes one coefficient of a product in O(n) ring
+products, for callers that read a single coefficient of an EGF product.  A
+product term with a zero factor is skipped, but the sum keeps the ring of
+its factors: it is an XPoly whenever any factor is one, skipped or not,
+and then it is one ``XPoly.sum_products`` call; a scalar one is a
+Fraction, summed as int numerators over one common denominator, as is each
+scalar coefficient of ``compose``.  The generating-function columns in
+``families`` do not sum term by term: each keeps its outer coefficients as
+int numerators over one denominator and takes coefficient j as one int dot
+product with row j.  ``pow(m)`` multiplies a series by itself m - 1 times.
 
 One power recurrence, ``grow_power``, extends the coefficients of a^alpha,
-each step one scalar sum over a common denominator, like ``mul_coeff``'s:
+each step one scalar sum over a common denominator, like a product's:
 ``reciprocal``, the 2/(e^t + 1) column and the classical families' column
 per (s, u) grow by it.  One Appell expansion, ``appell``, reads coefficient
 n of base(t) e^(+-xt) off the coefficients of base; a base of ints gives
@@ -155,13 +154,6 @@ class EgfSeries:
         a, b = self._coeffs, other._coeffs
         return EgfSeries([_binomial_conv(a, b, n) for n in range(len(a))])
 
-    def mul_coeff(self, other: "EgfSeries", n: int):
-        """Coefficient n of ``self.mul(other)``, without the other terms."""
-        self._check_order(other)
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside order {self.order}")
-        return _binomial_conv(self._coeffs, other._coeffs, n)
-
     def pow(self, m: int) -> "EgfSeries":
         if m < 0:
             raise ValueError("exponent must be nonnegative")
@@ -220,17 +212,6 @@ class PowerRows:
             rows.append(tuple(row))
         return rows[j]
 
-    def compose_coeff(self, outer: Sequence, j: int):
-        """Coefficient j of sum_m outer[m] inner^m; outer reaches index j.
-
-        Unless an entry read is an XPoly it is one int sum over a common
-        denominator, a Fraction whenever an entry read is one."""
-        row = self.row(j)
-        outer = outer[: j + 1]
-        if any(isinstance(v, XPoly) for v in (*outer, *row)):
-            return XPoly.sum_products(zip(outer, row))
-        return _scalar_sum(zip(outer, row))
-
 
 class Column:
     """Coefficients 0, 1, 2, ... of one series, each computed once.
@@ -260,11 +241,6 @@ class Column:
         self.coeff(n)
         return self._coeffs
 
-    def series(self, order: int) -> EgfSeries:
-        """The column's coefficients 0..order as a series."""
-        self.coeff(order)
-        return EgfSeries(self._coeffs[: order + 1])
-
 
 def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
     """Substitute ``inner`` into the ordinary power series sum c_m z^m.
@@ -286,7 +262,15 @@ def compose(outer_coeffs: Sequence, inner: EgfSeries) -> EgfSeries:
             f"need outer coefficients through index {n}, got {len(outer)}"
         )
     rows = PowerRows(inner.coeff)
-    coeffs = [rows.compose_coeff(outer, j) for j in range(n + 1)]
+    coeffs = []
+    for j in range(n + 1):
+        # one int sum over a common denominator unless an entry read is an
+        # XPoly; a Fraction whenever an entry read is one
+        head, row = outer[: j + 1], rows.row(j)
+        if any(isinstance(v, XPoly) for v in (*head, *row)):
+            coeffs.append(XPoly.sum_products(zip(head, row)))
+        else:
+            coeffs.append(_scalar_sum(zip(head, row)))
     if n:
         # the terms m >= 1 of coefficient 0 are multiples of a0 = 0, and
         # they put it in the inner series' ring

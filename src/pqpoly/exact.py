@@ -190,10 +190,6 @@ class XPoly:
         check_scalar(coeff, "XPoly coefficient")
         return _from_ints([0] * power + [coeff.numerator], coeff.denominator)
 
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "XPoly":
-        return cls(rational_from_str(s) for s in items)
-
     def _ints(self) -> tuple[tuple[int, ...], int]:
         """(numerators, denominator), formed from the Fractions on first use."""
         if self._num is None:

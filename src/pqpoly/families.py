@@ -211,7 +211,7 @@ def _euler_column(k: int, params: PQParams) -> Column:
 def euler_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     """EGF of 2 Li_k(1 - e^(-t)) / (1 + e^t), the x = 0 column."""
     _check_n(order)
-    return _euler_column(k, params).series(order)
+    return EgfSeries(_euler_column(k, params).through(order)[: order + 1])
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +245,8 @@ def _bernoulli_base_column(k: int, params: PQParams) -> Column:
 def bernoulli_base_series(k: int, params: PQParams, order: int) -> EgfSeries:
     """EGF of Li_k(1 - e^(-t)) / (1 - e^(-t)), the x = 0 column."""
     _check_n(order)
-    return _bernoulli_base_column(k, params).series(order)
+    col = _bernoulli_base_column(k, params)
+    return EgfSeries(col.through(order)[: order + 1])
 
 
 @lru_cache(maxsize=None)

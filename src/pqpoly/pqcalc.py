@@ -17,7 +17,7 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import check_scalar, rational_from_str, rational_to_str
+from .exact import check_scalar, rational_to_str
 
 # the live PQParams by class and reduced pair, and the lock that keeps two
 # threads from making two instances of one pair
@@ -72,10 +72,6 @@ class PQParams:
     @property
     def is_equal_limit(self) -> bool:
         return self.p == self.q
-
-    @classmethod
-    def parse(cls, p_text: str, q_text: str) -> "PQParams":
-        return cls(rational_from_str(p_text), rational_from_str(q_text))
 
     def as_strings(self) -> tuple[str, str]:
         return rational_to_str(self.p), rational_to_str(self.q)

@@ -172,20 +172,6 @@ def _lif_coeff(m: int, k: int, params: PQParams) -> Fraction:
     return pqcalc.pq_integer(m + 1, params) ** (-k) / math.factorial(m)
 
 
-def li_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:
-    """Ordinary coefficients of Li_k: zero, then 1/[m]^k for m >= 1."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return [_li_coeff(m, k, params) for m in range(order + 1)]
-
-
-def lif_pq_ordinary_coeffs(k: int, params: PQParams, order: int) -> list[Fraction]:
-    """Ordinary coefficients of Lif_k: 1/(m! [m+1]^k) for m >= 0."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return [_lif_coeff(m, k, params) for m in range(order + 1)]
-
-
 # ---------------------------------------------------------------------------
 # closed forms for nonpositive k
 
@@ -218,19 +204,6 @@ class RationalFunction:
         return NotImplemented
 
     __hash__ = None
-
-    def taylor_coeffs(self, order: int) -> list[Fraction]:
-        """Ordinary series coefficients at z = 0 through the given order."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        num, den = self.numerator, self.denominator
-        out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = num.coeff(n)
-            for i in range(1, min(n, den.degree) + 1):
-                acc -= den.coeff(i) * out[n - i]
-            out.append(acc)
-        return out
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"

@@ -8,7 +8,8 @@ purpose, so that the library can be held to them coefficient type for
 coefficient type: ``horner_compose`` reuses the EGF product, to pin
 ``egf.compose`` and, at p = q, the poly-Bernoulli and poly-Euler families,
 and ``binomial_conv`` is the EGF product's coefficient with no term
-skipped.  ``derivative`` differentiates an ``XPoly``, and the
+skipped.  ``derivative`` differentiates an ``XPoly``, ``taylor_coeffs``
+divides the coefficient lists of a ``RationalFunction``, and the
 weighted Stirling recurrences run over ``XPoly``, whose product is not the
 EGF engine.
 """
@@ -270,6 +271,22 @@ def lif_ordinary(k: int, p: Fraction, q: Fraction, order: int) -> list[Fraction]
         1 / (math.factorial(m) * pq_integer_homogeneous(m + 1, p, q) ** k)
         for m in range(order + 1)
     ]
+
+
+def taylor_coeffs(quotient, order: int) -> list[Fraction]:
+    """Ordinary coefficients 0..order at z = 0 of a RationalFunction, by
+    long division of its numerator's coefficient list by its
+    denominator's, whose constant term is nonzero."""
+    num = list(quotient.numerator.coeffs)
+    num += [Fraction(0)] * (order + 1 - len(num))
+    den = quotient.denominator.coeffs
+    out: list[Fraction] = []
+    for n in range(order + 1):
+        acc = num[n]
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[i] * out[n - i]
+        out.append(acc / den[0])
+    return out
 
 
 def one_minus_exp_neg_ordinary(order: int) -> list[Fraction]:

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+from pqpoly import sequences
 from pqpoly.exact import XPoly
 from pqpoly.families import (
     ROUTE_GF,
@@ -32,12 +33,7 @@ from pqpoly.identities import (
     tid2_tail_term,
 )
 from pqpoly.pqcalc import PQParams
-from pqpoly.sequences import (
-    RationalFunction,
-    euler_poly,
-    li_pq_closed_form,
-    li_pq_ordinary_coeffs,
-)
+from pqpoly.sequences import RationalFunction, euler_poly, li_pq_closed_form
 
 from . import oracles
 
@@ -85,9 +81,9 @@ def test_criterion_1_closed_forms(capsys):
         for k in (0, -1, -2, -3):
             computed = li_pq_closed_form(k, params)
             assert computed == _display_closed_form(k, params)
-            assert computed.taylor_coeffs(20) == li_pq_ordinary_coeffs(
-                k, params, 20
-            )
+            assert oracles.taylor_coeffs(computed, 20) == [
+                sequences._li_coeff(m, k, params) for m in range(21)
+            ]
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f}s"
     _announce(
@@ -159,36 +155,48 @@ APPELL_HIGH_TERM_KILLS = [
 ]
 
 
-def test_criterion_5_mutation_sensitivity(capsys):
+MUTANTS = (
+    "stirling2-off-by-one",
+    "cauchy1-stirling-sign-flip",
+    "cauchy1-integral-at-neg-x",
+    "cauchy2-integral-drops-sign",
+    "polylog-coeff-exponent-sign",
+    "stirling-weight-exponent-sign",
+    "li-classical",
+    "egf-pow-extra-factor",
+    "power-rows-drop-cube",
+    "reciprocal-drops-first-term",
+    "appell-high-term",
+    "sum-products-drops-last-term",
+    "poly-euler-number",
+    "weighted-stirling2-extra-term",
+    "weighted-stirling1-extra-term",
+    "ws1-neg-x-extra-term",
+)
+
+# each mutant's failing checks, and none under "none", as recorded; a change
+# meant to alter a kill re-records them: PYTHONPATH=src python -m
+# tests.test_acceptance
+MUTATION_KILLS = pathlib.Path(__file__).with_name("mutation_kills.json")
+
+
+def _mutation_run(name: str) -> subprocess.CompletedProcess:
     script = pathlib.Path(__file__).with_name("mutation_driver.py")
+    return subprocess.run(
+        [sys.executable, str(script), name], capture_output=True, text=True
+    )
+
+
+def test_criterion_5_mutation_sensitivity(capsys):
+    kills = json.loads(MUTATION_KILLS.read_text(encoding="utf-8"))
     caught, killed = [], set()
-    for name in (
-        "stirling2-off-by-one",
-        "cauchy1-stirling-sign-flip",
-        "cauchy1-integral-at-neg-x",
-        "cauchy2-integral-drops-sign",
-        "polylog-coeff-exponent-sign",
-        "stirling-weight-exponent-sign",
-        "li-classical",
-        "egf-pow-extra-factor",
-        "power-rows-drop-cube",
-        "reciprocal-drops-first-term",
-        "appell-high-term",
-        "sum-products-drops-last-term",
-        "poly-euler-number",
-        "weighted-stirling2-extra-term",
-        "weighted-stirling1-extra-term",
-        "ws1-neg-x-extra-term",
-    ):
-        proc = subprocess.run(
-            [sys.executable, str(script), name],
-            capture_output=True,
-            text=True,
-        )
+    for name in MUTANTS:
+        proc = _mutation_run(name)
         assert proc.returncode == 1, (name, proc.returncode, proc.stderr)
         payload = json.loads(proc.stdout)
         assert payload["mutation"] == name
         assert payload["failing"], f"suite blind to mutation {name}"
+        assert payload["failing"] == kills.pop(name), payload
         if name == "power-rows-drop-cube":
             # each Cauchy route loses a different term of the rows, so a
             # route comparison sees it
@@ -257,12 +265,10 @@ def test_criterion_5_mutation_sensitivity(capsys):
         caught.append(f"{name} -> {','.join(payload['failing'])}")
     # every check fails under at least one seeded defect
     assert killed == set(CHECK_IDS), sorted(set(CHECK_IDS) - killed)
-    baseline = subprocess.run(
-        [sys.executable, str(script), "none"],
-        capture_output=True,
-        text=True,
-    )
+    baseline = _mutation_run("none")
     assert baseline.returncode == 0, baseline.stdout
+    assert json.loads(baseline.stdout)["failing"] == kills.pop("none")
+    assert kills == {}, "recorded kills of no listed mutant"
     _announce(
         capsys,
         "CRITERION 5 PASS seeded defects detected: " + "; ".join(caught),
@@ -290,3 +296,11 @@ def test_criterion_6_route_agreement(capsys):
         capsys,
         f"CRITERION 6 PASS route agreement n<=10 at 5 points ({elapsed:.2f}s)",
     )
+
+
+if __name__ == "__main__":
+    table = {
+        name: json.loads(_mutation_run(name).stdout)["failing"]
+        for name in (*MUTANTS, "none")
+    }
+    MUTATION_KILLS.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from pqpoly.cli import (
     build_parser,
     main,
 )
-from pqpoly.exact import XPoly
+from pqpoly.exact import XPoly, rational_from_str
 from pqpoly.families import poly_bernoulli, poly_cauchy_1
 from pqpoly.pqcalc import PQParams
 
@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _parse_params(obj) -> PQParams:
+    """The parameter pair a gen document names."""
+    return PQParams(rational_from_str(obj["p"]), rational_from_str(obj["q"]))
+
+
+def _parse_poly(coeffs) -> XPoly:
+    """An XPoly from the coefficient strings of one gen row."""
+    return XPoly(map(rational_from_str, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +111,9 @@ def test_gen_round_trips_exactly(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    params = PQParams.parse(obj["p"], obj["q"])
+    params = _parse_params(obj)
     for row in obj["rows"]:
-        rebuilt = XPoly.from_strings(row["coeffs"])
+        rebuilt = _parse_poly(row["coeffs"])
         assert rebuilt == poly_bernoulli(row["n"], obj["k"], params)
 
 
@@ -450,9 +460,9 @@ def test_module_invocation_round_trip(tmp_path):
     )
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
-    params = PQParams.parse(obj["p"], obj["q"])
+    params = _parse_params(obj)
     for row in obj["rows"]:
-        assert XPoly.from_strings(row["coeffs"]) == poly_cauchy_1(
+        assert _parse_poly(row["coeffs"]) == poly_cauchy_1(
             row["n"], 3, params
         )
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqpoly import clear_caches
+from pqpoly.exact import rational_from_str
 from pqpoly.pqcalc import PQParams, pq_integer, pq_integral_01_monomial
 
 from .oracles import pq_integer_homogeneous
@@ -162,7 +163,7 @@ def test_params_mode():
 
 
 def test_params_parse_and_strings():
-    params = PQParams.parse("1/2", "2/6")
+    params = PQParams(rational_from_str("1/2"), rational_from_str("2/6"))
     assert params.p == Fraction(1, 2)
     assert params.q == Fraction(1, 3)
     assert params.as_strings() == ("1/2", "1/3")

@@ -1,8 +1,8 @@
 """Generated files stay out of version control; no import goes unused;
 importing the CLI loads no introspection module; the package's caches are
 exactly the listed ones, and clear_caches leaves none of them filled; no
-private module-level name in the package goes unread; only exact reads an
-XPoly's storage."""
+private module-level name in the package goes unread, nor any function or
+method outside the listed ones; only exact reads an XPoly's storage."""
 
 import ast
 import importlib
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import pqpoly
+from pqpoly.families import ROUTES_BY_FAMILY
 from pqpoly.identities import SuiteConfig, run_all
 from pqpoly.pqcalc import PQParams
 
@@ -209,6 +210,85 @@ def test_every_private_module_name_has_a_reader():
         if not read_elsewhere(name, node)
     ]
     assert unread == []
+
+
+# each function or method that no package code, route table entry or
+# benchmark span reads, and why it stays
+UNREAD_KEPT = {
+    "pqpoly.clear_caches": "the one way a library caller empties the caches",
+    "pqpoly.identities.IdentityReport.vacuous": (
+        "tells a library caller that a report checked no cell"
+    ),
+    "pqpoly.identities.eucls_tail_term": "criterion 4's truncation tail",
+    "pqpoly.identities.tid1_tail_term": "criterion 4's truncation tail",
+    "pqpoly.identities.tid2_tail_term": "criterion 4's truncation tail",
+}
+
+
+def _span_names():
+    """pqpoly.<module>[.<class>].<attribute> of each span the benchmark's
+    tracer installs, read off its SPANS table without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    spans = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]
+    )
+    return {
+        ".".join(["pqpoly", module, *([cls] if cls else []), attr])
+        for _, module, cls, attr in ast.literal_eval(spans)
+    }
+
+
+def test_every_function_and_method_has_a_reader():
+    # a public function or method whose last caller in the package went
+    # away is test-only code; a method counts as read only where an
+    # attribute of that name is, and reads inside its own definition do
+    # not count
+    defs, trees = [], []
+    for path in sorted(ROOT.glob("src/pqpoly/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        trees.append(tree)
+        module = "pqpoly" if path.stem == "__init__" else f"pqpoly.{path.stem}"
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = [node.name] if isinstance(node, ast.ClassDef) else []
+            defs += [
+                (".".join([module, *owner, sub.name]), sub, bool(owner))
+                for sub in members
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                if not (sub.name.startswith("__") and sub.name.endswith("__"))
+            ]
+    assert defs
+    read_by_name = _span_names() | {
+        f"pqpoly.families.{name}"
+        for table in ROUTES_BY_FAMILY.values()
+        for name in table.values()
+    }
+
+    def read_in_package(name, node, method):
+        own = {id(sub) for sub in ast.walk(node)}
+        return any(
+            id(sub) not in own
+            and (
+                isinstance(sub, ast.Attribute) and sub.attr == name
+                or not method
+                and isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)
+                and sub.id == name
+            )
+            for tree in trees
+            for sub in ast.walk(tree)
+        )
+
+    unread = {
+        qualname
+        for qualname, node, method in defs
+        if qualname not in read_by_name
+        if not read_in_package(node.name, node, method)
+    }
+    assert unread == set(UNREAD_KEPT)
 
 
 # XPoly's two storage forms and the method that forms the int one

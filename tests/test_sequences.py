@@ -14,8 +14,6 @@ from pqpoly.sequences import (
     euler_poly,
     frobenius_euler,
     li_pq_closed_form,
-    li_pq_ordinary_coeffs,
-    lif_pq_ordinary_coeffs,
     stirling1_unsigned,
     stirling2,
     weighted_stirling1,
@@ -379,17 +377,22 @@ def test_frobenius_euler_rejects_float_u():
 # polylogarithm coefficients
 
 
+def li_coeffs(k, params, order):
+    """Ordinary coefficients 0..order of Li_k, as the gf columns read them."""
+    return [sequences._li_coeff(m, k, params) for m in range(order + 1)]
+
+
 def test_li_coeffs_start_at_zero():
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
-    got = li_pq_ordinary_coeffs(2, params, 3)
+    got = li_coeffs(2, params, 3)
     assert got == [0, 1, Fraction(36, 25), Fraction(1296, 361)]
     # k = 0 collapses to the geometric coefficients
-    assert li_pq_ordinary_coeffs(0, params, 4) == [0, 1, 1, 1, 1]
+    assert li_coeffs(0, params, 4) == [0, 1, 1, 1, 1]
 
 
 def test_lif_coeffs_values():
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
-    got = lif_pq_ordinary_coeffs(1, params, 3)
+    got = [sequences._lif_coeff(m, 1, params) for m in range(4)]
     assert got == [
         1,
         Fraction(6, 5),
@@ -400,7 +403,7 @@ def test_lif_coeffs_values():
 
 def test_li_negative_k_uses_positive_powers():
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
-    got = li_pq_ordinary_coeffs(-2, params, 2)
+    got = li_coeffs(-2, params, 2)
     assert got == [0, 1, Fraction(25, 36)]
 
 
@@ -424,16 +427,17 @@ def test_rational_function_rejects_vanishing_denominator_at_zero():
 
 def test_rational_function_geometric_taylor():
     geom = RationalFunction(XPoly.one(), XPoly([1, -1]))
-    assert geom.taylor_coeffs(5) == [1, 1, 1, 1, 1, 1]
+    assert oracles.taylor_coeffs(geom, 5) == [1, 1, 1, 1, 1, 1]
     ratio = RationalFunction(XPoly.one(), XPoly([1, Fraction(-1, 2)]))
-    assert ratio.taylor_coeffs(4) == [Fraction(1, 2) ** n for n in range(5)]
+    want = [Fraction(1, 2) ** n for n in range(5)]
+    assert oracles.taylor_coeffs(ratio, 4) == want
 
 
 @pytest.mark.parametrize("params", GENERIC_POINTS)
 @pytest.mark.parametrize("k", [0, -1, -2, -3])
 def test_closed_form_taylor_matches_series_coefficients(k, params):
     closed = li_pq_closed_form(k, params)
-    assert closed.taylor_coeffs(20) == li_pq_ordinary_coeffs(k, params, 20)
+    assert oracles.taylor_coeffs(closed, 20) == li_coeffs(k, params, 20)
 
 
 def test_closed_form_rejects_positive_weight():
