@@ -38,12 +38,13 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 
 # Largest run sizes accepted.  They bound n, |k| and s, not the size of --p
 # and --q, so they do not bound the run time.  At the default point p = 1/2,
-# q = 1/3, gen --family poly-cauchy-1 --k 30 --nmax 100 took 56 s at 158 MB
-# peak RSS writing 82 MB of JSON, and 56 s at 97 MB as CSV; verify --nmax
-# 32 took 3.5 s at 45 MB.  At p = 1/1, q = 1/1000, gen --family
-# poly-bernoulli --k 30 took 0.8 s at --nmax 30 and 12.8 s at --nmax 50
-# (34 MB of JSON), and was still running at --nmax 100 after 300 s, against
-# 18.6 s at the default point (one run each, 2 cores, CPython 3.11).  Time
+# q = 1/3, gen --family poly-cauchy-1 --k 30 --nmax 100 took 57-76 s at
+# 157 MB peak RSS writing 82 MB of JSON, and 58-82 s at 94 MB as CSV;
+# verify --nmax 32 took 4.9 s at 45 MB.  At p = 1/1, q = 1/1000, gen
+# --family poly-bernoulli --k 30 took 0.8 s at --nmax 30 and 12.8 s at
+# --nmax 50 (34 MB of JSON), and was still running at --nmax 100 after
+# 300 s, against 18.6 s at the default point (2 cores, CPython 3.11; run
+# times on that host varied by up to 2.2x over a day).  Time
 # and memory keep growing past the bounds, so a larger value is refused
 # when the flag is parsed.
 GEN_NMAX_LIMIT = 100

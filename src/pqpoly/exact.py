@@ -34,28 +34,40 @@ same way, into one Fraction;
 scale, and is the only substitution of a polynomial into a polynomial.
 The falling and rising factorials are kept in one growing list per step,
 each index built from the one before it by one kernel call with one
-linear factor; ``falling_factorials`` hands out the falling one's list.
+linear factor, up to ``_FACTORIAL_CAP``, past the largest index the CLI
+reads; an index past it is built on from the last kept one and not kept.
+``falling_factorials`` hands out the falling one's list, or past the cap
+a longer list of its own.
 
 An XPoly also has a second form, the tuple of reduced ``Fraction``
 coefficients that ``coeffs`` returns.  Each form is built on first use:
 ``XPoly(iterable)`` keeps the Fractions it was given and forms the
 numerators (over the lcm of their denominators) only when arithmetic needs
 them, and an arithmetic result forms its Fractions only when read through
-``coeffs``, ``coeff``, ``as_str`` or ``hash``; ``to_strings`` renders them
-one at a time without keeping them.  A value that is built and printed
-never pays for the numerators, one that is only computed with never pays
-for the Fractions, and one computed and then printed does not hold both.
+``coeffs``, ``coeff``, ``as_str`` or ``hash``.  A value that is built and
+printed never pays for the numerators, one that is only computed with never
+pays for the Fractions, and one computed and then printed does not hold
+both: ``to_strings`` prints an arithmetic result from its ints, with no
+Fraction.
 
 Serialized form of a scalar is the string ``"num/den"`` with the denominator
 always written out, e.g. ``"5/1"`` or ``"-3/4"``.  A polynomial serializes as
-the list of those strings, index = power of x.
+the list of those strings, index = power of x.  ``rational_to_str`` writes
+an int over 1 and a Fraction from its two ints; ``to_strings`` reduces each
+numerator of an arithmetic result against the shared denominator by one
+gcd and writes the two quotients, which ``_exact_quotient`` divides out by
+recursive division when they are long.  Every printed int goes through one
+helper, ``_int_to_decimal``: ``str`` up to the interpreter's default
+4,300-digit int-to-str limit, and past it a divide-and-conquer conversion
+through the ``decimal`` module, which is exact at any size, subquadratic
+and leaves the limit alone (the limit still bounds ``rational_from_str``).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -73,13 +85,130 @@ def check_scalar(value, what: str) -> None:
         )
 
 
+# 2**14284 < 10**4300, so an int of at most this many bits has at most
+# 4,300 digits, the default int-to-str limit, and str renders it.  str is
+# faster than the split below up to about 8,000 digits (5,000 digits: 0.38
+# against 0.45 ms; 10,000: 1.45 against 1.05 ms, on a 2-core host with
+# CPython 3.11), so the limit itself is the threshold.
+_STR_BITS = 14_284
+# Width of the pieces the split converts with Decimal(int) directly; 1,024
+# and 2,048 measured alike.
+_PIECE_BITS = 2_048
+
+
+def _int_to_decimal(n: int) -> str:
+    """The decimal digits of an int, at any size; every printed number is
+    rendered here.  Up to ``_STR_BITS`` bits this is ``str``.  A larger int
+    is halved at a bit position, recursively, down to pieces of at most
+    ``_PIECE_BITS`` bits, which ``Decimal`` converts, and the halves are
+    recombined in ``decimal``, whose large products are subquadratic
+    (Knuth's radix conversion, TAOCP vol. 2, 4.4), where ``str`` is
+    quadratic and refuses ints past its digit limit.  The limit is not
+    changed."""
+    if n.bit_length() <= _STR_BITS:
+        try:
+            return str(n)
+        except ValueError:  # the limit was set below its default
+            pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(_decimal_of(abs(n), n.bit_length(), {}))
+    return "-" + digits if n < 0 else digits
+
+
+def _decimal_of(m: int, w: int, powers: dict) -> decimal.Decimal:
+    """The Decimal of m, for 0 <= m < 2 ** w, in an exact context: the
+    halves of m, split at bit w // 2, recombined.  powers holds 2 ** v for
+    each split width v met so far, in this conversion only."""
+    if w <= _PIECE_BITS:
+        return decimal.Decimal(m)
+    h = w >> 1
+    hi = m >> h
+    return _decimal_of(hi, w - h, powers) * _power_of_two(h, powers) + _decimal_of(
+        m - (hi << h), h, powers
+    )
+
+
+def _power_of_two(w: int, powers: dict) -> decimal.Decimal:
+    """2 ** w as a Decimal, kept in powers for the rest of the conversion."""
+    p = powers.get(w)
+    if p is None:
+        if w <= _PIECE_BITS:
+            p = decimal.Decimal(1 << w)
+        elif w - 1 in powers:
+            p = powers[w - 1] * 2
+        else:
+            p = _power_of_two(w >> 1, powers) * _power_of_two(w - (w >> 1), powers)
+        powers[w] = p
+    return p
+
+
+# Below this many bits of quotient or divisor the builtin division is used:
+# 1,000 to 8,000 measured alike on the reductions of gen's largest rows.
+_DIV_BITS = 2_000
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    """a // b, for b > 0 that divides a.  When the quotient and b both pass
+    ``_DIV_BITS`` bits, this is Burnikel and Ziegler's recursive division
+    (1998), which does its work in multiplications that CPython makes by
+    Karatsuba's method, where the builtin division is schoolbook: a is
+    divided one b-wide digit at a time, each digit by ``_div2n1n``."""
+    if a < 0:
+        return -_exact_quotient(-a, b)
+    n = b.bit_length()
+    if n <= _DIV_BITS or a.bit_length() - n <= _DIV_BITS:
+        return a // b
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div2n1n(r << n | a >> shift & mask, b, n)
+        q = q << n | digit
+    return q
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of n bits and 0 <= a < b << n."""
+    if a.bit_length() - n <= _DIV_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """divmod(a12 << n | a3, b) for b = b1 << n | b2 of 2n bits, b1 of n
+    bits, a3 < 2**n and a12 < b: the quotient of a12 by b1, at most 2 too
+    large, corrected by one product with b2."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def rational_to_str(value: Scalar) -> str:
-    """Render a rational as ``num/den`` with an explicit denominator."""
-    f = Fraction(value)
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past the int-to-str digit limit, kept for parsing
-        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+    """Render a rational as ``num/den`` with an explicit denominator.  An
+    exact int is written over 1 and a Fraction from its own numerator and
+    denominator, with no Fraction built; any other scalar, a bool say, is
+    converted to a Fraction first."""
+    t = type(value)
+    if t is int:
+        return f"{_int_to_decimal(value)}/1"
+    f = value if t is Fraction else Fraction(value)
+    return f"{_int_to_decimal(f.numerator)}/{_int_to_decimal(f.denominator)}"
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -202,12 +331,22 @@ class XPoly:
         return self._num, self._den
 
     def to_strings(self) -> list[str]:
-        """The coefficients as ``num/den`` strings; a value whose Fractions
-        are not formed yet renders each one without keeping it."""
-        if self._fracs is None:
-            den = self._den
-            return [rational_to_str(Fraction(c, den)) for c in self._num]
-        return [rational_to_str(c) for c in self._fracs]
+        """The coefficients as ``num/den`` strings, as ``rational_to_str``
+        writes each of ``coeffs``.  A value whose Fractions are not formed
+        is rendered from its ints, with no Fraction built or kept: each
+        numerator c over the shared denominator d is reduced by one gcd g
+        and written as c // g over d // g, by ``_exact_quotient``."""
+        if self._fracs is not None:
+            return [rational_to_str(c) for c in self._fracs]
+        den = self._den
+        if den == 1:
+            return [f"{_int_to_decimal(c)}/1" for c in self._num]
+        out = []
+        for c in self._num:
+            g = math.gcd(c, den)
+            num_str = _int_to_decimal(_exact_quotient(c, g))
+            out.append(f"{num_str}/{_int_to_decimal(_exact_quotient(den, g))}")
+        return out
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -427,21 +566,37 @@ class XPoly:
         return f"XPoly({self.as_str()!r})"
 
 
+# The largest index a factorial store keeps: gen reads falling_factorials
+# through --nmax, at most 100, and the tail terms read index n + 1.
+# An index past it is built from the last kept one and not kept, so a far
+# read holds one polynomial at a time, not every index below it.
+_FACTORIAL_CAP = 101
+
+
 @lru_cache(maxsize=None)
 def _factorials(step: int) -> list:
     """The store [x(x + step)...(x + (n-1) step) for n = 0, 1, ...] of one
-    step, +1 or -1, which ``_factorial`` extends."""
+    step, +1 or -1, which ``_factorial`` extends up to ``_FACTORIAL_CAP``."""
     return [_from_ints([1], 1)]
+
+
+def _times_linear(value: XPoly, j: int, step: int) -> XPoly:
+    """Index j of one step's factorials, from value, index j - 1."""
+    linear = _from_ints([(j - 1) * step, 1], 1)
+    return XPoly.sum_products(((value, linear),))
 
 
 def _factorial(n: int, step: int) -> XPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     store = _factorials(step)
-    for j in range(len(store), n + 1):
-        linear = _from_ints([(j - 1) * step, 1], 1)
-        store.append(XPoly.sum_products(((store[-1], linear),)))
-    return store[n]
+    kept = min(n, _FACTORIAL_CAP)
+    for j in range(len(store), kept + 1):
+        store.append(_times_linear(store[-1], j, step))
+    value = store[kept]
+    for j in range(kept + 1, n + 1):
+        value = _times_linear(value, j, step)
+    return value
 
 
 def falling_factorial(n: int) -> XPoly:
@@ -450,10 +605,17 @@ def falling_factorial(n: int) -> XPoly:
 
 
 def falling_factorials(n: int) -> list:
-    """The store of x(x-1)...(x-j+1) for j = 0, 1, ..., grown through
-    index n; the list itself, which callers read and do not change."""
-    falling_factorial(n)
-    return _factorials(-1)
+    """x(x-1)...(x-j+1) for j = 0, 1, ..., through at least index n.  Up to
+    ``_FACTORIAL_CAP`` this is the store itself, which callers read and do
+    not change; past it, a new list that is not kept."""
+    store = _factorials(-1)
+    falling_factorial(min(n, _FACTORIAL_CAP))
+    if n <= _FACTORIAL_CAP:
+        return store
+    values = list(store)
+    for j in range(len(values), n + 1):
+        values.append(_times_linear(values[-1], j, -1))
+    return values
 
 
 def rising_factorial(n: int) -> XPoly:

@@ -4,21 +4,27 @@ The fast runs are pinned in tier-1 by test_output_digests.py.  The runs
 here take from seconds to about a minute each, so no test launches them:
 this driver runs each in a fresh process, compares the SHA-256 of its
 standard output and standard error, and its exit code, with
-slow_output_digests.json, and prints each run's wall time.
+slow_output_digests.json, and prints each run's wall time and peak RSS.
+The peak RSS is that child's own, from os.wait4.
 
     PYTHONPATH=src python tests/slow_digest_driver.py
+    PYTHONPATH=src python tests/slow_digest_driver.py --only poly-cauchy-1
     PYTHONPATH=src python tests/slow_digest_driver.py --record
 
-Exits 1 when any run differs from its recorded digest.  --record rewrites
-the table instead; a change meant to alter the output re-records it and
-says which runs changed, and why.
+Exits 1 when any run differs from its recorded digest.  --only SUBSTRING
+runs only the runs whose argv contains SUBSTRING.  --record rewrites the
+table instead, or with --only the entries of the runs selected; a change
+meant to alter the output re-records it and says which runs changed, and
+why.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,19 +41,33 @@ RUNS = (
 )
 
 
-def run_digest(argv: str) -> tuple[dict, float]:
-    """The digests of one CLI run in a fresh process, and its wall time."""
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pqpoly", *argv.split()], capture_output=True
-    )
-    elapsed = time.perf_counter() - started
-    digest = {
-        "stdout": hashlib.sha256(proc.stdout).hexdigest(),
-        "stderr": hashlib.sha256(proc.stderr).hexdigest(),
-        "exit": proc.returncode,
-    }
-    return digest, elapsed
+def _sha256(fh) -> str:
+    fh.seek(0)
+    digest = hashlib.sha256()
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def run_digest(argv: str) -> tuple[dict, float, float]:
+    """The digests of one CLI run in a fresh process, its wall time in
+    seconds and its peak RSS in MB."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pqpoly", *argv.split()], stdout=out, stderr=err
+        )
+        # wait4 reaps this child alone and reports its own rusage, where
+        # RUSAGE_CHILDREN keeps the largest peak of every child so far
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        digest = {
+            "stdout": _sha256(out),
+            "stderr": _sha256(err),
+            "exit": proc.returncode,
+        }
+    return digest, elapsed, usage.ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -57,19 +77,26 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--record", action="store_true", help="rewrite the table instead"
     )
+    parser.add_argument(
+        "--only", metavar="SUBSTRING", help="run only the runs whose argv contains it"
+    )
     args = parser.parse_args(argv)
-    recorded = {} if args.record else json.loads(DIGESTS.read_text("utf-8"))
-    table, differing = {}, []
-    for run in RUNS:
-        digest, elapsed = run_digest(run)
+    runs = [run for run in RUNS if args.only is None or args.only in run]
+    if not runs:
+        parser.error(f"--only: no run contains {args.only!r}")
+    recorded = json.loads(DIGESTS.read_text("utf-8")) if DIGESTS.exists() else {}
+    table, differing = dict(recorded), []
+    for run in runs:
+        digest, elapsed, peak_mb = run_digest(run)
         table[run] = digest
         verdict = "recorded" if args.record else (
             "same" if digest == recorded.get(run) else "DIFFERS"
         )
         if verdict == "DIFFERS":
             differing.append(run)
-        print(f"{elapsed:8.2f} s  {verdict:8}  {run}", flush=True)
+        print(f"{elapsed:8.2f} s  {peak_mb:6.1f} MB  {verdict:8}  {run}", flush=True)
     if args.record:
+        table = {run: table[run] for run in RUNS if run in table}
         DIGESTS.write_text(json.dumps(table, indent=2) + "\n", "utf-8")
     return 1 if differing else 0
 

@@ -41,6 +41,118 @@ def test_rational_to_str_renders_past_the_digit_limit():
         rational_from_str("1" * 5000)
 
 
+@pytest.fixture
+def unlimited_str():
+    """str with the int-to-str digit limit lifted, as the oracle; the limit
+    is restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield str
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _digits(d: int) -> list[int]:
+    """Ints of exactly d digits: the smallest, the largest and one between."""
+    return [10 ** (d - 1), 10**d - 1, 10 ** (d - 1) + 7 * 10 ** (d // 2) + 3]
+
+
+def test_int_to_decimal_matches_str_at_every_size(unlimited_str):
+    cases = [0, 1, 9, 10]
+    for j in (1, 50, 4299, 4300, 4301, 9000):
+        cases += [10**j - 1, 10**j]
+    for d in (4299, 4300, 4301, 4302):
+        cases += _digits(d)
+    # one bit on each side of the threshold, which is in bits
+    for bits in (exact._STR_BITS, exact._STR_BITS + 1):
+        cases += [2**bits - 1, 2 ** (bits - 1) + 12345]
+    # a power of two times the pieces' width, and one bit past it
+    width = exact._PIECE_BITS
+    cases += [2 ** (width * 16) - 1, 2 ** (width * 16), 3**60_000]
+    for n in cases:
+        assert exact._int_to_decimal(n) == unlimited_str(n), n.bit_length()
+        assert exact._int_to_decimal(-n) == unlimited_str(-n), n.bit_length()
+    # 100,000 digits
+    for n in (10**100_000 - 1, _digits(100_000)[2]):
+        assert exact._int_to_decimal(n) == unlimited_str(n)
+    assert len(unlimited_str(10**100_000 - 1)) == 100_000
+
+
+@pytest.mark.parametrize("quotient_bits", [0, 1, 2000, 2001, 4001, 30_011])
+@pytest.mark.parametrize("divisor_bits", [1, 2000, 2001, 2002, 6007, 30_011])
+def test_exact_quotient_matches_floor_division(quotient_bits, divisor_bits):
+    # _DIV_BITS is 2,000: these sizes reach each side of it, odd and even
+    # divisor widths in the recursion, and all-ones digits
+    assert exact._DIV_BITS == 2_000
+    top = 2 ** (divisor_bits - 1)
+    for b in (top | 1, top | 5**divisor_bits % top, 2 * top - 1):
+        for q in (2**quotient_bits - 1, 3**quotient_bits >> quotient_bits // 2):
+            assert exact._exact_quotient(q * b, b) == q
+            assert exact._exact_quotient(-q * b, b) == -q
+
+
+def test_recursive_division_step_matches_divmod():
+    n = 9_001
+    b = 2 ** (n - 1) + 5**3000
+    for a in (0, b - 1, b * 7**3000 + b // 3, (b << n) - 1, b * ((1 << n) - 1)):
+        assert exact._div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_int_to_decimal_leaves_the_digit_limit_as_it_is():
+    limit = sys.get_int_max_str_digits()
+    assert exact._int_to_decimal(10**5000).startswith("1000")
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(10**5000)
+    # a limit set below the default, 640 digits at the least, is kept too
+    sys.set_int_max_str_digits(640)
+    try:
+        assert exact._int_to_decimal(-(10**1000)) == "-1" + "0" * 1000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _kernel_result(den: int, size: int) -> XPoly:
+    """An arithmetic result, its Fractions not formed, whose numerators
+    have about size digits, over the reduced denominator den."""
+    big = 10**size
+    return XPoly.sum_products(
+        ((Fraction(1, den), XPoly([big + 1, -3 * big - 7, 0, 6, den * big])),)
+    )
+
+
+@pytest.mark.parametrize("den", [1, 6, 3**9000])
+def test_to_strings_of_a_kernel_result_is_rational_to_str_of_each_coeff(den):
+    p = _kernel_result(den, 4400)
+    assert p._fracs is None and p._den == den
+    rendered = p.to_strings()
+    assert p._fracs is None
+    assert rendered == [rational_to_str(c) for c in p.coeffs]
+    assert rendered[2] == "0/1"
+    assert rendered[4] == "1" + "0" * 4400 + "/1"
+
+
+def test_rendering_ints_and_kernel_results_builds_no_fraction(monkeypatch):
+    kernel = [_kernel_result(den, 4400) for den in (1, 6, 3**9000)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(exact, "Fraction", counting)
+    for p in kernel:
+        p.to_strings()
+        assert p._fracs is None
+    for n in (0, 5, -5, 10**5000, -(10**5000)):
+        rational_to_str(n)
+    assert calls == []
+    # the counter sees a Fraction that is built: a bool takes that path
+    assert rational_to_str(True) == "1/1"
+    assert calls == [(True,)]
+
+
 def test_rational_from_str_accepts_bare_integers():
     assert rational_from_str("7") == 7
     assert rational_from_str("-7") == -7
@@ -565,6 +677,35 @@ def test_a_factorial_is_one_convolution_from_the_one_before(factorial, step, mon
     assert calls[0] == 1
     monkeypatch.undo()
     assert value == before * XPoly((29 * step, 1))
+    clear_caches()
+
+
+@pytest.mark.parametrize("factorial, step", [(falling_factorial, -1), (rising_factorial, 1)])
+def test_a_factorial_past_the_cap_is_not_kept(factorial, step):
+    clear_caches()
+    cap = exact._FACTORIAL_CAP
+    assert cap >= 101
+    value = factorial(cap + 40)
+    store = exact._factorials(step)
+    assert len(store) == cap + 1
+    product = [Fraction(1)]
+    for j in range(cap + 40):
+        product = oracles.poly_mul(product, [Fraction(j * step), Fraction(1)])
+    assert list(value.coeffs) == product
+    clear_caches()
+
+
+def test_falling_factorials_past_the_cap_are_a_list_not_kept():
+    clear_caches()
+    cap = exact._FACTORIAL_CAP
+    values = exact.falling_factorials(cap + 5)
+    store = exact._factorials(-1)
+    assert values is not store and len(store) == cap + 1
+    assert values[: cap + 1] == store
+    assert [list(v.coeffs) for v in values[cap - 1 :]] == [
+        oracles.falling_factorial_coeffs(n) for n in range(cap - 1, cap + 6)
+    ]
+    assert exact.falling_factorials(cap) is store
     clear_caches()
 
 

@@ -66,18 +66,21 @@ def test_cli_output_matches_its_recorded_digest(argv):
 
 
 def test_a_changed_coefficient_changes_a_digest(monkeypatch):
-    # render the first coefficient one past its value and nothing else
-    render = exact.rational_to_str
+    # every printed int is rendered by exact._int_to_decimal, p and q first
+    # (four ints); render the fifth, the numerator of row 0's first
+    # coefficient, one past its value and nothing else
+    render = exact._int_to_decimal
     calls = []
 
-    def off_by_one_once(value):
-        calls.append(value)
-        return render(value + 1 if len(calls) == 1 else value)
+    def off_by_one_once(n):
+        calls.append(n)
+        return render(n + 1 if len(calls) == 5 else n)
 
-    monkeypatch.setattr(exact, "rational_to_str", off_by_one_once)
+    monkeypatch.setattr(exact, "_int_to_decimal", off_by_one_once)
     argv = "gen --family poly-cauchy-2 --nmax 20 --k 3"
     got = run_digest(argv)
-    assert len(calls) > 1
+    assert calls[:4] == [1, 2, 1, 3]
+    assert len(calls) > 5
     assert got["stdout"] != _recorded()[argv]["stdout"]
     assert got["stderr"] == _recorded()[argv]["stderr"]
 
