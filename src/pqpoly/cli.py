@@ -16,8 +16,9 @@ import argparse
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import families, identities, sequences
 from .exact import rational_from_str, rational_to_str
@@ -38,9 +39,9 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 
 # Largest run sizes accepted.  They bound n, |k| and s, not the size of --p
 # and --q, so they do not bound the run time.  At the default point p = 1/2,
-# q = 1/3, gen --family poly-cauchy-1 --k 30 --nmax 100 took 57-76 s at
-# 157 MB peak RSS writing 82 MB of JSON, and 58-82 s at 94 MB as CSV;
-# verify --nmax 32 took 4.9 s at 45 MB.  At p = 1/1, q = 1/1000, gen
+# q = 1/3, gen --family poly-cauchy-1 --k 30 --nmax 100 took 57-78 s at
+# 93 MB peak RSS writing 82 MB of JSON, and 58-97 s at 90-94 MB as CSV;
+# verify --nmax 32 took 4.9-9.1 s at 45 MB.  At p = 1/1, q = 1/1000, gen
 # --family poly-bernoulli --k 30 took 0.8 s at --nmax 30 and 12.8 s at
 # --nmax 50 (34 MB of JSON), and was still running at --nmax 100 after
 # 300 s, against 18.6 s at the default point (2 cores, CPython 3.11; run
@@ -139,18 +140,48 @@ def _params_from_args(args) -> PQParams:
         raise CliError(f"--p/--q: {exc}") from None
 
 
-def _emit(data, path, csv: bool = False) -> None:
-    """Write ``data`` to standard output, or to the file ``path``, as it is
-    encoded: an object as ``json.dumps(data, indent=2)`` renders it, or,
-    with ``csv``, an iterable of lines.  The output ends in a newline."""
-    if csv:
-        chunks = (line + "\n" for line in data)
-    else:
-        # a write per chunk costs more than encoding the chunk, so chunks go
-        # out 64 at a time; none is empty, so an empty join ends the text
-        encoded = json.JSONEncoder(indent=2).iterencode(data)
-        batches = iter(lambda: "".join(itertools.islice(encoded, 64)), "")
-        chunks = itertools.chain(batches, ["\n"])
+_JSON = json.JSONEncoder(indent=2)
+
+
+def _json_text(obj: dict) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` and a newline, in pieces, as the
+    encoder yields them."""
+    encoded = _JSON.iterencode(obj)
+    # a write per chunk costs more than encoding the chunk, so chunks go
+    # out 64 at a time; none is empty, so an empty join ends the text
+    yield from iter(lambda: "".join(itertools.islice(encoded, 64)), "")
+    yield "\n"
+
+
+def _json_rows(
+    obj: dict, key: str, rows: Iterable[tuple[int, list[str]]]
+) -> Iterator[str]:
+    """The text ``_json_text`` writes of obj with a last key "rows", the
+    list of ``{"n": n, key: strings}`` for each (n, strings) of rows (at
+    least one), in pieces: obj's text, then each row as it is reached, so
+    that none waits for the rest.  A row is written as the encoder writes
+    it at that depth, each string quoted and escaped by the encoder's own
+    ``encode_basestring_ascii``."""
+    # the text of nonempty obj ends "\n}": "rows" goes in before that brace
+    yield "".join(_JSON.iterencode(obj))[:-2] + ',\n  "rows": ['
+    name, sep = encode_basestring_ascii(key), "\n    "
+    for n, strings in rows:
+        yield f'{sep}{{\n      "n": {n},\n      {name}: '
+        if strings:
+            # the joined strings go out apart from the text around them, so
+            # a long row is not copied once more
+            yield "[\n        "
+            yield ",\n        ".join(map(encode_basestring_ascii, strings))
+            yield "\n      ]\n    }"
+        else:
+            yield "[]\n    }"
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
+
+def _emit(chunks: Iterable[str], path) -> None:
+    """Write the text ``chunks`` to standard output, or to the file
+    ``path``, each as it is made."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
@@ -207,11 +238,10 @@ def cmd_gen(args) -> int:
 
     ns = range(args.nmax + 1)
     if args.format == "json":
-        obj["rows"] = [{"n": n, key: cells(n)} for n in ns]
-        _emit(obj, args.output)
+        _emit(_json_rows(obj, key, ((n, cells(n)) for n in ns)), args.output)
     else:
-        rows = (f"{n},{';'.join(cells(n))}" for n in ns)
-        _emit(itertools.chain([f"n,{key}"], rows), args.output, csv=True)
+        rows = (f"{n},{';'.join(cells(n))}\n" for n in ns)
+        _emit(itertools.chain([f"n,{key}\n"], rows), args.output)
     return 0
 
 
@@ -232,7 +262,7 @@ def cmd_verify(args) -> int:
         "reports": [r.to_json_obj() for r in reports],
         "passed": all_good,
     }
-    _emit(obj, args.output)
+    _emit(_json_text(obj), args.output)
     return 0 if all_good else 1
 
 
@@ -248,10 +278,10 @@ def cmd_closed_form(args) -> int:
     if args.format == "json":
         p, q = params.as_strings()
         obj = dict(k=args.k, p=p, q=q, numerator=num, denominator=den)
-        _emit(obj, args.output)
+        _emit(_json_text(obj), args.output)
     else:
-        lines = [f"numerator,{';'.join(num)}", f"denominator,{';'.join(den)}"]
-        _emit(lines, args.output, csv=True)
+        lines = [f"numerator,{';'.join(num)}\n", f"denominator,{';'.join(den)}\n"]
+        _emit(lines, args.output)
     return 0
 
 

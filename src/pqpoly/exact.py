@@ -26,7 +26,13 @@ a few int operations: a factor is dispatched on its exact type (``int``,
 type take the ``isinstance`` and ``check_scalar`` path; a scale of 1
 multiplies nothing, a scalar term adds one int, and every other term is
 added by one indexed loop over its vector (``_add_scaled``).  The operators
-``+``, ``-`` and ``*`` are one call of it each.
+``+``, ``-`` and ``*`` are one call of it each.  A value already formed
+is read without a further call: the kernel reads a Fraction factor by one
+``as_integer_ratio()``, ``affine`` reads formed numerators and the
+denominator directly and calls ``check_scalar`` only for a type that is not
+exactly ``int`` or ``Fraction``, and ``==`` compares two values by their
+ints whenever both have them formed, by their Fractions when only those
+are, and forms the ints otherwise.
 Calling an XPoly evaluates it at a scalar, by integer Horner, and
 ``weighted_values`` sums int-weighted values at the points 0, 1, ... the
 same way, into one Fraction;
@@ -412,8 +418,9 @@ class XPoly:
                 if t is int:
                     num *= f
                 elif t is Fraction:
-                    num *= f.numerator
-                    den *= f.denominator
+                    fn, fd = f.as_integer_ratio()
+                    num *= fn
+                    den *= fd
                 elif t is XPoly or isinstance(f, XPoly):
                     a = f._num
                     if a is None:
@@ -465,9 +472,15 @@ class XPoly:
         coefficient i by (a v)^i.  No polynomial product and no per-term
         Fraction is formed.
         """
-        check_scalar(a, "affine scale")
-        check_scalar(b, "affine shift")
-        num, den = self._ints()
+        if type(a) is not int and type(a) is not Fraction:
+            check_scalar(a, "affine scale")
+        if type(b) is not int and type(b) is not Fraction:
+            check_scalar(b, "affine shift")
+        num = self._num
+        if num is None:
+            num, den = self._ints()
+        else:
+            den = self._den
         n = len(num) - 1
         if n <= 0:
             return self
@@ -520,6 +533,9 @@ class XPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, XPoly):
+            num, other_num = self._num, other._num
+            if num is not None and other_num is not None:
+                return self._den == other._den and num == other_num
             if self._fracs is not None and other._fracs is not None:
                 return self._fracs == other._fracs
             return self._ints() == other._ints()

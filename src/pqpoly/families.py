@@ -116,7 +116,8 @@ def compute(
     family: str, n: int, k: int, params: PQParams, route: str = ROUTE_GF
 ) -> XPoly:
     """Evaluate one family at (n, k, params) through the named route."""
-    _check_n(n)
+    if n < 0:  # inline: compute runs once per value read
+        raise ValueError("n must be nonnegative")
     name = ROUTES_BY_FAMILY.get(family, {}).get(route)
     if name is None:
         raise ValueError(f"{family} has no route {route!r}")

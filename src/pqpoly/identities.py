@@ -14,8 +14,14 @@ Reports are deterministic.  One generator, ``_cells``, lists the cells of
 every check but orthogonality in one fixed order: n, then k, then params,
 then the check's own axes (s and u for tid3 and tid4, the scale m for
 appell_iii, the n + 1 points ``y_samples(n)`` for appell_ii and the cross
-relations).  The check list has a fixed order, and the first failing cell
-(if any) is captured with both sides serialized.
+relations).  A cell is a tuple in its evaluator's parameter order, (n, k,
+params, *axes), or (n, m, direction) for orthogonality, and is passed
+positionally; a check that binds more arguments (a family, an inner sum)
+binds them in front, by a positional ``partial``.  So a cell builds no
+dict and makes no keyword call; the field names are read off the
+evaluator's code object only when a cell fails.  The check list has a
+fixed order, and the first failing cell (if any) is captured with both
+sides serialized, its fields in the cell's order.
 
 Each side that is a sum is built by one ``XPoly.sum_products`` call; eucls,
 tid1 and tid2 first sum each basis polynomial's weight as a scalar, and tid2
@@ -156,12 +162,14 @@ class IdentityReport:
 
 
 class IdentityCheck(NamedTuple):
-    """One identity: `build_cells` lists its cells for a SuiteConfig, and
-    `evaluate` receives a cell's fields as keyword arguments and returns
-    the two sides (lhs, rhs), which must be exactly equal."""
+    """One identity: `build_cells` lists its cells for a SuiteConfig, each a
+    tuple in `evaluate`'s parameter order, and `evaluate` receives a cell's
+    fields as positional arguments and returns the two sides (lhs, rhs),
+    which must be exactly equal.  The names of those parameters, read off
+    the evaluator's code object, name the fields of a failing cell."""
 
     id: str
-    build_cells: Callable[[SuiteConfig], Iterable[dict]]
+    build_cells: Callable[[SuiteConfig], Iterable[tuple]]
     evaluate: Callable[..., tuple]
 
 
@@ -174,9 +182,17 @@ def _as_poly(value) -> XPoly:
     return value if isinstance(value, XPoly) else XPoly.const(value)
 
 
-def _serialize_cell(cell: dict) -> dict:
+def _cell_fields(evaluate) -> tuple[str, ...]:
+    """The names of a cell's fields: the evaluator's positional parameters,
+    read off its code object, after any a ``partial`` binds in front."""
+    bound = len(getattr(evaluate, "args", ()))
+    code = getattr(evaluate, "func", evaluate).__code__
+    return code.co_varnames[bound : code.co_argcount]
+
+
+def _serialize_cell(evaluate, cell: tuple) -> dict:
     out = {}
-    for key, value in cell.items():
+    for key, value in zip(_cell_fields(evaluate), cell):
         if key == "params":
             out["p"], out["q"] = value.as_strings()
         elif isinstance(value, Fraction):
@@ -189,14 +205,15 @@ def _serialize_cell(cell: dict) -> dict:
 def run_check(check: IdentityCheck, config: SuiteConfig) -> IdentityReport:
     total = passed = 0
     first_failure = None
+    evaluate = check.evaluate
     for cell in check.build_cells(config):
-        lhs, rhs = check.evaluate(**cell)
+        lhs, rhs = evaluate(*cell)
         total += 1
         if lhs == rhs:
             passed += 1
         elif first_failure is None:
             first_failure = {
-                "cell": _serialize_cell(cell),
+                "cell": _serialize_cell(evaluate, cell),
                 "lhs": _as_poly(lhs).to_strings(),
                 "rhs": _as_poly(rhs).to_strings(),
             }
@@ -260,29 +277,28 @@ def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
 # cell builders
 
 
-def _cells(config: SuiteConfig, n_min: int = 0, n_cap: Optional[int] = None, **axes):
-    """Cells n -> k -> params -> each axis in the order given.  An axis is a
-    tuple of values or a function of n that returns them (``y=y_samples``);
-    each n's axis dicts are built once and shared by its (k, params)."""
+def _cells(config: SuiteConfig, *axes, n_min: int = 0, n_cap: Optional[int] = None):
+    """Cells (n, k, params, *axis values), n -> k -> params -> each axis in
+    the order given.  An axis is a tuple of values or a function of n that
+    returns them (``y_samples``); each n's axis tuples are built once and
+    shared by its (k, params)."""
     top = config.n_max if n_cap is None else min(config.n_max, n_cap)
     for n in range(n_min, top + 1):
-        rows = [
-            dict(zip(axes, values))
-            for values in itertools.product(
-                *(axis(n) if callable(axis) else axis for axis in axes.values())
-            )
-        ]
+        rows = list(
+            itertools.product(*(axis(n) if callable(axis) else axis for axis in axes))
+        )
         for k in config.k_values:
             for params in config.param_points:
+                head = (n, k, params)
                 for row in rows:
-                    yield {"n": n, "k": k, "params": params, **row}
+                    yield head + row
 
 
 def _orthogonality_cells(config: SuiteConfig):
     for n in range(config.n_max + 1):
         for m in range(n + 1):
-            for direction in ("s2_then_s1", "s1_then_s2"):
-                yield {"n": n, "m": m, "direction": direction}
+            yield n, m, "s2_then_s1"
+            yield n, m, "s1_then_s2"
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +473,7 @@ def _eval_euler_bernoulli(n, k, params):
     return lhs, rhs
 
 
-def _eval_routes(n, k, params, family):
+def _eval_routes(family, n, k, params):
     """Every route listed for `family` at weight k against the first one."""
     first, *others = families.routes(family, k)
     reference = families.compute(family, n, k, params, first)
@@ -478,7 +494,7 @@ def _eval_orthogonality(n, m, direction):
     return lhs, XPoly.one() if n == m else XPoly.zero()
 
 
-def _eval_invrel(n, k, params, inner, scale):
+def _eval_invrel(inner, scale, n, k, params):
     """One inversion relation: the inner sum Q_n against scale(n) [n+1]^(-k)."""
     rhs = scale(n) * pqcalc.pq_integer(n + 1, params) ** (-k)
     return inner(n, k, params), XPoly.const(rhs)
@@ -512,7 +528,7 @@ def _cross_rhs_coeffs(
     )
 
 
-def _eval_cross(n, k, params, y, family, inner, outer, alternating, by_factorial):
+def _eval_cross(family, inner, outer, alternating, by_factorial, n, k, params, y):
     """One cross relation: the family value against sum_j y^j R_j, folded
     by Horner in y, so it is R_0 itself when it is the only coefficient,
     and zero when every inner sum is."""
@@ -525,7 +541,7 @@ def _eval_cross(n, k, params, y, family, inner, outer, alternating, by_factorial
     return lhs, rhs
 
 
-def _eval_vandermonde(n, k, params, family, other):
+def _eval_vandermonde(family, other, n, k, params):
     lhs = Fraction((-1) ** n, math.factorial(n)) * families.compute(
         family, n, k, params
     )
@@ -541,41 +557,43 @@ def _eval_vandermonde(n, k, params, family, other):
 # registry
 
 CHECKS: tuple[IdentityCheck, ...] = (
-    IdentityCheck("appell_i", lambda c: _cells(c, 0, APPELL_N_CAP), _eval_appell_i),
+    IdentityCheck("appell_i", lambda c: _cells(c, n_cap=APPELL_N_CAP), _eval_appell_i),
     IdentityCheck(
-        "appell_ii", lambda c: _cells(c, 0, APPELL_N_CAP, y=y_samples), _eval_appell_ii
+        "appell_ii",
+        lambda c: _cells(c, y_samples, n_cap=APPELL_N_CAP),
+        _eval_appell_ii,
     ),
     IdentityCheck(
         "appell_iii",
-        lambda c: _cells(c, 0, APPELL_N_CAP, m=c.scale_values),
+        lambda c: _cells(c, c.scale_values, n_cap=APPELL_N_CAP),
         _eval_appell_iii,
     ),
-    IdentityCheck("appell_iv", lambda c: _cells(c, 0, APPELL_N_CAP), _eval_appell_iv),
-    IdentityCheck("eucls", lambda c: _cells(c, 1), _eval_eucls),
+    IdentityCheck(
+        "appell_iv", lambda c: _cells(c, n_cap=APPELL_N_CAP), _eval_appell_iv
+    ),
+    IdentityCheck("eucls", lambda c: _cells(c, n_min=1), _eval_eucls),
     IdentityCheck("tid1", _cells, _eval_tid1),
     IdentityCheck("tid2", _cells, _eval_tid2),
-    IdentityCheck("tid3", lambda c: _cells(c, s=c.s_values), _eval_tid3),
-    IdentityCheck("tid4", lambda c: _cells(c, s=c.s_values, u=c.u_values), _eval_tid4),
-    IdentityCheck("euler_bernoulli", lambda c: _cells(c, 1), _eval_euler_bernoulli),
+    IdentityCheck("tid3", lambda c: _cells(c, c.s_values), _eval_tid3),
+    IdentityCheck("tid4", lambda c: _cells(c, c.s_values, c.u_values), _eval_tid4),
+    IdentityCheck(
+        "euler_bernoulli", lambda c: _cells(c, n_min=1), _eval_euler_bernoulli
+    ),
     IdentityCheck(
         "polyberrel1",
-        lambda c: _cells(c, 1),
-        partial(_eval_routes, family=families.FAMILY_POLY_BERNOULLI),
+        lambda c: _cells(c, n_min=1),
+        partial(_eval_routes, families.FAMILY_POLY_BERNOULLI),
     ),
     IdentityCheck(
-        "cauchy_routes_1",
-        _cells,
-        partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_1),
+        "cauchy_routes_1", _cells, partial(_eval_routes, families.FAMILY_POLY_CAUCHY_1)
     ),
     IdentityCheck(
-        "cauchy_routes_2",
-        _cells,
-        partial(_eval_routes, family=families.FAMILY_POLY_CAUCHY_2),
+        "cauchy_routes_2", _cells, partial(_eval_routes, families.FAMILY_POLY_CAUCHY_2)
     ),
     IdentityCheck("orthogonality", _orthogonality_cells, _eval_orthogonality),
     # the inversion relations: (id, inner sum Q_n, scale of [n+1]^(-k))
     *(
-        IdentityCheck(i, _cells, partial(_eval_invrel, inner=inner, scale=scale))
+        IdentityCheck(i, _cells, partial(_eval_invrel, inner, scale))
         for i, inner, scale in (
             ("invrel1", _inner_bernoulli, math.factorial),
             ("invrel2", _inner_cauchy1, lambda n: 1),
@@ -588,13 +606,10 @@ CHECKS: tuple[IdentityCheck, ...] = (
     *(
         IdentityCheck(
             check_id,
-            lambda c: _cells(c, 0, CROSS_N_CAP, y=y_samples),
-            partial(
-                _eval_cross, family=family, inner=inner, outer=outer,
-                alternating=alternating, by_factorial=by_factorial,
-            ),
+            lambda c: _cells(c, y_samples, n_cap=CROSS_N_CAP),
+            partial(_eval_cross, *relation),
         )
-        for check_id, family, inner, outer, alternating, by_factorial in (
+        for check_id, *relation in (
             ("cross_b_from_c", families.FAMILY_POLY_BERNOULLI, _inner_cauchy1,
              lambda n, m: sequences.weighted_stirling2(n, m), True, True),
             ("cross_b_from_chat", families.FAMILY_POLY_BERNOULLI, _inner_cauchy2,
@@ -607,20 +622,20 @@ CHECKS: tuple[IdentityCheck, ...] = (
     ),
     IdentityCheck(
         "vandermonde_1",
-        lambda c: _cells(c, 1),
+        lambda c: _cells(c, n_min=1),
         partial(
             _eval_vandermonde,
-            family=families.FAMILY_POLY_CAUCHY_1,
-            other=families.FAMILY_POLY_CAUCHY_2,
+            families.FAMILY_POLY_CAUCHY_1,
+            families.FAMILY_POLY_CAUCHY_2,
         ),
     ),
     IdentityCheck(
         "vandermonde_2",
-        lambda c: _cells(c, 1),
+        lambda c: _cells(c, n_min=1),
         partial(
             _eval_vandermonde,
-            family=families.FAMILY_POLY_CAUCHY_2,
-            other=families.FAMILY_POLY_CAUCHY_1,
+            families.FAMILY_POLY_CAUCHY_2,
+            families.FAMILY_POLY_CAUCHY_1,
         ),
     ),
 )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pqpoly import families
 from pqpoly.cli import (
     GEN_NMAX_LIMIT,
     K_LIMIT,
@@ -535,3 +536,39 @@ def test_no_command_builds_the_whole_document(
         assert target.read_text(encoding="utf-8") == expected
     else:
         assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # row 0 of poly-Euler is the zero polynomial: "coeffs": []
+        ["gen", "--family", "poly-euler", "--k", "2", "--nmax", "3"],
+        ["gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "5"],
+        ["gen", "--family", "frobenius-euler", "--s", "2", "--nmax", "4"],
+        ["gen", "--family", "stirling1", "--nmax", "0"],
+    ],
+)
+def test_gen_json_is_the_text_json_dumps_writes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert out == json.dumps(obj, indent=2) + "\n"
+    if "poly-euler" in argv:
+        assert obj["rows"][0]["coeffs"] == []
+
+
+def test_gen_json_writes_each_row_before_computing_the_next(monkeypatch):
+    # as CSV does: when row n is computed, rows 0..n-1 are already written
+    written = io.StringIO()
+    rows_written = []
+    compute = families.compute
+
+    def recording(family, n, *args):
+        rows_written.append(written.getvalue().count('"n": '))
+        return compute(family, n, *args)
+
+    monkeypatch.setattr(families, "compute", recording)
+    monkeypatch.setattr(sys, "stdout", written)
+    assert main(["gen", "--family", "poly-bernoulli", "--nmax", "4"]) == 0
+    assert rows_written == [0, 1, 2, 3, 4]
+    assert written.getvalue().count('"n": ') == 5

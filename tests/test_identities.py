@@ -1,7 +1,13 @@
+import hashlib
+import inspect
+import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -131,11 +137,44 @@ def _grid_cells(check_id: str, config: SuiteConfig) -> list[dict]:
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_cells_come_in_grid_order(check_id, config):
     # the first failure a report names is the first failing cell in this
-    # order; the key order is the order of the serialized cell's fields
-    cells = _CHECKS_BY_ID[check_id].build_cells(config)
-    assert [list(cell.items()) for cell in cells] == [
-        list(cell.items()) for cell in _grid_cells(check_id, config)
+    # order; the key order is the order of the serialized cell's fields,
+    # which the evaluator's parameters name
+    check = _CHECKS_BY_ID[check_id]
+    grid = _grid_cells(check_id, config)
+    assert list(check.build_cells(config)) == [tuple(cell.values()) for cell in grid]
+    assert {identities._cell_fields(check.evaluate)} == {tuple(cell) for cell in grid}
+
+
+def _positional_parameters(evaluate) -> list[str]:
+    return [
+        name
+        for name, parameter in inspect.signature(evaluate).parameters.items()
+        if parameter.kind is parameter.POSITIONAL_OR_KEYWORD
     ]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_each_cell_binds_to_its_evaluator(check_id):
+    # a cell is passed positionally: its length is the evaluator's positional
+    # parameter count, and it leads with n, k, params (n, m, direction for
+    # orthogonality), so a field-order slip fails here and not as an identity
+    check = _CHECKS_BY_ID[check_id]
+    names = _positional_parameters(check.evaluate)
+    if check_id == "orthogonality":
+        assert names[:3] == ["n", "m", "direction"]
+    else:
+        assert names[:3] == ["n", "k", "params"]
+    assert list(identities._cell_fields(check.evaluate)) == names
+    cells = list(check.build_cells(SMALL))
+    assert cells
+    for cell in cells:
+        assert type(cell) is tuple and len(cell) == len(names), cell
+        n, second, third = cell[:3]
+        assert type(n) is int
+        if check_id == "orthogonality":
+            assert type(second) is int and third in ("s2_then_s1", "s1_then_s2")
+        else:
+            assert second in SMALL.k_values and third in SMALL.param_points
 
 
 def test_only_filter_selects_in_registry_order():
@@ -174,10 +213,10 @@ def test_first_failure_records_the_cell_and_both_sides():
     failing = IdentityCheck(
         id="always_off",
         build_cells=lambda config: [
-            {"n": 0, "k": 1, "params": config.param_points[0]},
-            {"n": 1, "k": 1, "params": config.param_points[0]},
+            (0, 1, config.param_points[0]),
+            (1, 1, config.param_points[0]),
         ],
-        evaluate=lambda **cell: (Fraction(1), Fraction(2)),
+        evaluate=lambda n, k, params: (Fraction(1), Fraction(2)),
     )
     report = run_check(failing, SMALL)
     assert report.cells_total == 2
@@ -187,6 +226,60 @@ def test_first_failure_records_the_cell_and_both_sides():
     assert failure["cell"] == {"n": 0, "k": 1, "p": "1/2", "q": "1/3"}
     assert failure["lhs"] == ["1/1"]
     assert failure["rhs"] == ["2/1"]
+
+
+# the reports of run_all over the mutation driver's reduced grid under two
+# seeded defects, as JSON, recorded before run_check took positional cells:
+# between them the failing cells have every shape (y, m, s, u, direction,
+# and the route, invrel, cross and vandermonde checks), so these digests
+# pin each first_failure["cell"] byte for byte, its key order included
+FAILING_REPORT_DIGESTS = {
+    "sum-products-drops-last-term": (
+        "addb27b30a177c9d46ac6f6620d2d84799d486b5e86e681b2edd3a0f6c551aa6"
+    ),
+    "egf-pow-extra-factor": (
+        "d90070a8f3dda7b13da235de5603ffadde50ac646a9d4cac07cc5a83cb733fda"
+    ),
+}
+
+_FAILING_REPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from mutation_driver import MUTATIONS, REDUCED
+from pqpoly.identities import run_all
+MUTATIONS[sys.argv[2]]()
+print(json.dumps([r.to_json_obj() for r in run_all(REDUCED)], indent=2))
+"""
+
+
+def _failing_reports(mutation: str) -> str:
+    """The reports' JSON text from a fresh process, so the caches fill
+    after the rebinding."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_REPORTS, str(Path(__file__).parent), mutation],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("mutation", FAILING_REPORT_DIGESTS)
+def test_failing_reports_match_their_recorded_digest(mutation):
+    text = _failing_reports(mutation)
+    assert _sha256(text) == FAILING_REPORT_DIGESTS[mutation]
+    # the digest sees the order of a cell's fields: swapping the first two
+    # of one failing cell changes it
+    reports = json.loads(text)
+    cell = next(r["first_failure"]["cell"] for r in reports if "first_failure" in r)
+    first, second, *rest = cell
+    swapped = {second: cell[second], first: cell[first], **{k: cell[k] for k in rest}}
+    cell.clear()
+    cell.update(swapped)
+    assert _sha256(json.dumps(reports, indent=2) + "\n") != _sha256(text)
 
 
 def test_report_json_shape():
@@ -582,18 +675,17 @@ def test_cross_rhs_in_y_equals_the_sum_over_inner_values(check_id):
     # that depends on y, and then the cross relation fails its cells
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
     evaluate = _CHECKS_BY_ID[check_id].evaluate
-    inner = evaluate.keywords["inner"]
+    family, inner, outer, alternating, by_factorial = evaluate.args
 
     def tilted(m, k, params):
         return inner(m, k, params) + XPoly.monomial(m, Fraction(1, 7))
 
-    tilted_eval = partial(evaluate.func, **dict(evaluate.keywords, inner=tilted))
-    outer = evaluate.keywords["outer"]
-    alternating = evaluate.keywords["alternating"]
-    by_factorial = evaluate.keywords["by_factorial"]
+    tilted_eval = partial(
+        evaluate.func, family, tilted, outer, alternating, by_factorial
+    )
     n, k = 4, 2
     for y in y_samples(n):
-        lhs, rhs = tilted_eval(n=n, k=k, params=params, y=y)
+        lhs, rhs = tilted_eval(n, k, params, y)
         want = sum(
             (
                 (-1) ** (n - m if alternating else n)
@@ -606,7 +698,7 @@ def test_cross_rhs_in_y_equals_the_sum_over_inner_values(check_id):
         )
         assert rhs == want
         assert lhs != rhs
-        assert evaluate(n=n, k=k, params=params, y=y) == (lhs, lhs)
+        assert evaluate(n, k, params, y) == (lhs, lhs)
 
 
 @pytest.mark.parametrize("params", SMALL.param_points)  # p != q and p = q
@@ -642,7 +734,7 @@ def test_each_sum_is_canonicalised_once(monkeypatch, n):
     sides = {
         "tid4": lambda: identities._eval_tid4(n, 2, params, 2, Fraction(2)),
         "cross_b_from_c": lambda: _CHECKS_BY_ID["cross_b_from_c"].evaluate(
-            n=n, k=2, params=params, y=Fraction(3, 2)
+            n, 2, params, Fraction(3, 2)
         ),
         "cauchy1_stirling": lambda: families.cauchy1_via_weighted_stirling(
             n, 2, params
@@ -672,12 +764,11 @@ def test_one_coefficient_cross_cell_makes_no_kernel_call(monkeypatch, check_id):
     # is, without a kernel call
     params = PQParams(Fraction(1, 2), Fraction(1, 3))
     evaluate = _CHECKS_BY_ID[check_id].evaluate
-    keywords = evaluate.keywords
+    _, inner, outer, alternating, by_factorial = evaluate.args
     for n in (0, 3, identities.CROSS_N_CAP):
-        evaluate(n=n, k=2, params=params, y=Fraction(0))  # warm the caches
+        evaluate(n, 2, params, Fraction(0))  # warm the caches
         coeffs = identities._cross_rhs_coeffs(
-            keywords["inner"], keywords["outer"], keywords["alternating"],
-            keywords["by_factorial"], n, 2, params,
+            inner, outer, alternating, by_factorial, n, 2, params
         )
         assert len(coeffs) == 1
         calls = []
@@ -685,7 +776,7 @@ def test_one_coefficient_cross_cell_makes_no_kernel_call(monkeypatch, check_id):
             XPoly, "sum_products", staticmethod(lambda terms: calls.append(terms))
         )
         for y in y_samples(n):
-            lhs, rhs = evaluate(n=n, k=2, params=params, y=y)
+            lhs, rhs = evaluate(n, 2, params, y)
             assert rhs is coeffs[0] and lhs == rhs
         assert calls == []
         monkeypatch.undo()
@@ -696,7 +787,10 @@ def test_zero_inner_sums_fail_the_cross_cells_without_raising(check_id):
     # with every inner sum Q_m zero there is no coefficient R_j, and the
     # right side is the zero polynomial: the cells fail, the run goes on
     check = _CHECKS_BY_ID[check_id]
-    zero = partial(check.evaluate, inner=lambda m, k, params: XPoly.zero())
+    family, _, *rest = check.evaluate.args
+    zero = partial(
+        check.evaluate.func, family, lambda m, k, params: XPoly.zero(), *rest
+    )
     report = run_check(check._replace(evaluate=zero), SMALL)
     assert report.cells_total > 0 and not report.passed
     assert report.first_failure["rhs"] == []
