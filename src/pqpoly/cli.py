@@ -40,14 +40,14 @@ ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
 # Largest run sizes accepted.  They bound n, |k| and s, not the size of --p
 # and --q, so they do not bound the run time.  At the default point p = 1/2,
 # q = 1/3, gen --family poly-cauchy-1 --k 30 --nmax 100 took 57-78 s at
-# 93 MB peak RSS writing 82 MB of JSON, and 58-97 s at 90-94 MB as CSV;
-# verify --nmax 32 took 4.9-9.1 s at 45 MB.  At p = 1/1, q = 1/1000, gen
-# --family poly-bernoulli --k 30 took 0.8 s at --nmax 30 and 12.8 s at
-# --nmax 50 (34 MB of JSON), and was still running at --nmax 100 after
-# 300 s, against 18.6 s at the default point (2 cores, CPython 3.11; run
-# times on that host varied by up to 2.2x over a day).  Time
-# and memory keep growing past the bounds, so a larger value is refused
-# when the flag is parsed.
+# 35 MB peak RSS writing 82 MB of JSON, and 58-97 s at 33 MB as CSV (gen
+# keeps no row once written); verify --nmax 32 took 4.9-9.1 s at 45 MB.
+# At p = 1/1, q = 1/1000, gen --family poly-bernoulli --k 30 took 0.8 s at
+# --nmax 30 and 12.8 s at --nmax 50 (34 MB of JSON), and was still running
+# at --nmax 100 after 300 s, against 18.6 s at the default point (2 cores,
+# CPython 3.11; run times on that host varied by up to 2.2x over a day).
+# Time and memory keep growing past the bounds, so a larger value is
+# refused when the flag is parsed.
 GEN_NMAX_LIMIT = 100
 VERIFY_NMAX_LIMIT = 32
 K_LIMIT = 30
@@ -201,9 +201,16 @@ def cmd_gen(args) -> int:
         obj["k"] = args.k
         obj["p"], obj["q"] = params.as_strings()
 
+        # the gf route by name, as families.compute looks it up, so a
+        # rebound route reaches gen too; an lru_cache'd one is called
+        # through its uncached body, so no row outlives its write
+        routes = families.ROUTES_BY_FAMILY[POLY_FAMILIES[family]]
+        fn = getattr(families, routes[families.ROUTE_GF])
+        if hasattr(fn, "cache_info"):
+            fn = fn.__wrapped__
+
         def cells(n):
-            value = families.compute(POLY_FAMILIES[family], n, args.k, params)
-            return value.to_strings()
+            return fn(n, args.k, params).to_strings()
 
     elif family == "euler":
 
@@ -227,14 +234,14 @@ def cmd_gen(args) -> int:
 
     else:
         key = "values"
-        fn = (
-            sequences.stirling2
+        row = (
+            sequences.stirling2_row
             if family == "stirling2"
-            else sequences.stirling1_unsigned
+            else sequences.stirling1_unsigned_row
         )
 
         def cells(n):
-            return [rational_to_str(fn(n, m)) for m in range(n + 1)]
+            return list(map(rational_to_str, row(n)))
 
     ns = range(args.nmax + 1)
     if args.format == "json":

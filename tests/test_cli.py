@@ -1,13 +1,16 @@
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pqpoly import families
+import pqpoly
+from pqpoly import families, sequences
 from pqpoly.cli import (
     GEN_NMAX_LIMIT,
     K_LIMIT,
@@ -561,14 +564,71 @@ def test_gen_json_writes_each_row_before_computing_the_next(monkeypatch):
     # as CSV does: when row n is computed, rows 0..n-1 are already written
     written = io.StringIO()
     rows_written = []
-    compute = families.compute
+    route = families.bernoulli_via_gf
 
-    def recording(family, n, *args):
+    def recording(n, *args):
         rows_written.append(written.getvalue().count('"n": '))
-        return compute(family, n, *args)
+        return route(n, *args)
 
-    monkeypatch.setattr(families, "compute", recording)
+    monkeypatch.setattr(families, "bernoulli_via_gf", recording)
     monkeypatch.setattr(sys, "stdout", written)
     assert main(["gen", "--family", "poly-bernoulli", "--nmax", "4"]) == 0
     assert rows_written == [0, 1, 2, 3, 4]
     assert written.getvalue().count('"n": ') == 5
+
+
+def test_gen_keeps_no_family_row_and_keeps_its_column(capsys):
+    # gen calls the gf route's uncached body: each row is dropped once
+    # written, while the column it reads stays for the next row and run
+    pqpoly.clear_caches()
+    code, out, _ = run_cli(
+        capsys, "gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "20"
+    )
+    assert code == 0
+    assert families.cauchy1_via_gf.cache_info().currsize == 0
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    hits = families._polylog_column.cache_info().hits
+    families._polylog_column(sequences._lif_coeff, 3, params, families._log1p, 0)
+    assert families._polylog_column.cache_info().hits == hits + 1
+    rows = json.loads(out)["rows"]
+    assert [_parse_poly(row["coeffs"]) for row in rows] == [
+        poly_cauchy_1(n, 3, params) for n in range(21)
+    ]
+
+
+def _negated_plain(route):
+    def negated(n, k, params):
+        return -route(n, k, params)
+
+    return negated
+
+
+def _negated_wraps(route):
+    @functools.wraps(route)
+    def negated(n, k, params):
+        return -route(n, k, params)
+
+    return negated
+
+
+def _negated_cached(route):
+    return functools.lru_cache(maxsize=None)(_negated_plain(route))
+
+
+@pytest.mark.parametrize(
+    "rebind", [_negated_plain, _negated_wraps, _negated_cached]
+)
+def test_gen_reaches_a_rebound_gf_route(monkeypatch, capsys, rebind):
+    # gen looks the route up by name, as families.compute does, so a
+    # wrapper bound on the module reaches it, cached or not
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    expected = [-poly_cauchy_1(n, 3, params) for n in range(6)]
+    monkeypatch.setattr(
+        families, "cauchy1_via_gf", rebind(families.cauchy1_via_gf)
+    )
+    code, out, _ = run_cli(
+        capsys, "gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "5"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [_parse_poly(row["coeffs"]) for row in rows] == expected

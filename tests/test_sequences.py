@@ -15,7 +15,9 @@ from pqpoly.sequences import (
     frobenius_euler,
     li_pq_closed_form,
     stirling1_unsigned,
+    stirling1_unsigned_row,
     stirling2,
+    stirling2_row,
     weighted_stirling1,
     weighted_stirling2,
 )
@@ -41,6 +43,28 @@ def test_stirling2_matches_recurrence():
 def test_stirling1_matches_recurrence():
     for n, row in enumerate(oracles.stirling1_unsigned_rec(40)):
         assert [stirling1_unsigned(n, m) for m in range(n + 2)] == row + [0]
+
+
+@pytest.mark.parametrize(
+    "row_of, entry, recurrence",
+    [
+        (stirling2_row, stirling2, oracles.stirling2_rec),
+        (stirling1_unsigned_row, stirling1_unsigned, oracles.stirling1_unsigned_rec),
+    ],
+)
+def test_stirling_row_is_the_recurrence_row_and_the_entries(
+    row_of, entry, recurrence
+):
+    # gen prints each triangle row from its row reader, the identities
+    # read the cached entries: both come off the one table
+    clear_caches()
+    for n, expected in enumerate(recurrence(40)):
+        assert row_of(n) == expected
+    assert entry.cache_info().currsize == 0  # the reader caches nothing
+    for n, expected in enumerate(recurrence(40)):
+        assert [entry(n, m) for m in range(n + 1)] == expected == row_of(n)
+    with pytest.raises(ValueError):
+        row_of(-1)
 
 
 def test_stirling2_matches_partition_enumeration():
