@@ -7,6 +7,7 @@ from . import egf, exact, families, identities, pqcalc, sequences
 from .exact import (
     XPoly,
     falling_factorial,
+    rational_from_printed,
     rational_from_str,
     rational_to_str,
     rising_factorial,
@@ -65,6 +66,7 @@ __all__ = [
     "falling_factorial",
     "rising_factorial",
     "rational_from_str",
+    "rational_from_printed",
     "rational_to_str",
     "EgfSeries",
     "compose",

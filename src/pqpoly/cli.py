@@ -192,6 +192,12 @@ def _emit(chunks: Iterable[str], path) -> None:
         raise CliError(f"--output: {exc}") from None
 
 
+def _uncached(fn):
+    """fn, or the uncached body of an ``lru_cache``d fn, so that no row gen
+    prints outlives its write."""
+    return fn.__wrapped__ if hasattr(fn, "cache_info") else fn
+
+
 def cmd_gen(args) -> int:
     family = args.family
     obj = {"family": family, "n_max": args.nmax}
@@ -202,12 +208,9 @@ def cmd_gen(args) -> int:
         obj["p"], obj["q"] = params.as_strings()
 
         # the gf route by name, as families.compute looks it up, so a
-        # rebound route reaches gen too; an lru_cache'd one is called
-        # through its uncached body, so no row outlives its write
+        # rebound route reaches gen too
         routes = families.ROUTES_BY_FAMILY[POLY_FAMILIES[family]]
-        fn = getattr(families, routes[families.ROUTE_GF])
-        if hasattr(fn, "cache_info"):
-            fn = fn.__wrapped__
+        fn = _uncached(getattr(families, routes[families.ROUTE_GF]))
 
         def cells(n):
             return fn(n, args.k, params).to_strings()
@@ -219,9 +222,11 @@ def cmd_gen(args) -> int:
 
     elif family == "bernoulli-order":
         obj["s"] = args.s
+        # the cache stays: the identities read it across (k, params)
+        fn = _uncached(sequences.bernoulli_order)
 
         def cells(n):
-            return sequences.bernoulli_order(n, args.s).to_strings()
+            return fn(n, args.s).to_strings()
 
     elif family == "frobenius-euler":
         obj["s"] = args.s
@@ -292,9 +297,18 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the CLI on argv (default: ``sys.argv[1:]``) and return the exit
+    code.  The parser is built on the first call and reused by every later
+    call in the process: it depends only on this module's constants, and
+    argparse's parse, error and help paths read it without changing it."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handlers = {
         "gen": cmd_gen,
         "verify": cmd_verify,

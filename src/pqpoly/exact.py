@@ -66,7 +66,10 @@ recursive division when they are long.  Every printed int goes through one
 helper, ``_int_to_decimal``: ``str`` up to the interpreter's default
 4,300-digit int-to-str limit, and past it a divide-and-conquer conversion
 through the ``decimal`` module, which is exact at any size, subquadratic
-and leaves the limit alone (the limit still bounds ``rational_from_str``).
+and leaves the limit alone.  The limit still bounds ``rational_from_str``,
+which parses the CLI's own input; ``rational_from_printed`` reads a printed
+value back at any length, through ``_decimal_to_int``, the inverse split,
+and leaves the limit alone too.
 """
 
 from __future__ import annotations
@@ -226,6 +229,51 @@ def rational_from_str(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def rational_from_printed(text: str) -> Fraction:
+    """Parse ``num/den`` or a bare integer, as ``rational_from_str`` does,
+    at any length: the reader of the values the CLI prints, which pass the
+    interpreter's int-to-str digit limit.  ``rational_from_str`` keeps that
+    limit on the CLI's own input; this reader leaves it unchanged too."""
+    s = text.strip()
+    if not _RATIONAL_RE.match(s):
+        raise ValueError(f"not an exact rational: {text!r}")
+    num, _, den = s.partition("/")
+    powers = {}
+    d = _decimal_to_int(den, powers) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    n = _decimal_to_int(num.lstrip("+-"), powers)
+    return Fraction(-n if num[0] == "-" else n, d)
+
+
+# Width in digits of the pieces a long digit string is cut into: at most
+# sys.int_info.str_digits_check_threshold (640), below which int converts a
+# string whatever the digit limit is set to.
+_PIECE_DIGITS = 512
+
+
+def _decimal_to_int(digits: str, powers: dict) -> int:
+    """The int of a string of decimal digits, at any length; the inverse of
+    ``_int_to_decimal``.  A string of more than ``_PIECE_DIGITS`` digits is
+    cut, recursively, into a low part of ``_PIECE_DIGITS`` times a power of
+    two digits and the high part above it, and the parts' ints recombine
+    as high * 10 ** width + low.  powers holds 10 ** width for each width
+    met so far, in this read only.  Every piece int converts is under the
+    digit limit, so the limit is not changed."""
+    size = len(digits)
+    if size <= _PIECE_DIGITS:
+        return int(digits)
+    # the largest width _PIECE_DIGITS * 2 ** j below size, at least half of
+    # it, so the low parts of every split come in a few widths
+    w = _PIECE_DIGITS << ((size - 1) // _PIECE_DIGITS).bit_length() - 1
+    p = powers.get(w)
+    if p is None:
+        p = powers[w] = 10**w
+    return _decimal_to_int(digits[:-w], powers) * p + _decimal_to_int(
+        digits[-w:], powers
+    )
 
 
 def _fraction(c) -> Fraction:

@@ -5,16 +5,20 @@ here take from seconds to about a minute each, so no test launches them:
 this driver runs each in a fresh process, compares the SHA-256 of its
 standard output and standard error, and its exit code, with
 slow_output_digests.json, and prints each run's wall time and peak RSS.
-The peak RSS is that child's own, from os.wait4.
+The peak RSS is the one os.wait4 reports for that child, which also takes
+in the driver's own peak, so the driver stays small.  The output of each
+gen run is also read back, in a process of its own, value by value,
+through ``exact.rational_from_printed``, and each row holding a value that
+does not read back, or does not print again as the same text, is reported.
 
     PYTHONPATH=src python tests/slow_digest_driver.py
     PYTHONPATH=src python tests/slow_digest_driver.py --only poly-cauchy-1
     PYTHONPATH=src python tests/slow_digest_driver.py --record
 
-Exits 1 when any run differs from its recorded digest.  --only SUBSTRING
-runs only the runs whose argv contains SUBSTRING, or, when SUBSTRING is a
-run's whole argv, that run alone: the JSON corner's argv is part of the CSV
-corner's, so
+Exits 1 when any run differs from its recorded digest or has a row that
+does not read back.  --only SUBSTRING runs only the runs whose argv
+contains SUBSTRING, or, when SUBSTRING is a run's whole argv, that run
+alone: the JSON corner's argv is part of the CSV corner's, so
 
     PYTHONPATH=src python tests/slow_digest_driver.py --only "gen --family poly-cauchy-1 --nmax 100 --k 30"
 
@@ -55,9 +59,59 @@ def _sha256(fh) -> str:
     return digest.hexdigest()
 
 
-def run_digest(argv: str) -> tuple[dict, float, float]:
+def _rows(fh, csv: bool):
+    """(n, value strings) of each row of the gen output in fh, one row at a
+    time, so the whole document is never held.  A JSON row is read as the
+    CLI lays it out: its "n" line at depth 3, then one JSON string per line
+    at depth 4."""
+    if csv:
+        next(fh)  # the header
+        for line in fh:
+            n, _, cells = line.decode("utf-8").rstrip("\n").partition(",")
+            yield int(n), cells.split(";") if cells else []
+        return
+    n, cells = None, []
+    for line in fh:
+        if line.startswith(b'      "n": '):
+            if n is not None:
+                yield n, cells
+            n, cells = int(line[11:].rstrip(b",\n")), []
+        elif line.startswith(b'        "'):
+            cells.append(json.loads(line.rstrip(b",\n")))
+    yield n, cells
+
+
+def unread_rows(fh, csv: bool) -> list[int]:
+    """The n of each row of the gen output in fh with a value that does not
+    read back to the same text."""
+    from pqpoly.exact import rational_from_printed, rational_to_str
+
+    def reads_back(text: str) -> bool:
+        try:
+            return rational_to_str(rational_from_printed(text)) == text
+        except ValueError:
+            return False
+
+    return [n for n, cells in _rows(fh, csv) if not all(map(reads_back, cells))]
+
+
+def read_back(out, csv: bool) -> list[int]:
+    """``unread_rows`` of the file out, found by this script in a process
+    of its own, so the driver does not grow."""
+    out.seek(0)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--read-back", "csv" if csv else "json"],
+        stdin=out,
+        capture_output=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def run_digest(argv: str) -> tuple[dict, float, float, list | None]:
     """The digests of one CLI run in a fresh process, its wall time in
-    seconds and its peak RSS in MB."""
+    seconds, its peak RSS in MB, and, for a gen run, the rows of its output
+    that do not read back (None for any other run)."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
         proc = subprocess.Popen(
@@ -73,7 +127,10 @@ def run_digest(argv: str) -> tuple[dict, float, float]:
             "stderr": _sha256(err),
             "exit": proc.returncode,
         }
-    return digest, elapsed, usage.ru_maxrss / 1024
+        unread = None
+        if argv.startswith("gen") and proc.returncode == 0:
+            unread = read_back(out, "--format csv" in argv)
+    return digest, elapsed, usage.ru_maxrss / 1024, unread
 
 
 def main(argv=None) -> int:
@@ -88,7 +145,15 @@ def main(argv=None) -> int:
         metavar="SUBSTRING",
         help="run only the runs whose argv contains it, or the one whose argv it is",
     )
+    parser.add_argument(
+        "--read-back",
+        choices=("json", "csv"),
+        help="print the rows of gen output on stdin that do not read back",
+    )
     args = parser.parse_args(argv)
+    if args.read_back:
+        print(json.dumps(unread_rows(sys.stdin.buffer, args.read_back == "csv")))
+        return 0
     if args.only in RUNS:
         runs = [args.only]
     else:
@@ -96,20 +161,22 @@ def main(argv=None) -> int:
     if not runs:
         parser.error(f"--only: no run contains {args.only!r}")
     recorded = json.loads(DIGESTS.read_text("utf-8")) if DIGESTS.exists() else {}
-    table, differing = dict(recorded), []
+    table, failing = dict(recorded), []
     for run in runs:
-        digest, elapsed, peak_mb = run_digest(run)
+        digest, elapsed, peak_mb, unread = run_digest(run)
         table[run] = digest
         verdict = "recorded" if args.record else (
             "same" if digest == recorded.get(run) else "DIFFERS"
         )
-        if verdict == "DIFFERS":
-            differing.append(run)
+        if verdict == "DIFFERS" or unread:
+            failing.append(run)
         print(f"{elapsed:8.2f} s  {peak_mb:6.1f} MB  {verdict:8}  {run}", flush=True)
+        if unread:
+            print(f"  rows not read back: {unread}", flush=True)
     if args.record:
         table = {run: table[run] for run in RUNS if run in table}
         DIGESTS.write_text(json.dumps(table, indent=2) + "\n", "utf-8")
-    return 1 if differing else 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pqpoly
-from pqpoly import families, sequences
+from pqpoly import cli, families, sequences
 from pqpoly.cli import (
     GEN_NMAX_LIMIT,
     K_LIMIT,
@@ -19,9 +19,11 @@ from pqpoly.cli import (
     build_parser,
     main,
 )
-from pqpoly.exact import XPoly, rational_from_str
-from pqpoly.families import poly_bernoulli, poly_cauchy_1
+from pqpoly.exact import XPoly, rational_from_printed, rational_from_str
+from pqpoly.families import poly_bernoulli, poly_cauchy_1, poly_euler
 from pqpoly.pqcalc import PQParams
+
+from .test_output_digests import _recorded, run_digest
 
 
 def run_cli(capsys, *argv):
@@ -32,12 +34,12 @@ def run_cli(capsys, *argv):
 
 def _parse_params(obj) -> PQParams:
     """The parameter pair a gen document names."""
-    return PQParams(rational_from_str(obj["p"]), rational_from_str(obj["q"]))
+    return PQParams(rational_from_printed(obj["p"]), rational_from_printed(obj["q"]))
 
 
 def _parse_poly(coeffs) -> XPoly:
     """An XPoly from the coefficient strings of one gen row."""
-    return XPoly(map(rational_from_str, coeffs))
+    return XPoly(map(rational_from_printed, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +444,69 @@ def test_run_size_flags_are_bounded_at_parse_time(capsys, argv, flag, limit, low
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+REJECTED = ["gen", "--family", "stirling2", "--nmax", "101"]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert main(["gen", "--family", "stirling2", "--nmax", "3"]) == 0
+        assert main(["closed-form", "--k", "-1"]) == 0
+        with pytest.raises(SystemExit):
+            main(REJECTED)
+    capsys.readouterr()
+    assert builds == [1]
+
+
+def _rejected_stderr(capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(REJECTED)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_a_rejected_argv_errs_the_same_twice(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    first = _rejected_stderr(capsys)
+    assert first == _rejected_stderr(capsys)
+    assert "argument --nmax: must be at most 100" in first
+    # the text a parser built for this one call writes
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(REJECTED)
+    assert capsys.readouterr().err == first
+
+
+def test_a_run_after_a_rejected_argv_matches_its_digest(capsys):
+    _rejected_stderr(capsys)
+    argv = "gen --family stirling2 --nmax 40"
+    assert run_digest(argv) == _recorded()[argv]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_prints_the_same_text_each_call(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "_parser", None)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: pqpoly")
+
+
+# ---------------------------------------------------------------------------
 # module entry point
 
 
@@ -594,6 +659,44 @@ def test_gen_keeps_no_family_row_and_keeps_its_column(capsys):
     assert [_parse_poly(row["coeffs"]) for row in rows] == [
         poly_cauchy_1(n, 3, params) for n in range(21)
     ]
+
+
+def test_gen_bernoulli_order_keeps_no_row_and_keeps_its_column(capsys):
+    # as for the gf routes: each row is dropped once written, while the
+    # column it reads stays for the next row and run
+    pqpoly.clear_caches()
+    code, out, _ = run_cli(
+        capsys, "gen", "--family", "bernoulli-order", "--s", "3", "--nmax", "40"
+    )
+    assert code == 0
+    assert sequences.bernoulli_order.cache_info().currsize == 0
+    hits = sequences._bernoulli_column.cache_info().hits
+    sequences._bernoulli_column(3)
+    assert sequences._bernoulli_column.cache_info().hits == hits + 1
+    rows = json.loads(out)["rows"]
+    assert [_parse_poly(row["coeffs"]) for row in rows] == [
+        sequences.bernoulli_order(n, 3) for n in range(41)
+    ]
+
+
+def test_gen_values_past_the_digit_limit_read_back(capsys):
+    # rows of k = 30 pass the 4,300-digit limit rational_from_str keeps;
+    # rational_from_printed reads every value back, and leaves the limit
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, "gen", "--family", "poly-euler", "--k", "30", "--nmax", "34"
+    )
+    assert code == 0
+    obj = json.loads(out)
+    longest = max((c for row in obj["rows"] for c in row["coeffs"]), key=len)
+    assert len(longest) > 10_000
+    with pytest.raises(ValueError):
+        rational_from_str(longest)
+    params = _parse_params(obj)
+    assert [_parse_poly(row["coeffs"]) for row in obj["rows"]] == [
+        poly_euler(n, 30, params) for n in range(35)
+    ]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _negated_plain(route):

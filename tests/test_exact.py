@@ -10,6 +10,7 @@ from pqpoly import clear_caches, exact
 from pqpoly.exact import (
     XPoly,
     falling_factorial,
+    rational_from_printed,
     rational_from_str,
     rational_to_str,
     rising_factorial,
@@ -109,6 +110,44 @@ def test_int_to_decimal_leaves_the_digit_limit_as_it_is():
     sys.set_int_max_str_digits(640)
     try:
         assert exact._int_to_decimal(-(10**1000)) == "-1" + "0" * 1000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_to_int_matches_int_at_every_size(unlimited_str):
+    # each side of the pieces' width and of a power of two times it, the
+    # default limit, leading zeros, and 100,000 digits
+    width = exact._PIECE_DIGITS
+    cases = [0, 1, 10**width, 10**width - 1, 10 ** (width * 8) + 1, 3**60_000]
+    for d in (width - 1, width + 1, 2 * width + 1, 4299, 4300, 4301, 100_000):
+        cases += _digits(d)
+    for n in cases:
+        text = unlimited_str(n)
+        assert exact._decimal_to_int(text, {}) == n, len(text)
+        assert exact._decimal_to_int("0" * 700 + text, {}) == n, len(text)
+
+
+def test_rational_from_printed_reads_rational_to_str_back_at_any_size():
+    limit = sys.get_int_max_str_digits()
+    for value in (
+        Fraction(0),
+        Fraction(-3, 4),
+        Fraction(-(10**4999 + 7), 3 * 10**4999 + 1),
+        Fraction(7**20_000, 10**9000 + 1),
+    ):
+        assert rational_from_printed(rational_to_str(value)) == value
+    # the same grammar as rational_from_str, the limit aside
+    for text in ("5", "+5", " -6/4 ", "0/7"):
+        assert rational_from_printed(text) == rational_from_str(text)
+    for text in ("1.5", "1e3", "3/-4", "/3", "3/", "", "3/0", "3/" + "0" * 5000):
+        with pytest.raises(ValueError):
+            rational_from_printed(text)
+    assert sys.get_int_max_str_digits() == limit
+    # a limit set below the default, 640 digits at the least, is kept too
+    sys.set_int_max_str_digits(640)
+    try:
+        assert rational_from_printed("-1" + "0" * 1000) == -(10**1000)
+        assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
 

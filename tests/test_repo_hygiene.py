@@ -216,6 +216,9 @@ def test_every_private_module_name_has_a_reader():
 # benchmark span reads, and why it stays
 UNREAD_KEPT = {
     "pqpoly.clear_caches": "the one way a library caller empties the caches",
+    "pqpoly.exact.rational_from_printed": (
+        "reads gen's values back past the digit limit rational_from_str keeps"
+    ),
     "pqpoly.identities.IdentityReport.vacuous": (
         "tells a library caller that a report checked no cell"
     ),
