@@ -3,6 +3,9 @@
 Three subcommands: ``gen`` tabulates a polynomial family or a Stirling
 triangle, ``closed-form`` prints the rational closed form of the
 polylogarithm for k <= 0, and ``verify`` runs the identity suite.
+``gen`` writes its table a row at a time, each as it is computed;
+``verify`` and ``closed-form`` write their JSON in one piece,
+``json.dumps(obj, indent=2)`` and a newline, the layout gen's JSON keeps.
 
 Exit codes: 0 success, 1 verification found failing or vacuous suites,
 2 configuration error.  Rationals on the command line are written "a/b"
@@ -140,30 +143,17 @@ def _params_from_args(args) -> PQParams:
         raise CliError(f"--p/--q: {exc}") from None
 
 
-_JSON = json.JSONEncoder(indent=2)
-
-
-def _json_text(obj: dict) -> Iterator[str]:
-    """``json.dumps(obj, indent=2)`` and a newline, in pieces, as the
-    encoder yields them."""
-    encoded = _JSON.iterencode(obj)
-    # a write per chunk costs more than encoding the chunk, so chunks go
-    # out 64 at a time; none is empty, so an empty join ends the text
-    yield from iter(lambda: "".join(itertools.islice(encoded, 64)), "")
-    yield "\n"
-
-
 def _json_rows(
     obj: dict, key: str, rows: Iterable[tuple[int, list[str]]]
 ) -> Iterator[str]:
-    """The text ``_json_text`` writes of obj with a last key "rows", the
-    list of ``{"n": n, key: strings}`` for each (n, strings) of rows (at
-    least one), in pieces: obj's text, then each row as it is reached, so
-    that none waits for the rest.  A row is written as the encoder writes
-    it at that depth, each string quoted and escaped by the encoder's own
+    """The text ``json.dumps(obj, indent=2)`` and a newline would be with a
+    last key "rows" in obj, the list of ``{"n": n, key: strings}`` for each
+    (n, strings) of rows (at least one), in pieces: obj's text, then each
+    row as it is reached, so that none waits for the rest.  A row is written as the encoder writes it at that
+    depth, each string quoted and escaped by the encoder's own
     ``encode_basestring_ascii``."""
     # the text of nonempty obj ends "\n}": "rows" goes in before that brace
-    yield "".join(_JSON.iterencode(obj))[:-2] + ',\n  "rows": ['
+    yield json.dumps(obj, indent=2)[:-2] + ',\n  "rows": ['
     name, sep = encode_basestring_ascii(key), "\n    "
     for n, strings in rows:
         yield f'{sep}{{\n      "n": {n},\n      {name}: '
@@ -274,7 +264,7 @@ def cmd_verify(args) -> int:
         "reports": [r.to_json_obj() for r in reports],
         "passed": all_good,
     }
-    _emit(_json_text(obj), args.output)
+    _emit([json.dumps(obj, indent=2), "\n"], args.output)
     return 0 if all_good else 1
 
 
@@ -290,7 +280,7 @@ def cmd_closed_form(args) -> int:
     if args.format == "json":
         p, q = params.as_strings()
         obj = dict(k=args.k, p=p, q=q, numerator=num, denominator=den)
-        _emit(_json_text(obj), args.output)
+        _emit([json.dumps(obj, indent=2), "\n"], args.output)
     else:
         lines = [f"numerator,{';'.join(num)}\n", f"denominator,{';'.join(den)}\n"]
         _emit(lines, args.output)

@@ -50,11 +50,11 @@ coefficients that ``coeffs`` returns.  Each form is built on first use:
 ``XPoly(iterable)`` keeps the Fractions it was given and forms the
 numerators (over the lcm of their denominators) only when arithmetic needs
 them, and an arithmetic result forms its Fractions only when read through
-``coeffs``, ``coeff``, ``as_str`` or ``hash``.  A value that is built and
-printed never pays for the numerators, one that is only computed with never
-pays for the Fractions, and one computed and then printed does not hold
-both: ``to_strings`` prints an arithmetic result from its ints, with no
-Fraction.
+``coeffs``, ``coeff`` or ``hash``.  A value that is built and printed
+never pays for the numerators, one that is only computed with never pays
+for the Fractions, and one computed and then printed does not hold both:
+``to_strings``, and ``repr``, which shows it, print an arithmetic result
+from its ints, with no Fraction.
 
 Serialized form of a scalar is the string ``"num/den"`` with the denominator
 always written out, e.g. ``"5/1"`` or ``"-3/4"``.  A polynomial serializes as
@@ -601,33 +601,8 @@ class XPoly:
             return hash(self.coeff(0))
         return hash(self.coeffs)
 
-    def as_str(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    term = xpart
-                elif c == -1:
-                    term = f"-{xpart}"
-                else:
-                    term = f"{c}*{xpart}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
-
     def __repr__(self) -> str:
-        return f"XPoly({self.as_str()!r})"
+        return f"XPoly({self.to_strings()!r})"
 
 
 # The largest index a factorial store keeps: gen reads falling_factorials

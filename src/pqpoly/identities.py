@@ -29,14 +29,15 @@ reads each of its n + 1 poly-Euler numbers once per cell.  Work that does
 not depend on the cell is cached: the inner sums of tid3 and tid4
 (``_tid3_inner``, and the scalar ``_tid4_weight``, E_m at the points 0..s
 under int weights over one denominator, ``XPoly.weighted_values``), the
-Frobenius-Euler polynomials tid4 reads, the weighted Stirling polynomials
-at -x, the shifted Euler polynomials, the inner sums Q_m of the cross
-relations, one polynomial per (m, k, params), and the right side of each
-cross relation as a polynomial in y, whose coefficients
-R_j = sum_m c_m [y^j]Q_m W(n, m) are built once per
-(check, n, k, params); a cell folds sum_j y^j R_j at its y by Horner,
-exactly the sum of the Q_m(y) terms, so a Q_m that did depend on y would
-still fail cells.  With one coefficient, as for the paper's constant inner
+Frobenius-Euler polynomials tid4 reads, W1(n, m) at -x (``_ws1_neg_x``,
+the outer triangle of cross_chat_from_b), the shifted Euler polynomials,
+the inner sums Q_m of the cross relations, one polynomial per
+(m, k, params) (the Chat one takes each W2(m, l) at -x as it sums, so no
+cache keeps W2 at -x), and the right side of each cross relation as a
+polynomial in y, whose coefficients R_j = sum_m c_m [y^j]Q_m W(n, m) are
+built once per (check, n, k, params); a cell folds sum_j y^j R_j at its y
+by Horner, exactly the sum of the Q_m(y) terms, so a Q_m that did depend
+on y would still fail cells.  With one coefficient, as for the paper's constant inner
 sums, the fold is R_0 and a cell returns the cached R_0 with no kernel call.
 The cached Q_n is also the left side of invrel1-3, whose right sides compute
 their own [n+1]^(-k).  A cached value may serve one side of several checks,
@@ -241,11 +242,6 @@ def _ws1_neg_x(n: int, m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _ws2_neg_x(n: int, m: int) -> XPoly:
-    return sequences.weighted_stirling2(n, m).affine(-1, 0)
-
-
-@lru_cache(maxsize=None)
 def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
     """sum_l W2(m, l) C_l, invrel2's left side, read at y by cross_b_from_c."""
     # terms above l = m vanish with the weighted Stirling factor
@@ -259,7 +255,8 @@ def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
 def _inner_cauchy2(m: int, k: int, params: PQParams) -> XPoly:
     """sum_l W2(m, l)(-x) Chat_l, invrel3's left side, read by cross_b_from_chat."""
     return XPoly.sum_products(
-        (_ws2_neg_x(m, l), families.poly_cauchy_2(l, k, params))
+        (sequences.weighted_stirling2(m, l).affine(-1, 0),
+         families.poly_cauchy_2(l, k, params))
         for l in range(m + 1)
     )
 

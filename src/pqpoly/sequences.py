@@ -9,10 +9,11 @@ Every Stirling-type value is extracted from its generating function,
 [t^n/n!] w(t) base^m / m! with base = e^t - 1 or -ln(1 - t) and weight w = 1
 for the plain triangles.  Each triangle reads its entries off its own
 ``PowerRows`` table of base^m, which builds row n once, from the rows before
-it, on the first read that needs it.  A plain entry is cached per (n, m);
-``stirling2_row`` and ``stirling1_unsigned_row`` read a whole plain row
-off the same table as one int list and cache nothing, for ``gen``, which
-prints each row once.  A weighted entry is one int coefficient list read
+it, on the first read that needs it.  ``stirling2_row`` and
+``stirling1_unsigned_row`` read a whole plain row off the table as one int
+list and cache nothing, for ``gen``, which prints each row once; the plain
+entries ``stirling2`` and ``stirling1_unsigned`` index that row, and are
+cached per (n, m).  A weighted entry is one int coefficient list read
 off its table, with no kernel call: coefficient i of the second kind is
 C(n, i) times entry m of row n - i, over m!, and of the first kind, where
 w = (1 - t)^(-x) = e^(x base), entry i + m of row n, over i! m!.  No
@@ -69,14 +70,6 @@ def _check_indices(n: int, m: int) -> None:
         raise ValueError("indices must be nonnegative")
 
 
-def _plain_entry(triangle: str, base, n: int, m: int) -> int:
-    """[t^n/n!] base^m / m!, read off the triangle's table."""
-    _check_indices(n, m)
-    if m > n:
-        return 0
-    return _power_table(triangle, base).row(n)[m] // math.factorial(m)
-
-
 def _plain_row(triangle: str, base, n: int) -> list[int]:
     """Entries m = 0..n of row n, read off the triangle's table at once."""
     _check_indices(n, 0)
@@ -90,22 +83,24 @@ def _plain_row(triangle: str, base, n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
     """Partition-count Stirling number, from the EGF (e^t - 1)^m / m!."""
-    return _plain_entry("stirling2", _exp_minus_one, n, m)
+    _check_indices(n, m)
+    return stirling2_row(n)[m] if m <= n else 0
 
 
 def stirling2_row(n: int) -> list[int]:
-    """stirling2(n, m) for m = 0..n, uncached, off the same table."""
+    """stirling2(n, m) for m = 0..n, uncached."""
     return _plain_row("stirling2", _exp_minus_one, n)
 
 
 @lru_cache(maxsize=None)
 def stirling1_unsigned(n: int, m: int) -> int:
     """Cycle-count Stirling number, from the EGF (-ln(1-t))^m / m!."""
-    return _plain_entry("stirling1_unsigned", _neg_log1m, n, m)
+    _check_indices(n, m)
+    return stirling1_unsigned_row(n)[m] if m <= n else 0
 
 
 def stirling1_unsigned_row(n: int) -> list[int]:
-    """stirling1_unsigned(n, m) for m = 0..n, uncached, off the same table."""
+    """stirling1_unsigned(n, m) for m = 0..n, uncached."""
     return _plain_row("stirling1_unsigned", _neg_log1m, n)
 
 

@@ -283,6 +283,65 @@ def mutate_ws1_neg_x_extra_term() -> None:
     _weighted_stirling_extra_term(identities, "_ws1_neg_x")
 
 
+def mutate_bernoulli_gf_at_neg_x() -> None:
+    """The gf route of poly-Bernoulli takes e^(xt) for e^(-xt).
+
+    The route comparison of polyberrel1, and every check that reads
+    poly-Bernoulli values, reads it by name through families.compute."""
+    route = families.bernoulli_via_gf
+
+    def reflected(n, k, params):
+        return route(n, k, params).affine(-1, 0)
+
+    families.bernoulli_via_gf = reflected
+
+
+def mutate_bernoulli_stirling_drops_top_term() -> None:
+    """The weighted-Stirling route of poly-Bernoulli stops at m = n - 1."""
+
+    def short(n, k, params):
+        return XPoly.sum_products(
+            ((-1) ** (n + m) * math.factorial(m),
+             families._stirling_weight(m, k, params),
+             sequences.weighted_stirling2(n, m))
+            for m in range(n)
+        )
+
+    families.bernoulli_via_weighted_stirling = short
+
+
+def mutate_cauchy1_gf_second_kind_inner() -> None:
+    """The first-kind gf route composes Lif_k with -ln(1+t), the second
+    kind's inner, for ln(1+t): coefficient n of Lif_k(-ln(1+t)) (1+t)^(-x)
+    is the second kind's gf value at -x."""
+    second = families.cauchy2_via_gf
+
+    def crossed(n, k, params):
+        return second(n, k, params).affine(-1, 0)
+
+    families.cauchy1_via_gf = crossed
+
+
+def mutate_cauchy2_gf_at_neg_x() -> None:
+    """The second-kind gf route takes (1+t)^(-x) for (1+t)^x."""
+    route = families.cauchy2_via_gf
+
+    def reflected(n, k, params):
+        return route(n, k, params).affine(-1, 0)
+
+    families.cauchy2_via_gf = reflected
+
+
+def mutate_cauchy2_stirling_drops_sign() -> None:
+    """The second-kind weighted-Stirling route loses its factor (-1)^n."""
+    route = families.cauchy2_via_weighted_stirling
+
+    def unsigned(n, k, params):
+        return (-1) ** n * route(n, k, params)
+
+    families.cauchy2_via_weighted_stirling = unsigned
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
@@ -300,6 +359,11 @@ MUTATIONS = {
     "weighted-stirling2-extra-term": mutate_weighted_stirling2_extra_term,
     "weighted-stirling1-extra-term": mutate_weighted_stirling1_extra_term,
     "ws1-neg-x-extra-term": mutate_ws1_neg_x_extra_term,
+    "bernoulli-gf-at-neg-x": mutate_bernoulli_gf_at_neg_x,
+    "bernoulli-stirling-drops-top-term": mutate_bernoulli_stirling_drops_top_term,
+    "cauchy1-gf-second-kind-inner": mutate_cauchy1_gf_second_kind_inner,
+    "cauchy2-gf-at-neg-x": mutate_cauchy2_gf_at_neg_x,
+    "cauchy2-stirling-drops-sign": mutate_cauchy2_stirling_drops_sign,
 }
 
 

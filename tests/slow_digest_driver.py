@@ -5,8 +5,11 @@ here take from seconds to about a minute each, so no test launches them:
 this driver runs each in a fresh process, compares the SHA-256 of its
 standard output and standard error, and its exit code, with
 slow_output_digests.json, and prints each run's wall time and peak RSS.
-The peak RSS is the one os.wait4 reports for that child, which also takes
-in the driver's own peak, so the driver stays small.  The output of each
+The peak RSS is the child's own: as it exits, the child reads its VmHWM
+from /proc/self/status and writes it to a pipe, apart from the output
+that is digested.  The ru_maxrss that os.wait4 reports is not used, since
+after the vfork and exec that start a child it takes in the driver's own
+peak too.  The output of each
 gen run is also read back, in a process of its own, value by value,
 through ``exact.rational_from_printed``, and each row holding a value that
 does not read back, or does not print again as the same text, is reported.
@@ -31,6 +34,7 @@ why.
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,20 +112,45 @@ def read_back(out, csv: bool) -> list[int]:
     return json.loads(proc.stdout)
 
 
+# ``python -m pqpoly`` with the fd of a pipe as its first argument: at
+# exit, after the CLI has run, it writes its VmHWM in kB to that fd
+_CHILD = """
+import atexit, os, runpy, sys
+
+fd = int(sys.argv.pop(1))
+
+def report():
+    with open("/proc/self/status") as fh:
+        hwm = next(line for line in fh if line.startswith("VmHWM:"))
+    os.write(fd, hwm.split()[1].encode())
+
+atexit.register(report)
+runpy.run_module("pqpoly", run_name="__main__", alter_sys=True)
+"""
+
+
 def run_digest(argv: str) -> tuple[dict, float, float, list | None]:
     """The digests of one CLI run in a fresh process, its wall time in
-    seconds, its peak RSS in MB, and, for a gen run, the rows of its output
-    that do not read back (None for any other run)."""
+    seconds, its own peak RSS in MB (nan if it did not report one), and,
+    for a gen run, the rows of its output that do not read back (None for
+    any other run)."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        peak_r, peak_w = os.pipe()
         started = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pqpoly", *argv.split()], stdout=out, stderr=err
+            [sys.executable, "-c", _CHILD, str(peak_w), *argv.split()],
+            stdout=out,
+            stderr=err,
+            pass_fds=(peak_w,),
         )
-        # wait4 reaps this child alone and reports its own rusage, where
-        # RUSAGE_CHILDREN keeps the largest peak of every child so far
-        _, status, usage = os.wait4(proc.pid, 0)
+        os.close(peak_w)
+        # wait4 reaps this child alone; its exit status is the run's
+        _, status, _ = os.wait4(proc.pid, 0)
         elapsed = time.perf_counter() - started
         proc.returncode = os.waitstatus_to_exitcode(status)
+        with os.fdopen(peak_r, "rb") as fh:
+            reported = fh.read()
+        peak_mb = int(reported) / 1024 if reported else math.nan
         digest = {
             "stdout": _sha256(out),
             "stderr": _sha256(err),
@@ -130,7 +159,7 @@ def run_digest(argv: str) -> tuple[dict, float, float, list | None]:
         unread = None
         if argv.startswith("gen") and proc.returncode == 0:
             unread = read_back(out, "--format csv" in argv)
-    return digest, elapsed, usage.ru_maxrss / 1024, unread
+    return digest, elapsed, peak_mb, unread
 
 
 def main(argv=None) -> int:

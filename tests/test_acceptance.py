@@ -172,6 +172,11 @@ MUTANTS = (
     "weighted-stirling2-extra-term",
     "weighted-stirling1-extra-term",
     "ws1-neg-x-extra-term",
+    "bernoulli-gf-at-neg-x",
+    "bernoulli-stirling-drops-top-term",
+    "cauchy1-gf-second-kind-inner",
+    "cauchy2-gf-at-neg-x",
+    "cauchy2-stirling-drops-sign",
 )
 
 # each mutant's failing checks, and none under "none", as recorded; a change
@@ -185,6 +190,15 @@ def _mutation_run(name: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(script), name], capture_output=True, text=True
     )
+
+
+def test_every_check_has_a_recorded_kill():
+    # the recorded table alone, without a run: every check fails under
+    # some listed mutant
+    kills = json.loads(MUTATION_KILLS.read_text(encoding="utf-8"))
+    assert set(kills) == {*MUTANTS, "none"}
+    killed = set().union(*kills.values())
+    assert killed == set(CHECK_IDS), sorted(set(CHECK_IDS) - killed)
 
 
 def test_criterion_5_mutation_sensitivity(capsys):

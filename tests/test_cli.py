@@ -570,29 +570,23 @@ def test_cli_output_matches_golden(golden, argv):
     assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        (
-            "gen_poly-cauchy-1_k3_nmax20.json",
-            ["gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "20"],
-        ),
-        ("verify_nmax6.txt", ["verify", "--nmax", "6"]),
-        ("closed-form_k-8.txt", ["closed-form", "--k", "-8"]),
-    ],
-    ids=["gen", "verify", "closed-form"],
-)
-def test_no_command_builds_the_whole_document(
-    capsys, monkeypatch, tmp_path, golden, argv, to_file
-):
-    # JSON goes out as the encoder yields it: the same text, never built
-    # whole by json.dumps or JSONEncoder.encode
-    def refuse(*args, **kwargs):
-        raise AssertionError("the whole JSON document was built as one string")
+def _run_recording_dumps(capsys, monkeypatch, tmp_path, argv, to_file) -> list:
+    """The objects json.dumps is called on while the CLI runs argv, after
+    checking that the CLI's text, on stdout or in an --output file, is the
+    golden text named by argv's first word."""
+    dumped = []
+    dumps = json.dumps
 
-    monkeypatch.setattr(json, "dumps", refuse)
-    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    def recording(obj, **kwargs):
+        dumped.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    golden = {
+        "gen": "gen_poly-cauchy-1_k3_nmax20.json",
+        "verify": "verify_nmax6.txt",
+        "closed-form": "closed-form_k-8.txt",
+    }[argv[0]]
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
         capsys, *argv, *(["--output", str(target)] if to_file else [])
@@ -604,6 +598,33 @@ def test_no_command_builds_the_whole_document(
         assert target.read_text(encoding="utf-8") == expected
     else:
         assert out == expected
+    return dumped
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_gen_never_builds_the_whole_document(
+    capsys, monkeypatch, tmp_path, to_file
+):
+    # gen's rows go out as each is reached: json.dumps formats the header
+    # alone, never an object that holds the rows
+    argv = ["gen", "--family", "poly-cauchy-1", "--k", "3", "--nmax", "20"]
+    dumped = _run_recording_dumps(capsys, monkeypatch, tmp_path, argv, to_file)
+    assert dumped and all("rows" not in obj for obj in dumped)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--nmax", "6"], ["closed-form", "--k", "-8"]],
+    ids=["verify", "closed-form"],
+)
+def test_one_shot_json_is_one_json_dumps(
+    capsys, monkeypatch, tmp_path, argv, to_file
+):
+    # the whole document, as json.dumps(obj, indent=2) writes it, and a
+    # newline
+    dumped = _run_recording_dumps(capsys, monkeypatch, tmp_path, argv, to_file)
+    assert len(dumped) == 1
 
 
 @pytest.mark.parametrize(

@@ -283,6 +283,17 @@ def test_to_strings_of_a_kernel_result_keeps_no_fractions():
     assert strings == ["1/6", "-5/12", "1/2"]
 
 
+def test_repr_of_a_kernel_result_shows_its_strings_and_keeps_no_fractions():
+    p = XPoly.sum_products(
+        ((Fraction(1, 6), XPoly([1, 2, 3])), (Fraction(-3, 4), XPoly([0, 1])))
+    )
+    text = repr(p)
+    assert p._fracs is None
+    assert str(p.to_strings()) in text
+    assert text == "XPoly(['1/6', '-5/12', '1/2'])"
+    assert repr(XPoly.zero()) == "XPoly([])"
+
+
 def test_monomial_matches_the_coefficient_list():
     for power, coeff in [(0, 1), (3, Fraction(-2, 3)), (2, 0), (1, 5)]:
         built = XPoly.monomial(power, coeff)

@@ -569,7 +569,10 @@ def test_routes_agree_at_the_weight_bound(params):
     cases = (
         (FAMILY_POLY_BERNOULLI, 30),
         (FAMILY_POLY_BERNOULLI, -30),
+        (FAMILY_POLY_CAUCHY_1, 30),
+        (FAMILY_POLY_CAUCHY_1, -30),
         (FAMILY_POLY_CAUCHY_2, 30),
+        (FAMILY_POLY_CAUCHY_2, -30),
     )
     for family, k in cases:
         clear_caches()

@@ -138,7 +138,6 @@ PACKAGE_CACHES = {
     "pqpoly.identities._euler_poly_at",
     "pqpoly.identities._classical_euler_shifted",
     "pqpoly.identities._ws1_neg_x",
-    "pqpoly.identities._ws2_neg_x",
     "pqpoly.identities._inner_cauchy1",
     "pqpoly.identities._inner_cauchy2",
     "pqpoly.identities._inner_bernoulli",

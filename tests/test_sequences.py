@@ -56,13 +56,14 @@ def test_stirling_row_is_the_recurrence_row_and_the_entries(
     row_of, entry, recurrence
 ):
     # gen prints each triangle row from its row reader, the identities
-    # read the cached entries: both come off the one table
+    # read the cached entries, which index that row and read 0 past it
     clear_caches()
     for n, expected in enumerate(recurrence(40)):
         assert row_of(n) == expected
     assert entry.cache_info().currsize == 0  # the reader caches nothing
     for n, expected in enumerate(recurrence(40)):
         assert [entry(n, m) for m in range(n + 1)] == expected == row_of(n)
+        assert entry(n, n + 1) == entry(n, 2 * n + 5) == 0
     with pytest.raises(ValueError):
         row_of(-1)
 
