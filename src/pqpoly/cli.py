@@ -27,17 +27,13 @@ from . import families, identities, sequences
 from .exact import rational_from_str, rational_to_str
 from .pqcalc import PQParams
 
-POLY_FAMILIES = {
-    "poly-euler": families.FAMILY_POLY_EULER,
-    "poly-bernoulli": families.FAMILY_POLY_BERNOULLI,
-    "poly-cauchy-1": families.FAMILY_POLY_CAUCHY_1,
-    "poly-cauchy-2": families.FAMILY_POLY_CAUCHY_2,
-}
+# gen's name of each family in the route table: poly-euler for poly_euler
+POLY_FAMILIES = {f.replace("_", "-"): f for f in families.ROUTES_BY_FAMILY}
 
-CLASSICAL_FAMILIES = ("euler", "bernoulli-order", "frobenius-euler")
-TRIANGLE_FAMILIES = ("stirling2", "stirling1")
-
-ALL_FAMILIES = tuple(POLY_FAMILIES) + CLASSICAL_FAMILIES + TRIANGLE_FAMILIES
+ALL_FAMILIES = (
+    *POLY_FAMILIES, "euler", "bernoulli-order", "frobenius-euler",
+    "stirling2", "stirling1",
+)
 
 
 # Largest run sizes accepted.  They bound n, |k| and s, not the size of --p

@@ -132,6 +132,12 @@ def compute(
     return globals()[name](n, k, params)
 
 
+# the entry points: poly_x(n, k, params, route=ROUTE_GF) is compute of family x
+poly_bernoulli = partial(compute, FAMILY_POLY_BERNOULLI)
+poly_cauchy_1 = partial(compute, FAMILY_POLY_CAUCHY_1)
+poly_cauchy_2 = partial(compute, FAMILY_POLY_CAUCHY_2)
+
+
 # ---------------------------------------------------------------------------
 # generating-function columns
 
@@ -281,12 +287,6 @@ def bernoulli_via_weighted_stirling(n: int, k: int, params: PQParams) -> XPoly:
     )
 
 
-def poly_bernoulli(
-    n: int, k: int, params: PQParams, route: str = ROUTE_GF
-) -> XPoly:
-    return compute(FAMILY_POLY_BERNOULLI, n, k, params, route)
-
-
 # ---------------------------------------------------------------------------
 # poly-Cauchy, first kind
 
@@ -357,12 +357,6 @@ def cauchy1_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
     )
 
 
-def poly_cauchy_1(
-    n: int, k: int, params: PQParams, route: str = ROUTE_GF
-) -> XPoly:
-    return compute(FAMILY_POLY_CAUCHY_1, n, k, params, route)
-
-
 # ---------------------------------------------------------------------------
 # poly-Cauchy, second kind
 
@@ -400,9 +394,3 @@ def cauchy2_via_integral_expansion(n: int, k: int, params: PQParams) -> XPoly:
          appells.coeff(m))
         for m in range(n + 1)
     )
-
-
-def poly_cauchy_2(
-    n: int, k: int, params: PQParams, route: str = ROUTE_GF
-) -> XPoly:
-    return compute(FAMILY_POLY_CAUCHY_2, n, k, params, route)

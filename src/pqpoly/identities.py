@@ -31,14 +31,14 @@ not depend on the cell is cached: the inner sums of tid3 and tid4
 under int weights over one denominator, ``XPoly.weighted_values``), the
 Frobenius-Euler polynomials tid4 reads, W1(n, m) at -x (``_ws1_neg_x``,
 the outer triangle of cross_chat_from_b), the shifted Euler polynomials,
-the inner sums Q_m of the cross relations, one polynomial per
-(m, k, params) (the Chat one takes each W2(m, l) at -x as it sums, so no
-cache keeps W2 at -x), and the right side of each cross relation as a
-polynomial in y, whose coefficients R_j = sum_m c_m [y^j]Q_m W(n, m) are
-built once per (check, n, k, params); a cell folds sum_j y^j R_j at its y
-by Horner, exactly the sum of the Q_m(y) terms, so a Q_m that did depend
-on y would still fail cells.  With one coefficient, as for the paper's constant inner
-sums, the fold is R_0 and a cell returns the cached R_0 with no kernel call.
+the inner sums Q_m = sum_l W(m, l) F_l of the cross relations, all in
+one ``_inner_sum`` cache keyed by (F, W, m, k, params) (Chat's W takes
+W2(m, l) at -x, so no cache keeps it), and the right side of each cross
+relation as a polynomial in y, whose coefficients R_j = sum_m c_m [y^j]Q_m
+W(n, m) are built once per (check, n, k, params); a cell folds sum_j y^j R_j
+at its y by Horner, exactly the sum of the Q_m(y) terms, so a Q_m that did
+depend on y would still fail cells.  With one coefficient, as for the
+paper's constant inner sums, the fold is R_0 and a cell returns it.
 The cached Q_n is also the left side of invrel1-3, whose right sides compute
 their own [n+1]^(-k).  A cached value may serve one side of several checks,
 never both sides of one check, so the two sides stay independent.  No cache
@@ -242,32 +242,29 @@ def _ws1_neg_x(n: int, m: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
-def _inner_cauchy1(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W2(m, l) C_l, invrel2's left side, read at y by cross_b_from_c."""
+def _inner_sum(family: str, triangle, m: int, k: int, params: PQParams) -> XPoly:
+    """Q_m = sum_l W(m, l) F_l, F the family's gf values and W = triangle:
+    an inversion relation's left side, read at y by the cross relations."""
     # terms above l = m vanish with the weighted Stirling factor
     return XPoly.sum_products(
-        (sequences.weighted_stirling2(m, l), families.poly_cauchy_1(l, k, params))
+        (triangle(m, l), families.compute(family, l, k, params))
         for l in range(m + 1)
     )
 
 
-@lru_cache(maxsize=None)
-def _inner_cauchy2(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W2(m, l)(-x) Chat_l, invrel3's left side, read by cross_b_from_chat."""
-    return XPoly.sum_products(
-        (sequences.weighted_stirling2(m, l).affine(-1, 0),
-         families.poly_cauchy_2(l, k, params))
-        for l in range(m + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _inner_bernoulli(m: int, k: int, params: PQParams) -> XPoly:
-    """sum_l W1(m, l) B_l, invrel1's left side, read by the cross relations from B."""
-    return XPoly.sum_products(
-        (sequences.weighted_stirling1(m, l), families.poly_bernoulli(l, k, params))
-        for l in range(m + 1)
-    )
+# each triangle is looked up at the call, so rebinding it reaches the sums
+_inner_bernoulli = partial(  # invrel1: sum_l W1(m, l) B_l
+    _inner_sum, families.FAMILY_POLY_BERNOULLI,
+    lambda m, l: sequences.weighted_stirling1(m, l),
+)
+_inner_cauchy1 = partial(  # invrel2: sum_l W2(m, l) C_l
+    _inner_sum, families.FAMILY_POLY_CAUCHY_1,
+    lambda m, l: sequences.weighted_stirling2(m, l),
+)
+_inner_cauchy2 = partial(  # invrel3: sum_l W2(m, l)(-x) Chat_l
+    _inner_sum, families.FAMILY_POLY_CAUCHY_2,
+    lambda m, l: sequences.weighted_stirling2(m, l).affine(-1, 0),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +614,17 @@ CHECKS: tuple[IdentityCheck, ...] = (
              lambda n, m: _ws1_neg_x(n, m), False, False),
         )
     ),
-    IdentityCheck(
-        "vandermonde_1",
-        lambda c: _cells(c, n_min=1),
-        partial(
-            _eval_vandermonde,
-            families.FAMILY_POLY_CAUCHY_1,
-            families.FAMILY_POLY_CAUCHY_2,
-        ),
-    ),
-    IdentityCheck(
-        "vandermonde_2",
-        lambda c: _cells(c, n_min=1),
-        partial(
-            _eval_vandermonde,
-            families.FAMILY_POLY_CAUCHY_2,
-            families.FAMILY_POLY_CAUCHY_1,
-        ),
+    # the Vandermonde relations: (id, family, the other Cauchy kind)
+    *(
+        IdentityCheck(
+            i, lambda c: _cells(c, n_min=1), partial(_eval_vandermonde, *kinds)
+        )
+        for i, *kinds in (
+            ("vandermonde_1", families.FAMILY_POLY_CAUCHY_1,
+             families.FAMILY_POLY_CAUCHY_2),
+            ("vandermonde_2", families.FAMILY_POLY_CAUCHY_2,
+             families.FAMILY_POLY_CAUCHY_1),
+        )
     ),
 )
 

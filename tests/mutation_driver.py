@@ -10,11 +10,19 @@ list.
 
 Prints {"mutation": ..., "failing": [...]} and exits 1 when any check
 failed, which is the expected outcome for everything except "none".
+
+    python tests/mutation_driver.py --matrix
+
+runs no mutant: it prints, from the recorded kills in mutation_kills.json,
+one line per check in registry order with the mutants that kill it, and
+marks "(never alone)" a check that no mutant kills on its own, so that a
+kill of it always comes with a kill of some other check.
 """
 
 import argparse
 import json
 import math
+import pathlib
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -246,8 +254,9 @@ def mutate_poly_euler_number() -> None:
     families.poly_euler_number = skewed
 
 
-def _weighted_stirling_extra_term(module, name: str) -> None:
-    """W(3, 1) of one weighted Stirling triangle gains x/7."""
+def _extra_term(module, name: str) -> None:
+    """Entry (3, 1) of one cached two-index table of polynomials, such as a
+    weighted Stirling triangle, gains x/7."""
     plain = getattr(module, name).__wrapped__
 
     def skewed(n: int, m: int) -> XPoly:
@@ -264,7 +273,7 @@ def mutate_weighted_stirling2_extra_term() -> None:
 
     The cross relations from the Cauchy polynomials read it in their
     polynomial inner sums and in their outer sums."""
-    _weighted_stirling_extra_term(sequences, "weighted_stirling2")
+    _extra_term(sequences, "weighted_stirling2")
 
 
 def mutate_weighted_stirling1_extra_term() -> None:
@@ -272,7 +281,7 @@ def mutate_weighted_stirling1_extra_term() -> None:
 
     The cross relations to the Cauchy polynomials read it in their Bernoulli
     inner sum and in their outer sums."""
-    _weighted_stirling_extra_term(sequences, "weighted_stirling1")
+    _extra_term(sequences, "weighted_stirling1")
 
 
 def mutate_ws1_neg_x_extra_term() -> None:
@@ -280,7 +289,7 @@ def mutate_ws1_neg_x_extra_term() -> None:
 
     Only the outer sum of cross_chat_from_b reads that triangle, so the
     defect reaches no other check."""
-    _weighted_stirling_extra_term(identities, "_ws1_neg_x")
+    _extra_term(identities, "_ws1_neg_x")
 
 
 def mutate_bernoulli_gf_at_neg_x() -> None:
@@ -342,6 +351,67 @@ def mutate_cauchy2_stirling_drops_sign() -> None:
     families.cauchy2_via_weighted_stirling = unsigned
 
 
+def mutate_lif_coeff_drops_factorial() -> None:
+    """The Lif_k coefficients lose their 1/m!: [m+1]^(-k) for m >= 2.
+
+    Only the gf routes of the two Cauchy kinds read them, through their
+    Lif_k columns; invrel2 and invrel3 compute [n+1]^(-k) on their own."""
+
+    def unscaled(m: int, k: int, params) -> Fraction:
+        return pqcalc.pq_integer(m + 1, params) ** (-k)
+
+    sequences._lif_coeff = unscaled
+
+
+def mutate_push_over_skips_rescale() -> None:
+    """A column's running denominator grows to the lcm, but the numerators
+    it already keeps are not rescaled to it.
+
+    Every gf column (Li_k, Lif_k) and the integral routes' column of
+    moments keep their values through families._push_over."""
+
+    def unscaled(nums: list, den: int, c) -> int:
+        d = c.denominator
+        if den % d:
+            den = math.lcm(den, d)
+        nums.append(c.numerator * (den // d))
+        return den
+
+    families._push_over = unscaled
+
+
+def mutate_bernoulli_order_extra_term() -> None:
+    """B_3^(1)(x), one order-s Bernoulli polynomial, gains x/7; tid3's inner
+    sum reads them."""
+    _extra_term(sequences, "bernoulli_order")
+
+
+def mutate_frobenius_euler_extra_term() -> None:
+    """Every Frobenius-Euler polynomial of degree 3 gains x/7.
+
+    tid4 reads them, and so does eucls through euler_poly, the
+    Frobenius-Euler polynomial at s = 1, u = -1."""
+    plain = sequences.frobenius_euler
+
+    def skewed(n: int, s: int, u) -> XPoly:
+        value = plain(n, s, u)
+        return value + XPoly.monomial(1, Fraction(1, 7)) if n == 3 else value
+
+    sequences.frobenius_euler = skewed
+
+
+def mutate_weighted_values_drops_last_point() -> None:
+    """XPoly.weighted_values leaves out its last point.
+
+    Only tid4's scalar weight of H_l^(s), E_m at the points 0..s, reads it."""
+    weighted = XPoly.weighted_values
+
+    def dropping(self, weights, den: int) -> Fraction:
+        return weighted(self, list(weights)[:-1], den)
+
+    XPoly.weighted_values = dropping
+
+
 MUTATIONS = {
     "stirling2-off-by-one": mutate_stirling2_off_by_one,
     "cauchy1-stirling-sign-flip": mutate_cauchy1_sign_flip,
@@ -364,7 +434,25 @@ MUTATIONS = {
     "cauchy1-gf-second-kind-inner": mutate_cauchy1_gf_second_kind_inner,
     "cauchy2-gf-at-neg-x": mutate_cauchy2_gf_at_neg_x,
     "cauchy2-stirling-drops-sign": mutate_cauchy2_stirling_drops_sign,
+    "lif-coeff-drops-factorial": mutate_lif_coeff_drops_factorial,
+    "push-over-skips-rescale": mutate_push_over_skips_rescale,
+    "bernoulli-order-extra-term": mutate_bernoulli_order_extra_term,
+    "frobenius-euler-extra-term": mutate_frobenius_euler_extra_term,
+    "weighted-values-drops-last-point": mutate_weighted_values_drops_last_point,
 }
+
+
+KILLS = pathlib.Path(__file__).with_name("mutation_kills.json")
+
+
+def print_matrix() -> None:
+    """Each check with the mutants recorded as killing it, in table order."""
+    kills = json.loads(KILLS.read_text(encoding="utf-8"))
+    for check_id in identities.CHECK_IDS:
+        killers = [name for name, failing in kills.items() if check_id in failing]
+        alone = any(kills[name] == [check_id] for name in killers)
+        mark = "" if alone else "  (never alone)"
+        print(f"{check_id}: {', '.join(killers)}{mark}")
 
 
 def main(argv=None) -> int:
@@ -372,9 +460,19 @@ def main(argv=None) -> int:
         description="run the identity suite against one seeded defect"
     )
     parser.add_argument(
-        "mutation", choices=sorted(MUTATIONS) + ["none"]
+        "mutation", nargs="?", choices=sorted(MUTATIONS) + ["none"]
+    )
+    parser.add_argument(
+        "--matrix",
+        action="store_true",
+        help="print each check's recorded killers instead of running a mutant",
     )
     args = parser.parse_args(argv)
+    if args.matrix:
+        print_matrix()
+        return 0
+    if args.mutation is None:
+        parser.error("a mutation is required unless --matrix is given")
     if args.mutation != "none":
         MUTATIONS[args.mutation]()
     reports = run_all(REDUCED)

@@ -177,6 +177,11 @@ MUTANTS = (
     "cauchy1-gf-second-kind-inner",
     "cauchy2-gf-at-neg-x",
     "cauchy2-stirling-drops-sign",
+    "lif-coeff-drops-factorial",
+    "push-over-skips-rescale",
+    "bernoulli-order-extra-term",
+    "frobenius-euler-extra-term",
+    "weighted-values-drops-last-point",
 )
 
 # each mutant's failing checks, and none under "none", as recorded; a change
@@ -199,6 +204,25 @@ def test_every_check_has_a_recorded_kill():
     assert set(kills) == {*MUTANTS, "none"}
     killed = set().union(*kills.values())
     assert killed == set(CHECK_IDS), sorted(set(CHECK_IDS) - killed)
+
+
+def test_mutation_matrix_names_every_check():
+    # the matrix reads the recorded table alone: one line per check in
+    # registry order, its killers, and a mark where none kills it alone
+    script = pathlib.Path(__file__).with_name("mutation_driver.py")
+    proc = subprocess.run(
+        [sys.executable, str(script), "--matrix"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    kills = json.loads(MUTATION_KILLS.read_text(encoding="utf-8"))
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(CHECK_IDS)
+    lone = {failing[0] for failing in kills.values() if len(failing) == 1}
+    for check_id, line in zip(CHECK_IDS, lines):
+        listed = line.split(": ", 1)[1]
+        killers = [name for name, failing in kills.items() if check_id in failing]
+        assert listed.removesuffix("  (never alone)").split(", ") == killers
+        assert listed.endswith("  (never alone)") == (check_id not in lone)
 
 
 def test_criterion_5_mutation_sensitivity(capsys):

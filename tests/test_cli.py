@@ -257,6 +257,33 @@ def test_gen_rejects_frobenius_u_one(capsys):
     assert "--u" in err
 
 
+GEN_FAMILIES = (
+    "poly-euler", "poly-bernoulli", "poly-cauchy-1", "poly-cauchy-2", "euler",
+    "bernoulli-order", "frobenius-euler", "stirling2", "stirling1",
+)
+
+
+def test_gen_unknown_family_lists_the_families_in_order(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--family", "nope", "--nmax", "1"])
+    assert excinfo.value.code == 2
+    listed = ", ".join(f"'{family}'" for family in GEN_FAMILIES)
+    assert (
+        f"argument --family: invalid choice: 'nope' (choose from {listed})"
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "value, message", [("x", "not an integer: 'x'"), ("-1", "must be nonnegative")]
+)
+def test_gen_rejects_a_malformed_nmax(capsys, value, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--family", "euler", "--nmax", value])
+    assert excinfo.value.code == 2
+    assert f"argument --nmax: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -303,6 +330,12 @@ def test_verify_unknown_check_id(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "bogus", "--nmax", "2")
     assert code == 2
     assert "unknown check ids" in err
+
+
+def test_verify_only_without_an_id(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", ",", "--nmax", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --only: no check ids given\n"
 
 
 def test_verify_writes_output_file(capsys, tmp_path):

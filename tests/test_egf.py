@@ -38,6 +38,11 @@ def test_constant_series():
     assert s.coeffs == (Fraction(3), 0, 0, 0, 0)
 
 
+def test_series_needs_its_order_zero_coefficient():
+    with pytest.raises(ValueError, match="order-0 coefficient"):
+        EgfSeries([])
+
+
 def test_coeff_out_of_range_raises():
     s = EgfSeries([1, 2, 3])
     column = Column(lambda coeffs, n: coeffs.extend(range(len(coeffs), n + 1)))

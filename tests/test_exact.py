@@ -248,6 +248,8 @@ def test_xpoly_call_is_scalar_evaluation_only():
         XPoly([1, -3, 2])(XPoly([1, 1]))
     with pytest.raises(TypeError, match="affine shift.*float"):
         XPoly([1, 2]).affine(1, 0.5)
+    with pytest.raises(TypeError, match="affine scale.*float"):
+        XPoly([1, 2]).affine(0.5, 0)
 
 
 def test_xpoly_derivative():
@@ -673,6 +675,12 @@ def test_xpoly_mul_associative(a, b, c):
 @given(small_polys)
 def test_xpoly_string_round_trip(p):
     assert XPoly(map(rational_from_str, p.to_strings())) == p
+
+
+def test_factorials_reject_negative_n():
+    for factorial in (falling_factorial, rising_factorial):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            factorial(-1)
 
 
 def test_falling_factorial_small():

@@ -639,10 +639,10 @@ def test_cross_checks_build_each_inner_sum_once(monkeypatch):
 
     top = min(SMALL.n_max, identities.CROSS_N_CAP)
     keys = (top + 1) * len(SMALL.k_values) * len(SMALL.param_points)
-    for name in ("_inner_cauchy1", "_inner_cauchy2", "_inner_bernoulli"):
-        info = getattr(identities, name).cache_info()
-        assert (info.misses, info.currsize) == (keys, keys), name
-        assert info.hits > 0, name
+    # one cache holds the three inner sums, one entry per (sum, m, k, params)
+    info = identities._inner_sum.cache_info()
+    assert (info.misses, info.currsize) == (3 * keys, 3 * keys)
+    assert info.hits > 0
     info = identities._cross_rhs_coeffs.cache_info()
     assert (info.misses, info.currsize) == (4 * keys, 4 * keys)
     cells = sum(report.cells_total for report in reports)
@@ -651,21 +651,19 @@ def test_cross_checks_build_each_inner_sum_once(monkeypatch):
 
 
 def test_invrel_left_sides_are_the_cross_inner_sums():
-    # invrel1-3 fill the three inner-sum caches, one entry per cell; the
-    # cross relations then read every Q_m they need from them
+    # invrel1-3 fill the inner-sum cache, one entry per cell of each; the
+    # cross relations then read every Q_m they need from it
     pqpoly.clear_caches()
-    inners = ("_inner_bernoulli", "_inner_cauchy1", "_inner_cauchy2")
     reports = run_all(SMALL, only=["invrel1", "invrel2", "invrel3"])
     assert all(report.passed for report in reports)
     cells = reports[0].cells_total
-    before = {name: getattr(identities, name).cache_info() for name in inners}
-    for info in before.values():
-        assert (info.misses, info.currsize) == (cells, cells)
+    assert [report.cells_total for report in reports] == [cells] * 3
+    before = identities._inner_sum.cache_info()
+    assert (before.misses, before.currsize) == (3 * cells, 3 * cells)
     assert all(report.passed for report in run_all(SMALL, only=CROSS_IDS))
-    for name in inners:
-        info = getattr(identities, name).cache_info()
-        assert info.misses == before[name].misses, name
-        assert info.hits > before[name].hits, name
+    info = identities._inner_sum.cache_info()
+    assert (info.misses, info.currsize) == (before.misses, before.currsize)
+    assert info.hits > before.hits
     pqpoly.clear_caches()
 
 

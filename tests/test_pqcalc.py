@@ -48,6 +48,15 @@ def test_params_validation():
         PQParams(Fraction(1, 2), Fraction(-1, 3))
 
 
+def test_params_fields_cannot_be_assigned_or_deleted():
+    params = PQParams(Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+        params.p = Fraction(1)
+    with pytest.raises(AttributeError, match="cannot delete field 'q'"):
+        del params.q
+    assert (params.p, params.q) == (Fraction(1, 2), Fraction(1, 3))
+
+
 def test_params_reject_inexact_types():
     with pytest.raises(TypeError, match="p must be int or Fraction, not float"):
         PQParams(0.1, 0.1)

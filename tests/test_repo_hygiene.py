@@ -138,9 +138,7 @@ PACKAGE_CACHES = {
     "pqpoly.identities._euler_poly_at",
     "pqpoly.identities._classical_euler_shifted",
     "pqpoly.identities._ws1_neg_x",
-    "pqpoly.identities._inner_cauchy1",
-    "pqpoly.identities._inner_cauchy2",
-    "pqpoly.identities._inner_bernoulli",
+    "pqpoly.identities._inner_sum",
     "pqpoly.identities._tid3_inner",
     "pqpoly.identities._tid4_weight",
     "pqpoly.identities._tid4_frobenius_euler",

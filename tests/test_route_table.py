@@ -17,27 +17,53 @@ from pqpoly.pqcalc import PQParams, pq_integral_01_monomial
 BASE = PQParams(Fraction(1, 2), Fraction(1, 3))
 
 
+# each entry point, its family and the route check that compares its routes
+ENTRY_POINTS = [
+    (families.poly_bernoulli, families.FAMILY_POLY_BERNOULLI, "polyberrel1"),
+    (families.poly_cauchy_1, families.FAMILY_POLY_CAUCHY_1, "cauchy_routes_1"),
+    (families.poly_cauchy_2, families.FAMILY_POLY_CAUCHY_2, "cauchy_routes_2"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, family, route",
+    [
+        (entry, family, route)
+        for entry, family, _ in ENTRY_POINTS
+        for route in families.ROUTES_BY_FAMILY[family]
+    ],
+)
+def test_entry_point_is_compute_of_its_family(entry, family, route):
+    for n in range(4):
+        want = families.compute(family, n, 2, BASE, route)
+        assert entry(n, 2, BASE, route) == want
+        assert entry(n, 2, BASE, route=route) == want
+        if route == families.ROUTE_GF:
+            assert entry(n, 2, BASE) == want
+
+
 def test_rebound_route_reaches_every_entry_point(monkeypatch):
-    real = families.cauchy2_via_integral_expansion
-
-    def skewed(n, k, params):
-        return real(n, k, params) + XPoly.one()
-
-    monkeypatch.setattr(families, "cauchy2_via_integral_expansion", skewed)
-    want = real(3, 2, BASE) + XPoly.one()
-
-    assert families.poly_cauchy_2(3, 2, BASE, families.ROUTE_INTEGRAL) == want
-    assert (
-        families.compute(
-            families.FAMILY_POLY_CAUCHY_2, 3, 2, BASE, families.ROUTE_INTEGRAL
-        )
-        == want
-    )
-
     config = SuiteConfig(n_max=2, k_values=(1,), param_points=(BASE,))
-    (report,) = run_all(config, only=["cauchy_routes_2"])
-    assert not report.passed
-    assert report.first_failure is not None
+    for entry, family, check_id in ENTRY_POINTS:
+        # the last route listed: the integral route of each Cauchy kind and
+        # the weighted-Stirling route of poly-Bernoulli
+        route, name = list(families.ROUTES_BY_FAMILY[family].items())[-1]
+        real = getattr(families, name)
+
+        def skewed(n, k, params, real=real):
+            return real(n, k, params) + XPoly.one()
+
+        monkeypatch.setattr(families, name, skewed)
+        want = real(3, 2, BASE) + XPoly.one()
+
+        assert entry(3, 2, BASE, route) == want, family
+        assert entry(3, 2, BASE, route=route) == want, family
+        assert families.compute(family, 3, 2, BASE, route) == want, family
+
+        (report,) = run_all(config, only=[check_id])
+        assert not report.passed, family
+        assert report.first_failure is not None, family
+        monkeypatch.undo()
 
 
 def test_integral_routes_go_through_the_integral(monkeypatch):
@@ -90,6 +116,11 @@ def test_integral_route_needs_positive_weight(family):
     assert families.ROUTE_INTEGRAL not in families.routes(family, 0)
     assert families.routes(family, 1) == table
 
+
+
+def test_routes_of_an_unknown_family_raise():
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        families.routes("nope", 1)
 
 
 def test_route_agreement_checks_every_listed_route(monkeypatch):
